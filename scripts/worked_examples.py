@@ -65,7 +65,7 @@ def main():
     print(f"  T = {t.render()}")
     print(f"  counted components: dim Hom = {spread_hom_dim(s, t)}")
     ms, mt = spread_module(s, FIELD), spread_module(t, FIELD)
-    print(f"  naturality solver:  dim Hom = {hom_basis(ms, mt).dim}")
+    print(f"  naturality solver:  dim Hom = {hom_basis(ms, mt, method='solver').dim}")
 
     heading("Equal ranks, different classes (2x2 grid)")
     p, m, mprime = equal_rank_pair(FIELD)

@@ -22,7 +22,16 @@ from .errors import (
     SpreadHomError,
 )
 from .field import PrimeField
-from .hom import HomBasis, hom_basis, hom_dim, kernel_module, spread_hom_dim
+from .hom import (
+    hom_basis,
+    hom_dim,
+    kernel_module,
+    spread_hom_components,
+    spread_hom_dim,
+    yoneda_basis,
+    yoneda_morphism,
+    yoneda_values,
+)
 from .modules import (
     Morphism,
     PersistenceModule,
@@ -30,7 +39,7 @@ from .modules import (
     spread_module,
     zero_module,
 )
-from .poset import Poset, Spread, enumerate_spreads, spread_from_convex
+from .poset import Poset, Spread, enumerate_spreads, iter_mask, kahn_order, spread_from_convex
 
 BUILTIN_FAMILIES = (
     "projectives",
@@ -63,8 +72,9 @@ class Family:
         self.restricted_support = restricted_support
         self._index = {s.support: i for i, s in enumerate(members)}
         self._modules: dict[int, list[PersistenceModule]] = {}
-        self._pair_hom: dict[tuple[int, int, int], HomBasis] = {}
+        self._pair_hom: dict[tuple[int, int], tuple[int, ...]] = {}
         self._hom_matrix: tuple[tuple[int, ...], ...] | None = None
+        self._diagnostics: FamilyDiagnostics | None = None
 
     def __len__(self):
         return len(self.members)
@@ -96,14 +106,14 @@ class Family:
             self._modules[field.p] = mods
         return mods
 
-    def pair_hom(self, field: PrimeField, i: int, j: int) -> HomBasis:
-        key = (field.p, i, j)
-        hb = self._pair_hom.get(key)
-        if hb is None:
-            mods = self.member_modules(field)
-            hb = hom_basis(mods[i], mods[j])
-            self._pair_hom[key] = hb
-        return hb
+    def pair_hom(self, i: int, j: int) -> tuple[int, ...]:
+        """Supports of the indicator basis of Hom(member_i, member_j), field-free."""
+        key = (i, j)
+        comps = self._pair_hom.get(key)
+        if comps is None:
+            comps = spread_hom_components(self.members[i], self.members[j])
+            self._pair_hom[key] = comps
+        return comps
 
     def hom_matrix(self) -> tuple[tuple[int, ...], ...]:
         """H[i][j] = dim Hom(member_i, member_j), combinatorial and field-free."""
@@ -136,7 +146,7 @@ def builtin_family(poset: Poset, name: str, cap: int = 100_000) -> Family:
     return Family(poset, members, quotient_closed=closed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FamilyDiagnostics:
     contains_projectives: bool
     missing_projectives: tuple[str, ...]
@@ -149,55 +159,48 @@ class FamilyDiagnostics:
 def _hom_digraph_topo(h) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
     """Topological order of i -> j whenever h[i][j] != 0 (i != j), or a cycle."""
     n = len(h)
-    succs = [[j for j in range(n) if j != i and h[i][j]] for i in range(n)]
-    indeg = [0] * n
-    for i in range(n):
-        for j in succs[i]:
-            indeg[j] += 1
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
-    order = []
-    import heapq
-
-    heapq.heapify(ready)
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in succs[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
+    order, indeg = kahn_order([[j for j in range(n) if j != i and h[i][j]] for i in range(n)])
     if len(order) == n:
         return tuple(order), None
-    # find one cycle among the leftovers by walking successors
-    stuck = [i for i in range(n) if indeg[i] > 0]
-    walk = [stuck[0]]
-    seen = {stuck[0]: 0}
+    # Every node Kahn leaves behind keeps a predecessor that was left behind
+    # too, so walking predecessors must close a cycle.
+    start = next(i for i in range(n) if indeg[i] > 0)
+    walk = [start]
+    seen = {start: 0}
     while True:
         cur = walk[-1]
-        nxt = next(j for j in succs[cur] if indeg[j] > 0)
-        if nxt in seen:
-            return None, tuple(walk[seen[nxt]:])
-        seen[nxt] = len(walk)
-        walk.append(nxt)
+        prev = next(i for i in range(n) if i != cur and h[i][cur] and indeg[i] > 0)
+        if prev in seen:
+            cycle = walk[seen[prev]:][::-1]
+            k = cycle.index(min(cycle))  # start at the least index
+            return None, tuple(cycle[k:] + cycle[:k])
+        seen[prev] = len(walk)
+        walk.append(prev)
 
 
 def check_family(x: Family, require_projectives: bool = False) -> FamilyDiagnostics:
-    """Structural diagnostics: projective coverage and the Hom digraph."""
-    missing = x.missing_projectives()
-    if require_projectives and missing:
-        raise MissingProjectivesError(
-            f"family lacks the principal up-sets at {{{', '.join(missing)}}}"
+    """Structural diagnostics: projective coverage and the Hom digraph.
+
+    Computed once per family, which is immutable after construction.
+    """
+    diag = x._diagnostics
+    if diag is None:
+        missing = x.missing_projectives()
+        h = x.hom_matrix()
+        topo, cycle = _hom_digraph_topo(h)
+        diag = x._diagnostics = FamilyDiagnostics(
+            contains_projectives=not missing,
+            missing_projectives=missing,
+            hom_matrix=h,
+            hom_acyclic=topo is not None,
+            topo_order=topo,
+            hom_cycle=cycle,
         )
-    h = x.hom_matrix()
-    topo, cycle = _hom_digraph_topo(h)
-    return FamilyDiagnostics(
-        contains_projectives=not missing,
-        missing_projectives=missing,
-        hom_matrix=h,
-        hom_acyclic=topo is not None,
-        topo_order=topo,
-        hom_cycle=cycle,
-    )
+    if require_projectives and diag.missing_projectives:
+        raise MissingProjectivesError(
+            f"family lacks the principal up-sets at {{{', '.join(diag.missing_projectives)}}}"
+        )
+    return diag
 
 
 def _require_coverage(x: Family, m: PersistenceModule):
@@ -256,32 +259,47 @@ def minimal_approximation(x: Family, m: PersistenceModule):
 
     Multiplicity at member R is dim Hom(R,m) minus the rank of the span of
     composites R -> R' -> m over the other members R'; the representatives
-    are read off the pivots of one elimination per member.
+    are read off the pivots of one elimination per member.  Everything runs
+    in the source coordinates ⊕_{a in sources(R)} m_a of Hom(R, m): for the
+    indicator h of a component X and g in Hom(R', m), g∘h has the value of g
+    at each source a of R in X and 0 at the others.
     """
     _require_coverage(x, m)
     field = m.field
+    members = x.members
+    homs = [yoneda_basis(s, m) for s in members]
+    values = {}  # (j, a) -> the basis of Hom(R_j, m) evaluated at a
+
+    def value_at(j, a):
+        out = values.get((j, a))
+        if out is None:
+            offsets, w = homs[j]
+            out = values[(j, a)] = yoneda_values(members[j], m, offsets, w, a)
+        return out
+
     mods = x.member_modules(field)
-    bases = [hom_basis(r, m) for r in mods]
-    multiplicities = []
-    picks = []
-    for i in range(len(x)):
-        vecs = bases[i].matrix()
-        rad_cols = []
-        for j in range(len(x)):
-            if j == i or not bases[j].basis:
+    live = [j for j, (_, w) in enumerate(homs) if w.shape[1]]
+    multiplicities = [0] * len(members)
+    picks = [[] for _ in members]
+    for i in live:
+        s = members[i]
+        offsets, w = homs[i]
+        blocks = []
+        for j in live:
+            if j == i:
                 continue
-            through = x.pair_hom(field, i, j)
-            for h in through.basis:
-                for g in bases[j].basis:
-                    rad_cols.append((g @ h).vec())
-        if rad_cols:
-            rad = np.stack(rad_cols, axis=1)
-        else:
-            rad = np.zeros((vecs.shape[0], 0), dtype=np.int64)
-        _, pivots = field.rref(np.concatenate([rad, vecs], axis=1))
-        chosen = [p - rad.shape[1] for p in pivots if p >= rad.shape[1]]
-        multiplicities.append(len(chosen))
-        picks.append([bases[i].basis[c] for c in chosen])
+            for comp in x.pair_hom(i, j):
+                block = field.zeros(w.shape[0], homs[j][1].shape[1])
+                for a in iter_mask(s.sources & comp):
+                    block[offsets[a]:offsets[a] + m.dims[a]] = value_at(j, a)
+                blocks.append(block)
+        blocks.append(w)
+        stacked = np.concatenate(blocks, axis=1)
+        start = stacked.shape[1] - w.shape[1]
+        _, pivots = field.rref(stacked)
+        chosen = [c - start for c in pivots if c >= start]
+        multiplicities[i] = len(chosen)
+        picks[i] = [yoneda_morphism(mods[i], m, offsets, w[:, c]) for c in chosen]
     f = _assemble(x, m, picks)
     _check_epi(f)
     return tuple(multiplicities), f

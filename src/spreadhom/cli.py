@@ -25,6 +25,7 @@ from .field import DEFAULT_PRIME, PrimeField
 from .files import load_family, load_module, load_poset
 from .hom import hom_dim
 from .invariants import (
+    COMPARE_KINDS,
     barcode,
     class_via_hom_matrix,
     class_via_resolution,
@@ -35,7 +36,6 @@ from .invariants import (
 )
 
 INVARIANT_KINDS = ("dimvec", "rank", "class", "dimhom", "genrank", "diagram", "barcode", "resolve")
-COMPARE_KINDS = ("dimvec", "rank", "class", "dimhom", "genrank", "diagram")
 FORMAT_TAG = "spreadhom.v1"
 
 

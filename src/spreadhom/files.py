@@ -31,6 +31,10 @@ def _load_yaml(path: str):
     return data
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_label(x) -> str:
     return x if isinstance(x, str) else str(x)
 
@@ -82,8 +86,8 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None):
             a = poset.element(lbl)
         except KeyError:
             raise FileFormatError(f"{path}: unknown element label {lbl!r} in dims") from None
-        if not isinstance(d, int) or d < 0:
-            raise FileFormatError(f"{path}: dims[{lbl!r}] must be a non-negative integer")
+        if not _is_int(d) or d < 0:
+            raise FileFormatError(f"{path}: dims[{lbl!r}] must be a non-negative integer, got {d!r}")
         dims[a] = d
     maps = {}
     for key, value in (data.get("maps") or {}).items():
@@ -106,7 +110,12 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None):
         else:
             if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
                 raise FileFormatError(f"{path}: map {key!r} must be a matrix (list of rows) or 'id'")
-            maps[(a, b)] = value
+            for row in value:
+                for x in row:
+                    if not _is_int(x):
+                        raise FileFormatError(f"{path}: map {key!r} has entry {x!r}, not an integer")
+            # reduce before numpy sees them: exact also beyond int64
+            maps[(a, b)] = [[x % field.p for x in row] for row in value]
     module = PersistenceModule(poset, field, dims, maps)
     return module, poset, ref
 

@@ -29,6 +29,18 @@ from .poset import Poset, Spread, containment_poset, elements_of
 COMPARE_KINDS = ("dimvec", "rank", "class", "dimhom", "genrank", "diagram")
 
 
+def _render_signed(spreads, coeffs) -> str:
+    """"+[a,b] -2*[c,d] ..." over the nonzero coefficients, or "0"."""
+    parts = []
+    for s, c in zip(spreads, coeffs):
+        if c == 0:
+            continue
+        sign = "+" if c > 0 else "-"
+        mag = "" if abs(c) == 1 else f"{abs(c)}*"
+        parts.append(f"{sign}{mag}{s.render()}")
+    return " ".join(parts) if parts else "0"
+
+
 @dataclass
 class GrothClass:
     """An integer combination of family members."""
@@ -59,14 +71,7 @@ class GrothClass:
         }
 
     def render(self) -> str:
-        parts = []
-        for s, c in zip(self.family.members, self.coeffs):
-            if c == 0:
-                continue
-            sign = "+" if c > 0 else "-"
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            parts.append(f"{sign}{mag}{s.render()}")
-        return " ".join(parts) if parts else "0"
+        return _render_signed(self.family.members, self.coeffs)
 
 
 def dim_hom_vector(x: Family, m: PersistenceModule) -> tuple[int, ...]:
@@ -224,14 +229,7 @@ class SignedDiagram:
         return {s.render(): c for s, c in zip(self.collection, self.coeffs) if c != 0}
 
     def render(self) -> str:
-        parts = []
-        for s, c in zip(self.collection, self.coeffs):
-            if c == 0:
-                continue
-            sign = "+" if c > 0 else "-"
-            mag = "" if abs(c) == 1 else f"{abs(c)}*"
-            parts.append(f"{sign}{mag}{s.render()}")
-        return " ".join(parts) if parts else "0"
+        return _render_signed(self.collection, self.coeffs)
 
 
 def generalized_rank_vector(m: PersistenceModule, collection) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ cover list and validated on construction (acyclic, no transitive edges).
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -39,6 +40,29 @@ def iter_mask(mask: int) -> Iterator[int]:
 
 def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_mask(mask))
+
+
+def kahn_order(succs) -> tuple[list[int], list[int]]:
+    """Kahn's algorithm on the digraph i -> succs[i], least ready node first.
+
+    Returns the order and the in-degrees left over; the nodes left with a
+    positive in-degree are exactly those missing from the order.
+    """
+    indeg = [0] * len(succs)
+    for out in succs:
+        for j in out:
+            indeg[j] += 1
+    ready = [i for i, d in enumerate(indeg) if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for j in succs[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(ready, j)
+    return order, indeg
 
 
 class Poset:
@@ -105,19 +129,7 @@ class Poset:
         self._hash = hash((n, self._names, self._covers))
 
     def _toposort(self) -> tuple[int, ...]:
-        indeg = [len(self._parents[i]) for i in range(self._n)]
-        import heapq
-
-        ready = [i for i in range(self._n) if indeg[i] == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            a = heapq.heappop(ready)
-            order.append(a)
-            for c in self._children[a]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, c)
+        order, indeg = kahn_order(self._children)
         if len(order) != self._n:
             stuck = [self._names[i] for i in range(self._n) if indeg[i] > 0]
             raise CycleError(f"cover relation has a cycle through {{{', '.join(stuck)}}}")

@@ -37,7 +37,7 @@ from spreadhom.randmod import random_module
 def test_grid5x3_pair_has_one_dim_hom(field):
     p, s, t = grid53_hom_pair()
     assert spread_hom_dim(s, t) == 1
-    assert hom_basis(spread_module(s, field), spread_module(t, field)).dim == 1
+    assert hom_basis(spread_module(s, field), spread_module(t, field), method="solver").dim == 1
 
 
 def test_spread_route_matches_solver_on_small_posets(field):
@@ -48,8 +48,51 @@ def test_spread_route_matches_solver_on_small_posets(field):
         for s, ms in zip(spreads, mods):
             for t, mt in zip(spreads, mods):
                 combinatorial = spread_hom_dim(s, t)
-                solved = hom_basis(ms, mt).dim
+                solved = hom_basis(ms, mt, method="solver").dim
                 assert combinatorial == solved, (name, s.render(), t.render())
+
+
+def test_indicator_basis_is_the_solver_basis(field):
+    # spread -> spread bases are the component indicators, ordered by largest
+    # element id, which is exactly the solver's canonical kernel basis
+    for name, p in generator_posets(max_n=5):
+        mods = [spread_module(s, field) for s in enumerate_spreads(p, "connected_all")]
+        for ms in mods:
+            for mt in mods:
+                got = hom_basis(ms, mt).matrix()
+                want = hom_basis(ms, mt, method="solver").matrix()
+                assert np.array_equal(got, want), (name, ms, mt)
+
+
+YONEDA_POSETS = {"grid2x2": grid(2, 2), "grid3x3": grid(3, 3), "funnel": funnel()}
+YONEDA_SPREADS = {k: enumerate_spreads(p, "connected_all") for k, p in YONEDA_POSETS.items()}
+
+
+@given(st.sampled_from(sorted(YONEDA_POSETS)), st.integers(0, 10_000))
+def test_yoneda_route_matches_solver(name, seed):
+    # Hom out of every connected spread, multi-source ones included, into a
+    # random module: same dimension, same span, and natural basis morphisms
+    field = PrimeField()
+    p = YONEDA_POSETS[name]
+    n = random_module(p, field, random.Random(seed))
+    assert n.spread is None
+    for s in YONEDA_SPREADS[name]:
+        m = spread_module(s, field)
+        got = hom_basis(m, n)
+        want = hom_basis(m, n, method="solver")
+        assert got.dim == want.dim == hom_dim(m, n), s.render()
+        both = np.concatenate([got.matrix(), want.matrix()], axis=1)
+        assert field.rank(got.matrix()) == field.rank(both) == want.dim, s.render()
+        for f in got.basis:
+            Morphism(m, n, f.components)  # full naturality validation
+
+
+def test_hom_basis_methods(field):
+    s = spread_from_antichains(grid(2, 2), ["00"], ["11"])
+    ms = spread_module(s, field)
+    assert hom_basis(ms, ms, method="solver").dim == hom_basis(ms, ms).dim == 1
+    with pytest.raises(ValueError):
+        hom_basis(ms, ms, method="spread")
 
 
 def test_hom_dim_methods_agree(field):
@@ -219,4 +262,4 @@ def test_spread_hom_dim_is_symmetric_under_field_choice(seed):
     d = spread_hom_dim(s, t)
     for prime in (2, 3, 32003):
         f = PrimeField(prime)
-        assert hom_basis(spread_module(s, f), spread_module(t, f)).dim == d
+        assert hom_basis(spread_module(s, f), spread_module(t, f), method="solver").dim == d

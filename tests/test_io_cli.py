@@ -175,6 +175,45 @@ def test_cli_validate_rejects_garbage(capsys, tmp_path):
     assert "error:" in err
 
 
+def _grid2x3_variant(tmp_path, old, new, name="m.yaml"):
+    """diagram_m.yaml over grid2x3.yaml with one line replaced."""
+    shutil.copy(DATA / "grid2x3.yaml", tmp_path / "grid2x3.yaml")
+    text = (DATA / "diagram_m.yaml").read_text()
+    assert old in text
+    path = tmp_path / name
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+def test_cli_rejects_bool_dimension(capsys, tmp_path):
+    path = _grid2x3_variant(tmp_path, '"11": 1,', '"11": true,')
+    code, out, err = run_cli(capsys, "invariant", "dimvec", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "dims['11']" in err and len(err.splitlines()) == 1
+
+
+def test_cli_rejects_fractional_entry(capsys, tmp_path):
+    path = _grid2x3_variant(tmp_path, '"11->12": [[1], [1]]', '"11->12": [[1.5], [1]]')
+    code, out, err = run_cli(capsys, "invariant", "dimvec", path)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "1.5" in err and len(err.splitlines()) == 1
+
+
+def test_cli_reduces_huge_entry_exactly(capsys, tmp_path, field):
+    # an integer entry of any size is read as its residue mod p, like every
+    # other entry, instead of overflowing int64
+    huge = 99999999999999999999
+    path = _grid2x3_variant(tmp_path, '"11->12": [[1], [1]]', f'"11->12": [[1], [{huge}]]')
+    code, out, err = run_cli(capsys, "invariant", "rank", path)
+    assert code == 0 and err == ""
+    m, _, _ = load_module(path, field)
+    assert m.maps[(0, 1)].tolist() == [[1], [huge % field.p]]
+    want = _grid2x3_variant(
+        tmp_path, '"11->12": [[1], [1]]', f'"11->12": [[1], [{huge % field.p}]]', "residue.yaml"
+    )
+    assert run_cli(capsys, "invariant", "rank", want) == (0, out, "")
+
+
 def test_cli_rank(capsys):
     code, out, _ = run_cli(capsys, "invariant", "rank", str(DATA / "equal_rank_m.yaml"))
     assert code == 0
