@@ -18,35 +18,18 @@ from .errors import (
     FileFormatError,
     HomMatrixSingularError,
     NotTypeAError,
+    PosetMismatchError,
     ResolutionTruncatedError,
     SpreadHomError,
 )
 from .field import DEFAULT_PRIME, PrimeField
 from .files import load_family, load_module, load_poset
-from .hom import hom_dim
-from .invariants import (
-    COMPARE_KINDS,
-    barcode,
-    class_via_hom_matrix,
-    class_via_resolution,
-    compare,
-    generalized_rank,
-    rank_invariant,
-    signed_diagram,
-)
+from .invariants import COMPARE_KINDS, barcode, invariant_key, rank_invariant
 
 INVARIANT_KINDS = ("dimvec", "rank", "class", "dimhom", "genrank", "diagram", "barcode", "resolve")
 FORMAT_TAG = "spreadhom.v1"
-
-
-def _pmap(fn, items, jobs: int):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
+FAMILY_OPTION = {"class": "family", "dimhom": "family", "resolve": "family",
+                 "genrank": "collection", "diagram": "collection"}
 
 
 class Reporter:
@@ -64,19 +47,15 @@ class Reporter:
             print(text)
 
 
-def _load_workspace(args, need_family=False, need_collection=False):
-    field = PrimeField(args.prime)
-    module, poset, _ = load_module(args.module, field)
-    family = None
-    if need_family:
-        if not args.family:
-            raise FileFormatError(f"kind {args.kind!r} needs --family")
-        family = load_family(args.family, poset, args.cap)
-    if need_collection:
-        if not args.collection:
-            raise FileFormatError(f"kind {args.kind!r} needs --collection")
-        family = load_family(args.collection, poset, args.cap)
-    return field, module, poset, family
+def _family(args, poset):
+    """The --family or --collection that args.kind needs, over poset; None if neither."""
+    option = FAMILY_OPTION.get(args.kind)
+    if option is None:
+        return None
+    spec = getattr(args, option)
+    if not spec:
+        raise FileFormatError(f"kind {args.kind!r} needs --{option}")
+    return load_family(spec, poset, args.cap)
 
 
 def cmd_validate(args) -> int:
@@ -93,9 +72,8 @@ def cmd_validate(args) -> int:
 def cmd_invariant(args) -> int:
     kind = args.kind
     rep_options = {"kind": kind, "module": args.module, "prime": args.prime}
-    need_family = kind in ("class", "dimhom", "resolve")
-    need_collection = kind in ("genrank", "diagram")
-    field, module, poset, family = _load_workspace(args, need_family, need_collection)
+    module, poset, _ = load_module(args.module, PrimeField(args.prime))
+    family = _family(args, poset)
     rep = Reporter(args.jsonl, "invariant", rep_options)
 
     if kind == "dimvec":
@@ -112,39 +90,28 @@ def cmd_invariant(args) -> int:
         rep.record(rk.table(), record="invariant", kind=kind, entries=entries)
         return 0
 
+    if kind in COMPARE_KINDS:
+        value = invariant_key(kind, module, family=family, collection=family.members,
+                              max_depth=args.max_depth)
+
     if kind == "class":
-        if check_family(family).hom_acyclic:
-            cls = class_via_hom_matrix(family, module)
-            route = "hom_matrix"
-        else:
-            cls = class_via_resolution(family, module, args.max_depth)
-            route = "resolution"
+        route = "hom_matrix" if check_family(family).hom_acyclic else "resolution"
         rep.record(
-            f"class ({route}): {cls.render()}",
-            record="invariant", kind=kind, route=route, coeffs=cls.nonzero(),
+            f"class ({route}): {value.render()}",
+            record="invariant", kind=kind, route=route, coeffs=value.nonzero(),
         )
         return 0
 
-    if kind == "dimhom":
-        mods = family.member_modules(field)
-        values = _pmap(lambda r: hom_dim(r, module), mods, args.jobs)
-        shown = {s.render(): int(v) for s, v in zip(family.members, values)}
-        text = "\n".join(f"{k}: {v}" for k, v in shown.items())
-        rep.record(text, record="invariant", kind=kind, values=shown)
-        return 0
-
-    if kind == "genrank":
-        values = _pmap(lambda s: generalized_rank(module, s), family.members, args.jobs)
-        shown = {s.render(): int(v) for s, v in zip(family.members, values)}
+    if kind in ("dimhom", "genrank"):
+        shown = {s.render(): int(v) for s, v in zip(family.members, value)}
         text = "\n".join(f"{k}: {v}" for k, v in shown.items())
         rep.record(text, record="invariant", kind=kind, values=shown)
         return 0
 
     if kind == "diagram":
-        diag = signed_diagram(module, family.members)
         rep.record(
-            f"signed diagram: {diag.render()}",
-            record="invariant", kind=kind, coeffs=diag.nonzero(),
+            f"signed diagram: {value.render()}",
+            record="invariant", kind=kind, coeffs=value.nonzero(),
         )
         return 0
 
@@ -175,32 +142,39 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """Verdicts for all pairs; each file, family and invariant key is computed once."""
     field = PrimeField(args.prime)
     if args.batch:
-        paths = sorted(
-            os.path.join(args.batch, f)
-            for f in os.listdir(args.batch)
-            if f.endswith((".yaml", ".yml"))
-        )
+        try:
+            names = os.listdir(args.batch)
+        except OSError as e:
+            raise FileFormatError(f"{args.batch}: {e.strerror or e}") from None
+        paths = sorted(os.path.join(args.batch, f) for f in names if f.endswith((".yaml", ".yml")))
         pairs = list(itertools.combinations(paths, 2))
     else:
         if not args.module_b:
             raise FileFormatError("compare needs two module files (or --batch DIR)")
         pairs = [(args.module_a, args.module_b)]
     rep = Reporter(args.jsonl, "compare", {"kind": args.kind, "prime": args.prime})
+    posets, modules, families, keys = {}, {}, {}, {}
+
+    def key(path):
+        if path not in keys:
+            m = modules[path]
+            if m.poset not in families:
+                families[m.poset] = _family(args, m.poset)
+            fam = families[m.poset]
+            keys[path] = invariant_key(args.kind, m, family=fam, max_depth=args.max_depth,
+                                       collection=None if fam is None else fam.members)
+        return keys[path]
+
     for path_a, path_b in pairs:
-        module_a, poset, _ = load_module(path_a, field)
-        module_b, _, _ = load_module(path_b, field, poset)
-        kwargs = {}
-        if args.kind in ("class", "dimhom"):
-            if not args.family:
-                raise FileFormatError(f"kind {args.kind!r} needs --family")
-            kwargs["family"] = load_family(args.family, poset, args.cap)
-        if args.kind in ("genrank", "diagram"):
-            if not args.collection:
-                raise FileFormatError(f"kind {args.kind!r} needs --collection")
-            kwargs["collection"] = load_family(args.collection, poset, args.cap).members
-        verdict = compare(args.kind, module_a, module_b, max_depth=args.max_depth, **kwargs)
+        for path in (path_a, path_b):
+            if path not in modules:
+                modules[path] = load_module(path, field, posets=posets)[0]
+        if modules[path_a].poset != modules[path_b].poset:
+            raise PosetMismatchError(f"{path_a} and {path_b} live over different posets")
+        verdict = "equal" if key(path_a) == key(path_b) else "distinguished"
         rep.record(
             f"{path_a} vs {path_b}: {verdict}",
             record="compare", kind=args.kind, a=path_a, b=path_b, verdict=verdict,
@@ -222,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="resolution depth limit (default 32)")
         p.add_argument("--cap", type=int, default=100_000,
                        help="spread enumeration cap (default 100000)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for per-member evaluations")
         p.add_argument("--jsonl", action="store_true",
                        help="emit line-delimited records instead of text")
 

@@ -68,14 +68,23 @@ def load_poset(path: str) -> Poset:
     return Poset(len(names), covers, names)
 
 
-def load_module(path: str, field: PrimeField, poset: Poset | None = None):
-    """Parse a module file; returns (module, poset, poset_reference)."""
+def load_module(path: str, field: PrimeField, poset: Poset | None = None,
+                posets: dict[str, Poset] | None = None):
+    """Parse a module file; returns (module, poset, poset_reference).
+
+    Without `poset`, the file's own `poset:` reference is loaded, relative to
+    the module file; `posets` (resolved path -> Poset) memoises those loads.
+    """
     data = _load_yaml(path)
     _expect_keys(path, data, {"poset", "dims", "maps"}, {"poset", "dims"})
     ref = _as_label(data["poset"])
     if poset is None:
         poset_path = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-        poset = load_poset(poset_path)
+        posets = {} if posets is None else posets
+        resolved = os.path.realpath(poset_path)
+        if resolved not in posets:
+            posets[resolved] = load_poset(poset_path)
+        poset = posets[resolved]
     dims = [0] * poset.n
     raw_dims = data["dims"]
     if not isinstance(raw_dims, dict):
@@ -89,8 +98,11 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None):
         if not _is_int(d) or d < 0:
             raise FileFormatError(f"{path}: dims[{lbl!r}] must be a non-negative integer, got {d!r}")
         dims[a] = d
+    raw_maps = data.get("maps") or {}
+    if not isinstance(raw_maps, dict):
+        raise FileFormatError(f"{path}: 'maps' must map 'a->b' keys to matrices")
     maps = {}
-    for key, value in (data.get("maps") or {}).items():
+    for key, value in raw_maps.items():
         key = _as_label(key)
         if "->" not in key:
             raise FileFormatError(f"{path}: map key {key!r} is not of the form 'a->b'")
@@ -110,6 +122,8 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None):
         else:
             if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
                 raise FileFormatError(f"{path}: map {key!r} must be a matrix (list of rows) or 'id'")
+            if len({len(row) for row in value}) > 1:
+                raise FileFormatError(f"{path}: map {key!r} has rows of unequal length")
             for row in value:
                 for x in row:
                     if not _is_int(x):
@@ -125,6 +139,9 @@ def _parse_spread(path: str, item, poset: Poset) -> Spread:
         raise FileFormatError(
             f"{path}: each spread needs exactly 'sources' and 'targets', got {item!r}"
         )
+    for key in ("sources", "targets"):
+        if not isinstance(item[key], list):
+            raise FileFormatError(f"{path}: spread {key!r} must be a list of labels, got {item[key]!r}")
     try:
         sources = [poset.element(_as_label(x)) for x in item["sources"]]
         targets = [poset.element(_as_label(x)) for x in item["targets"]]

@@ -269,44 +269,45 @@ def barcode(m: PersistenceModule, cap: int = 100_000) -> GrothClass:
     return class_via_resolution(fam, m)
 
 
-def compare(kind: str, m: PersistenceModule, n: PersistenceModule, *,
-            family: Family | None = None, collection=None,
-            max_depth: int = 32) -> str:
-    """'equal' or 'distinguished' under the named invariant.
+def invariant_key(kind: str, m: PersistenceModule, *, family: Family | None = None,
+                  collection=None, max_depth: int = 32):
+    """The value of the named invariant of m that `compare` tests for equality.
 
     kind: dimvec | rank | class | dimhom | genrank | diagram.  class and
-    dimhom need family=, genrank and diagram need collection=.
+    dimhom need family=, genrank and diagram need collection=.  A class is
+    solved from the Hom matrix when the family's Hom digraph is acyclic and
+    read off the minimal resolution otherwise.
+    """
+    if kind in ("class", "dimhom") and family is None:
+        raise ValueError(f"kind {kind!r} needs family=")
+    if kind in ("genrank", "diagram") and collection is None:
+        raise ValueError(f"kind {kind!r} needs collection=")
+    if kind == "dimvec":
+        return m.dims
+    if kind == "rank":
+        return rank_invariant(m)
+    if kind == "class":
+        if check_family(family).hom_acyclic:
+            return class_via_hom_matrix(family, m)
+        return class_via_resolution(family, m, max_depth)
+    if kind == "dimhom":
+        return dim_hom_vector(family, m)
+    if kind == "genrank":
+        return generalized_rank_vector(m, collection)
+    if kind == "diagram":
+        return signed_diagram(m, collection)
+    raise UnknownInvariantError(
+        f"unknown invariant {kind!r}; expected one of {COMPARE_KINDS}"
+    )
+
+
+def compare(kind: str, m: PersistenceModule, n: PersistenceModule, **options) -> str:
+    """'equal' or 'distinguished' under the named invariant.
+
+    The options (family=, collection=, max_depth=) are those of
+    `invariant_key`.
     """
     if m.poset != n.poset:
         raise PosetMismatchError("modules being compared live over different posets")
-    if kind == "dimvec":
-        same = m.dims == n.dims
-    elif kind == "rank":
-        same = rank_invariant(m) == rank_invariant(n)
-    elif kind == "class":
-        if family is None:
-            raise ValueError("kind 'class' needs family=")
-        if check_family(family).hom_acyclic:
-            same = class_via_hom_matrix(family, m) == class_via_hom_matrix(family, n)
-        else:
-            same = (
-                class_via_resolution(family, m, max_depth)
-                == class_via_resolution(family, n, max_depth)
-            )
-    elif kind == "dimhom":
-        if family is None:
-            raise ValueError("kind 'dimhom' needs family=")
-        same = dim_hom_vector(family, m) == dim_hom_vector(family, n)
-    elif kind == "genrank":
-        if collection is None:
-            raise ValueError("kind 'genrank' needs collection=")
-        same = generalized_rank_vector(m, collection) == generalized_rank_vector(n, collection)
-    elif kind == "diagram":
-        if collection is None:
-            raise ValueError("kind 'diagram' needs collection=")
-        same = signed_diagram(m, collection) == signed_diagram(n, collection)
-    else:
-        raise UnknownInvariantError(
-            f"unknown invariant {kind!r}; expected one of {COMPARE_KINDS}"
-        )
+    same = invariant_key(kind, m, **options) == invariant_key(kind, n, **options)
     return "equal" if same else "distinguished"

@@ -24,6 +24,7 @@ from spreadhom import (
     generalized_rank_vector,
     hom_dim,
     interval_module,
+    invariant_key,
     rank_invariant,
     rank_via_hooks,
     signed_diagram,
@@ -44,6 +45,7 @@ from spreadhom.gallery import (
     rank_blind_pair,
     equal_rank_pair,
 )
+from spreadhom.invariants import COMPARE_KINDS
 from spreadhom.poset import elements_of, mask_of
 from spreadhom.randmod import random_module, random_spread_sum
 
@@ -363,6 +365,28 @@ def test_compare_kinds(field):
         compare("frobnicate", m, mprime)
     with pytest.raises(PosetMismatchError):
         compare("rank", m, zero_module(chain(2), field))
+
+
+def test_invariant_key_is_the_value_compare_tests(field):
+    p, m, mprime = equal_rank_pair(field)
+    x = builtin_family(p, "single_source")
+    collection = enumerate_spreads(p, "connected_all")
+    assert invariant_key("dimvec", m) == m.dims
+    assert invariant_key("rank", m) == rank_invariant(m)
+    assert invariant_key("class", m, family=x) == class_via_hom_matrix(x, m)
+    assert invariant_key("dimhom", m, family=x) == dim_hom_vector(x, m)
+    assert invariant_key("genrank", m, collection=collection) == generalized_rank_vector(m, collection)
+    assert invariant_key("diagram", m, collection=collection) == signed_diagram(m, collection)
+    for kind in COMPARE_KINDS:
+        key_m = invariant_key(kind, m, family=x, collection=collection)
+        key_n = invariant_key(kind, mprime, family=x, collection=collection)
+        want = "equal" if key_m == key_n else "distinguished"
+        assert compare(kind, m, mprime, family=x, collection=collection) == want
+    for kind in ("class", "dimhom", "genrank", "diagram"):
+        with pytest.raises(ValueError, match="needs"):
+            invariant_key(kind, m)
+    with pytest.raises(UnknownInvariantError):
+        invariant_key("frobnicate", m)
 
 
 def test_compare_class_falls_back_to_resolution(field):

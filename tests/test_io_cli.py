@@ -1,3 +1,5 @@
+import collections
+import itertools
 import json
 import shutil
 import subprocess
@@ -7,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spreadhom import FileFormatError, PrimeField, ShapeError
+from spreadhom import FileFormatError, PrimeField, ShapeError, dim_hom_vector, direct_sum
+from spreadhom import cli, files
 from spreadhom.cli import main
 from spreadhom.files import (
     dump_family,
@@ -18,6 +21,7 @@ from spreadhom.files import (
     load_poset,
 )
 from spreadhom.gallery import atilde5
+from spreadhom.invariants import COMPARE_KINDS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -281,15 +285,14 @@ def test_cli_barcode_exit_codes(capsys):
     assert "unsupported" in err
 
 
-def test_cli_dimhom_and_jobs(capsys):
-    args = [
-        "invariant", "dimhom", str(DATA / "diagram_n.yaml"),
-        "--family", "single_source",
-    ]
-    code, out, _ = run_cli(capsys, *args)
-    code2, out2, _ = run_cli(capsys, *args, "--jobs", "4")
-    assert code == code2 == 0
-    assert out == out2
+def test_cli_dimhom(capsys, field):
+    path = str(DATA / "diagram_n.yaml")
+    code, out, _ = run_cli(capsys, "invariant", "dimhom", path, "--family", "single_source")
+    assert code == 0
+    m, poset, _ = load_module(path, field)
+    x = load_family("single_source", poset)
+    want = [f"{s.render()}: {v}" for s, v in zip(x.members, dim_hom_vector(x, m))]
+    assert out.splitlines() == want
 
 
 def test_cli_genrank_and_diagram(capsys):
@@ -331,6 +334,152 @@ def test_cli_compare_batch(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "compare", "rank", "--batch", str(mods))
     assert code == 0
     assert out.count(": equal") == 1
+
+
+def _one_line_error(code, err, *needles):
+    assert code == 1
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("error:") and all(n in err for n in needles), err
+
+
+def _grid2x2_batch(tmp_path, field):
+    """Four grid2x2 modules in tmp_path/mods, the last a renamed copy of the first."""
+    mods = tmp_path / "mods"
+    mods.mkdir()
+    shutil.copy(DATA / "grid2x2.yaml", tmp_path / "grid2x2.yaml")
+    texts = [
+        (DATA / name).read_text().replace('"grid2x2.yaml"', '"../grid2x2.yaml"')
+        for name in ("equal_rank_m.yaml", "equal_rank_mprime.yaml")
+    ]
+    m, _, _ = load_module(str(DATA / "equal_rank_m.yaml"), field)
+    mprime, _, _ = load_module(str(DATA / "equal_rank_mprime.yaml"), field)
+    texts.append(dump_module(direct_sum([m, mprime]), "../grid2x2.yaml"))
+    texts.append(texts[0])
+    paths = []
+    for i, text in enumerate(texts):
+        (mods / f"m{i}.yaml").write_text(text)
+        paths.append(str(mods / f"m{i}.yaml"))
+    return mods, paths
+
+
+KIND_OPTIONS = {
+    "dimvec": [], "rank": [],
+    "class": ["--family", "single_source"], "dimhom": ["--family", "intervals"],
+    "genrank": ["--collection", "connected_spreads"], "diagram": ["--collection", "connected_spreads"],
+}
+
+
+@pytest.mark.parametrize("jsonl", [[], ["--jsonl"]])
+@pytest.mark.parametrize("kind", COMPARE_KINDS)
+def test_cli_compare_batch_prints_the_pairwise_lines(capsys, tmp_path, field, kind, jsonl):
+    mods, paths = _grid2x2_batch(tmp_path, field)
+    options = KIND_OPTIONS[kind] + jsonl
+    want = []
+    for a, b in itertools.combinations(paths, 2):
+        code, out, err = run_cli(capsys, "compare", kind, a, b, *options)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        header, body = (lines[0], lines[1:]) if jsonl else (None, lines)
+        want += body
+    if jsonl:
+        want.insert(0, header)
+    code, out, err = run_cli(capsys, "compare", kind, "--batch", str(mods), *options)
+    assert code == 0 and err == ""
+    assert out.splitlines() == want
+    assert "equal" in out and "distinguished" in out
+
+
+def test_cli_compare_batch_does_linear_work(capsys, tmp_path, field, monkeypatch):
+    mods, paths = _grid2x2_batch(tmp_path, field)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(files, "load_poset", counted("load_poset", files.load_poset))
+    for name in ("load_module", "load_family", "invariant_key"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    code, out, _ = run_cli(
+        capsys, "compare", "class", "--batch", str(mods), "--family", "single_source"
+    )
+    assert code == 0 and len(out.splitlines()) == 6
+    n = len(paths)
+    assert calls == {"load_poset": 1, "load_module": n, "load_family": 1, "invariant_key": n}
+
+
+def test_cli_compare_batch_stops_at_the_first_bad_pair(capsys, tmp_path, field):
+    mods, paths = _grid2x2_batch(tmp_path, field)
+    (mods / "m3.yaml").write_text('poset: "../grid2x2.yaml"\ndims: {"00": true}\n')
+    code, out, err = run_cli(capsys, "compare", "rank", "--batch", str(mods))
+    _one_line_error(code, err, "m3.yaml", "dims['00']")
+    want = []
+    for a, b in [(paths[0], paths[1]), (paths[0], paths[2])]:
+        want += run_cli(capsys, "compare", "rank", a, b)[1].splitlines()
+    assert out.splitlines() == want
+
+
+def test_cli_compare_batch_needs_a_directory(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "compare", "rank", "--batch", str(tmp_path / "missing"))
+    _one_line_error(code, err, "missing")
+    assert out == ""
+    (tmp_path / "file.yaml").write_text("{}\n")
+    code, out, err = run_cli(capsys, "compare", "rank", "--batch", str(tmp_path / "file.yaml"))
+    _one_line_error(code, err, "file.yaml")
+    assert out == ""
+
+
+def test_cli_compare_reads_each_file_over_its_own_poset(capsys, tmp_path):
+    # other.yaml is grid2x2 without the cover 10->11; m_other.yaml is
+    # equal_rank_m.yaml over it, which loads fine (it has no map into 11)
+    grid = (DATA / "grid2x2.yaml").read_text()
+    assert ', ["10", "11"]' in grid
+    (tmp_path / "grid2x2.yaml").write_text(grid)
+    (tmp_path / "other.yaml").write_text(grid.replace(', ["10", "11"]', ""))
+    (tmp_path / "same.yaml").write_text(grid)
+    text = (DATA / "equal_rank_m.yaml").read_text()
+    m = tmp_path / "m.yaml"
+    m.write_text(text)
+    m_other = tmp_path / "m_other.yaml"
+    m_other.write_text(text.replace('"grid2x2.yaml"', '"other.yaml"'))
+    m_same = tmp_path / "m_same.yaml"
+    m_same.write_text(text.replace('"grid2x2.yaml"', '"same.yaml"'))
+    for argv in (["class", str(m), str(m_other), "--family", "intervals"],
+                 ["rank", str(m), str(m_other)]):
+        code, out, err = run_cli(capsys, "compare", *argv)
+        _one_line_error(code, err, "m_other.yaml", "different posets")
+        assert out == ""
+    # two poset files that describe equal posets still compare
+    code, out, err = run_cli(capsys, "compare", "class", str(m), str(m_same), "--family", "intervals")
+    assert (code, err) == (0, "") and out.endswith(": equal\n")
+
+
+def test_cli_rejects_maps_that_are_not_a_mapping(capsys, tmp_path):
+    shutil.copy(DATA / "grid2x3.yaml", tmp_path / "grid2x3.yaml")
+    path = tmp_path / "m.yaml"
+    path.write_text('poset: "grid2x3.yaml"\ndims: {"11": 1}\nmaps: [1]\n')
+    code, out, err = run_cli(capsys, "invariant", "dimvec", str(path))
+    _one_line_error(code, err, "m.yaml", "'maps'")
+    assert out == ""
+
+
+def test_cli_rejects_ragged_matrix(capsys, tmp_path):
+    path = _grid2x3_variant(tmp_path, '"11->12": [[1], [1]]', '"11->12": [[1, 0], [1]]')
+    code, out, err = run_cli(capsys, "invariant", "dimvec", path)
+    _one_line_error(code, err, "m.yaml", "'11->12'", "unequal length")
+    assert out == ""
+
+
+def test_cli_rejects_spread_sources_that_are_not_a_list(capsys, tmp_path):
+    fam = tmp_path / "fam.yaml"
+    fam.write_text('spreads:\n  - {sources: 3, targets: ["4", "6"]}\n')
+    code, out, err = run_cli(
+        capsys, "invariant", "class", str(DATA / "m16.yaml"), "--family", str(fam)
+    )
+    _one_line_error(code, err, "fam.yaml", "'sources'")
+    assert out == ""
 
 
 def test_cli_jsonl_records(capsys):
