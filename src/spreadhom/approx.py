@@ -39,7 +39,7 @@ from .modules import (
     spread_module,
     zero_module,
 )
-from .poset import Poset, Spread, enumerate_spreads, iter_mask, kahn_order, spread_from_convex
+from .poset import Poset, enumerate_spreads, iter_mask, kahn_order, spread_from_convex
 
 BUILTIN_FAMILIES = (
     "projectives",
@@ -70,7 +70,7 @@ class Family:
         self.members = members
         self.quotient_closed = quotient_closed
         self.restricted_support = restricted_support
-        self._index = {s.support: i for i, s in enumerate(members)}
+        self._supports = frozenset(seen)
         self._modules: dict[int, list[PersistenceModule]] = {}
         self._pair_hom: dict[tuple[int, int], tuple[int, ...]] = {}
         self._hom_matrix: tuple[tuple[int, ...], ...] | None = None
@@ -82,12 +82,6 @@ class Family:
     def labels(self) -> tuple[str, ...]:
         return tuple(s.render() for s in self.members)
 
-    def index_of(self, spread: Spread) -> int:
-        try:
-            return self._index[spread.support]
-        except KeyError:
-            raise KeyError(f"{spread.render()} is not a member") from None
-
     @property
     def contains_projectives(self) -> bool:
         return not self.missing_projectives()
@@ -96,7 +90,7 @@ class Family:
         return tuple(
             self.poset.label(a)
             for a in range(self.poset.n)
-            if self.poset.up_mask(a) not in self._index
+            if self.poset.up_mask(a) not in self._supports
         )
 
     def member_modules(self, field: PrimeField) -> list[PersistenceModule]:

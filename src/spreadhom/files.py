@@ -9,23 +9,36 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import yaml
 
 from .approx import BUILTIN_FAMILIES, Family, builtin_family
-from .errors import FileFormatError
+from .errors import CommutativityError, FileFormatError, ShapeError
 from .field import PrimeField
 from .modules import PersistenceModule
 from .poset import Poset, Spread, spread_from_antichains
 
 
+class _Loader(yaml.SafeLoader):
+    """yaml.safe_load, except that a mapping may not repeat a key (the last would win)."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep)
+        if len(mapping) < len(node.value):
+            keys = [self.construct_object(k, deep=deep) for k, _ in node.value]
+            dup = next(k for i, k in enumerate(keys) if k in keys[:i])
+            raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {dup!r}", node.start_mark)
+        return mapping
+
+
 def _load_yaml(path: str):
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_Loader)
     except OSError as e:
         raise FileFormatError(f"{path}: {e.strerror or e}") from None
     except yaml.YAMLError as e:
-        raise FileFormatError(f"{path}: not valid YAML ({e})") from None
+        raise FileFormatError(f"{path}: not valid YAML ({' '.join(str(e).split())})") from None
     if not isinstance(data, dict):
         raise FileFormatError(f"{path}: expected a mapping at the top level")
     return data
@@ -77,7 +90,9 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
     """
     data = _load_yaml(path)
     _expect_keys(path, data, {"poset", "dims", "maps"}, {"poset", "dims"})
-    ref = _as_label(data["poset"])
+    ref = data["poset"]
+    if not isinstance(ref, str):
+        raise FileFormatError(f"{path}: 'poset' must be a file name, got {ref!r}")
     if poset is None:
         poset_path = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
         posets = {} if posets is None else posets
@@ -102,6 +117,7 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
     if not isinstance(raw_maps, dict):
         raise FileFormatError(f"{path}: 'maps' must map 'a->b' keys to matrices")
     maps = {}
+    keys = {}
     for key, value in raw_maps.items():
         key = _as_label(key)
         if "->" not in key:
@@ -113,6 +129,9 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
             raise FileFormatError(f"{path}: map key {key!r}: {e.args[0]}") from None
         if (a, b) not in set(poset.covers):
             raise FileFormatError(f"{path}: map key {key!r} is not a cover of the poset")
+        if (a, b) in keys:
+            raise FileFormatError(f"{path}: map keys {keys[(a, b)]!r} and {key!r} name the same cover")
+        keys[(a, b)] = key
         if value == "id":
             if dims[a] != dims[b]:
                 raise FileFormatError(
@@ -128,9 +147,16 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
                 for x in row:
                     if not _is_int(x):
                         raise FileFormatError(f"{path}: map {key!r} has entry {x!r}, not an integer")
+            shape = (len(value), len(value[0]) if value else 0)
+            if shape != (dims[b], dims[a]):
+                raise ShapeError(f"{path}: map {key!r} has shape {shape}, expected {(dims[b], dims[a])}")
             # reduce before numpy sees them: exact also beyond int64
-            maps[(a, b)] = [[x % field.p for x in row] for row in value]
-    module = PersistenceModule(poset, field, dims, maps)
+            maps[(a, b)] = np.array([[x % field.p for x in row] for row in value],
+                                    dtype=np.int64).reshape(shape)
+    try:
+        module = PersistenceModule(poset, field, dims, maps)
+    except CommutativityError as e:
+        raise CommutativityError(f"{path}: {e}") from None
     return module, poset, ref
 
 
@@ -169,7 +195,9 @@ def load_family(spec: str, poset: Poset, cap: int = 100_000) -> Family:
     if not isinstance(data["spreads"], list):
         raise FileFormatError(f"{spec}: 'spreads' must be a list")
     members = [_parse_spread(spec, item, poset) for item in data["spreads"]]
-    closed = bool(data.get("quotient_closed", False))
+    closed = data.get("quotient_closed", False)
+    if not isinstance(closed, bool):
+        raise FileFormatError(f"{spec}: 'quotient_closed' must be true or false, got {closed!r}")
     return Family(poset, members, quotient_closed=closed)
 
 
@@ -183,8 +211,6 @@ def dump_poset(p: Poset) -> str:
 
 
 def _is_identity(mat, field: PrimeField) -> bool:
-    import numpy as np
-
     return mat.shape[0] == mat.shape[1] and bool(np.array_equal(mat, field.eye(mat.shape[0])))
 
 

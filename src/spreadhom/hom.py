@@ -1,7 +1,7 @@
 """Hom spaces between persistence modules.
 
-`hom_dim` and `hom_basis` pick one of three routes by what the endpoints are
-(method="auto"):
+`hom_dim` and `hom_basis` take one of three routes, chosen by the spread tags
+of the endpoints alone:
 
 - both modules are tagged with their spread: the combinatorial route.  The
   basis is one indicator morphism per valid component of the intersection
@@ -9,12 +9,11 @@
   them.
 - only the source is a tagged spread module M_S: Yoneda.  M_S is a quotient
   of ⊕_{a ∈ min S} P_a and Hom(P_a, N) = N_a, so a morphism is a tuple
-  (v_a) in ⊕ N_a whose pushes N(a -> x) v_a agree at every x in S and
-  vanish across every cover leaving S (`yoneda_basis`).
-- otherwise: the naturality solver, one linear system over all covers.
-
-method="solver" forces the solver for any pair; the tests hold the other two
-routes against it.
+  (v_a) in ⊕ N_a whose pushes N(a -> x) v_a agree at every x in S
+  (`agreement_system`) and vanish across every cover leaving S
+  (`yoneda_basis`).
+- an untagged source: `naturality_basis`, one linear system over all covers.
+  It solves any pair, and the tests hold the other two routes against it.
 """
 from __future__ import annotations
 
@@ -96,42 +95,57 @@ def _least_source_below(s: Spread, x: int) -> int:
     return (below & -below).bit_length() - 1
 
 
-def _yoneda_system(s: Spread, n: PersistenceModule):
+def stacked_offsets(mask: int, n: PersistenceModule) -> tuple[dict[int, int], int]:
+    """Row offset of each n_a, a in mask, when they are stacked as ⊕ n_a; and the total."""
+    offsets = {}
+    total = 0
+    for a in iter_mask(mask):
+        offsets[a] = total
+        total += n.dims[a]
+    return offsets, total
+
+
+def agreement_system(s: Spread, n: PersistenceModule) -> tuple[np.ndarray, dict[int, int]]:
     """Equations on (v_a)_{a in sources(s)}, stacked in ⊕ n_a; returns (system, offsets).
 
     Each x in S has N(a0 -> x) v_a0 = N(a -> x) v_a for its least source a0
-    and every other source a below it; each cover x -> y leaving S has
-    N(a0 -> y) v_a0 = 0.
+    and every other source a below it.  The kernel is the limit of n over S,
+    read off at the sources.
     """
     p = s.poset
-    field = n.field
-    offsets = {}
-    total = 0
-    for a in iter_mask(s.sources):
-        offsets[a] = total
-        total += n.dims[a]
+    offsets, total = stacked_offsets(s.sources, n)
+    rows = [np.zeros((0, total), dtype=np.int64)]
+    if not s.sources & (s.sources - 1):  # a single source agrees with itself
+        return rows[0], offsets
+    for x in iter_mask(s.support):
+        below = s.sources & p.down_mask(x)
+        if not n.dims[x] or not below & (below - 1):  # fewer than two sources below x
+            continue
+        a0 = (below & -below).bit_length() - 1
+        for a in iter_mask(below & ~(1 << a0)):
+            r = np.zeros((n.dims[x], total), dtype=np.int64)
+            r[:, offsets[a0]:offsets[a0] + n.dims[a0]] = n.map_along(a0, x)
+            r[:, offsets[a]:offsets[a] + n.dims[a]] = n.field.neg(n.map_along(a, x))
+            rows.append(r)
+    return np.concatenate(rows), offsets
 
-    def row(x, a, mat):
-        r = np.zeros((n.dims[x], total), dtype=np.int64)
-        r[:, offsets[a]:offsets[a] + n.dims[a]] = mat
-        return r
 
-    rows = []
+def _yoneda_system(s: Spread, n: PersistenceModule) -> tuple[np.ndarray, dict[int, int]]:
+    """The agreement system, plus N(a0 -> y) v_a0 = 0 for each cover x -> y leaving S."""
+    p = s.poset
+    agree, offsets = agreement_system(s, n)
+    total = agree.shape[1]
+    rows = [agree]
     exits = set()
     for x in iter_mask(s.support):
         a0 = _least_source_below(s, x)
-        if n.dims[x]:
-            for a in iter_mask(s.sources & p.down_mask(x) & ~(1 << a0)):
-                r = row(x, a0, n.map_along(a0, x))
-                r[:, offsets[a]:offsets[a] + n.dims[a]] = field.neg(n.map_along(a, x))
-                rows.append(r)
         for y in p.children(x):
             if not (s.support >> y & 1) and n.dims[y] and (a0, y) not in exits:
                 exits.add((a0, y))
-                rows.append(row(y, a0, n.map_along(a0, y)))
-    if not rows:
-        return np.zeros((0, total), dtype=np.int64), offsets
-    return np.concatenate(rows, axis=0), offsets
+                r = np.zeros((n.dims[y], total), dtype=np.int64)
+                r[:, offsets[a0]:offsets[a0] + n.dims[a0]] = n.map_along(a0, y)
+                rows.append(r)
+    return np.concatenate(rows), offsets
 
 
 def yoneda_basis(s: Spread, n: PersistenceModule) -> tuple[dict[int, int], np.ndarray]:
@@ -166,43 +180,42 @@ def _indicator(m: PersistenceModule, n: PersistenceModule, comp: int) -> Morphis
     return Morphism(m, n, comps, validate=False)
 
 
-def hom_basis(m: PersistenceModule, n: PersistenceModule, method: str = "auto") -> HomBasis:
-    """A basis of the space of morphisms m -> n, deterministic for fixed input.
-
-    method: auto (route by spread tags, see the module docstring) | solver.
-    """
-    if method not in ("auto", "solver"):
-        raise ValueError(f"unknown method {method!r}")
+def naturality_basis(m: PersistenceModule, n: PersistenceModule) -> HomBasis:
+    """A basis of Hom(m, n) from the naturality system, for any pair of endpoints."""
     _check_endpoints(m, n)
-    if method == "auto" and m.spread is not None:
-        if n.spread is not None:
-            comps = spread_hom_components(m.spread, n.spread)
-            return HomBasis(m, n, tuple(_indicator(m, n, c) for c in comps))
-        offsets, w = yoneda_basis(m.spread, n)
-        return HomBasis(m, n, tuple(
-            yoneda_morphism(m, n, offsets, w[:, j]) for j in range(w.shape[1])
-        ))
     kernel = m.field.kernel_basis(_naturality_system(m, n))
-    basis = tuple(
+    return HomBasis(m, n, tuple(
         morphism_from_vec(m, n, kernel[:, j], validate=False)
         for j in range(kernel.shape[1])
-    )
-    return HomBasis(m, n, basis)
+    ))
 
 
-def hom_dim(m: PersistenceModule, n: PersistenceModule, method: str = "auto") -> int:
-    """dim Hom(m, n).  method: auto | solver | spread (both tagged, counted)."""
-    if method not in ("auto", "solver", "spread"):
-        raise ValueError(f"unknown method {method!r}")
-    if method != "solver" and m.spread is not None and n.spread is not None:
-        return spread_hom_dim(m.spread, n.spread)
-    if method == "spread":
-        raise ValueError("spread method needs both modules tagged with their spread")
+def hom_basis(m: PersistenceModule, n: PersistenceModule) -> HomBasis:
+    """A basis of the space of morphisms m -> n, deterministic for fixed input.
+
+    The route follows the spread tags (see the module docstring).
+    """
+    if m.spread is None:
+        return naturality_basis(m, n)
     _check_endpoints(m, n)
-    if method == "auto" and m.spread is not None:
-        system, _ = _yoneda_system(m.spread, n)
-    else:
+    if n.spread is not None:
+        comps = spread_hom_components(m.spread, n.spread)
+        return HomBasis(m, n, tuple(_indicator(m, n, c) for c in comps))
+    offsets, w = yoneda_basis(m.spread, n)
+    return HomBasis(m, n, tuple(
+        yoneda_morphism(m, n, offsets, w[:, j]) for j in range(w.shape[1])
+    ))
+
+
+def hom_dim(m: PersistenceModule, n: PersistenceModule) -> int:
+    """dim Hom(m, n), by the same routes as `hom_basis`."""
+    _check_endpoints(m, n)
+    if m.spread is None:
         system = _naturality_system(m, n)
+    elif n.spread is not None:
+        return spread_hom_dim(m.spread, n.spread)
+    else:
+        system, _ = _yoneda_system(m.spread, n)
     return system.shape[1] - m.field.rank(system)
 
 
@@ -240,40 +253,28 @@ def spread_hom_dim(s: Spread, t: Spread) -> int:
     return len(spread_hom_components(s, t))
 
 
-def kernel_module(f: Morphism):
-    """The kernel subfunctor of a morphism; returns (module, inclusion)."""
-    m, n = f.source, f.target
+def _submodule(m: PersistenceModule, bases, what: str):
+    """The submodule of m spanned at each a by the columns of bases[a]; returns (module, inclusion).
+
+    Each structure map is rewritten in those bases by one solve per cover.
+    """
     field = m.field
     p = m.poset
-    bases = [field.kernel_basis(f.components[a]) for a in range(p.n)]
-    dims = tuple(b.shape[1] for b in bases)
     maps = {}
     for a, b in p.covers:
-        # M_ab maps ker f_a into ker f_b; rewrite in the kernel bases.
-        img = field.matmul(m.maps[(a, b)], bases[a])
-        sol = field.solve(bases[b], img)
+        sol = field.solve(bases[b], field.matmul(m.maps[(a, b)], bases[a]))
         if sol is None:  # naturality guarantees solvability
-            raise AssertionError("kernel is not preserved by a structure map")
+            raise AssertionError(f"{what} is not preserved by a structure map")
         maps[(a, b)] = sol
-    k = PersistenceModule(p, field, dims, maps, validate=False)
-    incl = Morphism(k, m, bases, validate=False)
-    return k, incl
+    sub = PersistenceModule(p, field, tuple(b.shape[1] for b in bases), maps, validate=False)
+    return sub, Morphism(sub, m, bases, validate=False)
+
+
+def kernel_module(f: Morphism):
+    """The kernel subfunctor of a morphism; returns (module, inclusion)."""
+    return _submodule(f.source, [f.source.field.kernel_basis(c) for c in f.components], "kernel")
 
 
 def image_module(f: Morphism):
     """The image subfunctor of a morphism; returns (module, inclusion into target)."""
-    m, n = f.source, f.target
-    field = m.field
-    p = m.poset
-    bases = [field.column_space_basis(f.components[a]) for a in range(p.n)]
-    dims = tuple(b.shape[1] for b in bases)
-    maps = {}
-    for a, b in p.covers:
-        img = field.matmul(n.maps[(a, b)], bases[a])
-        sol = field.solve(bases[b], img)
-        if sol is None:
-            raise AssertionError("image is not preserved by a structure map")
-        maps[(a, b)] = sol
-    i = PersistenceModule(p, field, dims, maps, validate=False)
-    incl = Morphism(i, n, bases, validate=False)
-    return i, incl
+    return _submodule(f.target, [f.target.field.column_space_basis(c) for c in f.components], "image")

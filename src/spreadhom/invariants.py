@@ -13,7 +13,6 @@ import numpy as np
 
 from .approx import Family, builtin_family, check_family, resolve
 from .errors import (
-    DuplicateSpreadError,
     HomMatrixSingularError,
     NotConnectedError,
     NotTypeAError,
@@ -22,9 +21,9 @@ from .errors import (
     SpreadHomError,
     UnknownInvariantError,
 )
-from .hom import hom_dim
+from .hom import agreement_system, hom_dim, stacked_offsets
 from .modules import PersistenceModule, hook_module
-from .poset import Poset, Spread, containment_poset, elements_of
+from .poset import Poset, Spread, containment_poset, elements_of, iter_mask
 
 COMPARE_KINDS = ("dimvec", "rank", "class", "dimhom", "genrank", "diagram")
 
@@ -169,45 +168,41 @@ def rank_via_hooks(m: PersistenceModule) -> RankInvariant:
 
 
 def generalized_rank(m: PersistenceModule, s: Spread) -> int:
-    """Rank of the canonical map from the limit to the colimit over the spread."""
+    """Rank of the canonical map from the limit to the colimit of m over the spread.
+
+    The limit is the kernel of the agreement system in ⊕_{a ∈ min S} m_a.  The
+    colimit is ⊕_{b ∈ max S} m_b modulo m(x -> b0) w - m(x -> b) w, for each
+    x in S, its least target b0 above x and each other target b above x.
+    The canonical map pushes the limit's value at a source to a target above
+    that source (any pair will do, by connectedness).
+    """
+    if s.poset is not m.poset and s.poset != m.poset:
+        raise PosetMismatchError("the spread and the module live over different posets")
     if not s.is_connected():
         raise NotConnectedError(f"spread {s.render()} has disconnected support")
     field = m.field
-    mr, sub = m.restrict(s.support)
-    sp = sub.poset
-    dims = mr.dims
-    offsets = [0]
-    for d in dims:
-        offsets.append(offsets[-1] + d)
-    total = offsets[-1]
-    if total == 0:
+    p = m.poset
+    agree, src = agreement_system(s, m)
+    lim = field.kernel_basis(agree)
+    tgt, total = stacked_offsets(s.targets, m)
+    if lim.shape[1] == 0 or total == 0:
         return 0
-    # limit: families (v_i) with M_ij v_i = v_j along every induced cover
-    rows = []
-    for i, j in sp.covers:
-        if dims[j] == 0:
-            continue
-        block = np.zeros((dims[j], total), dtype=np.int64)
-        block[:, offsets[i]:offsets[i + 1]] = mr.maps[(i, j)]
-        block[:, offsets[j]:offsets[j + 1]] -= np.eye(dims[j], dtype=np.int64)
-        rows.append(block % field.p)
-    system = np.concatenate(rows, axis=0) if rows else np.zeros((0, total), dtype=np.int64)
-    lim = field.kernel_basis(system)
-    # colimit: ⊕_i M(i) modulo ι_j M_ij v - ι_i v
     cols = []
-    for i, j in sp.covers:
-        mij = mr.maps[(i, j)]
-        for k in range(dims[i]):
-            col = np.zeros(total, dtype=np.int64)
-            col[offsets[j]:offsets[j + 1]] = mij[:, k]
-            col[offsets[i] + k] -= 1
-            cols.append(col % field.p)
-    rel = np.stack(cols, axis=1) if cols else np.zeros((total, 0), dtype=np.int64)
-    # the canonical map reads off the component at one base vertex (any, by
-    # connectedness) and takes its class in the colimit
-    x0 = 0
-    image = np.zeros_like(lim)
-    image[offsets[x0]:offsets[x0 + 1], :] = lim[offsets[x0]:offsets[x0 + 1], :]
+    for x in iter_mask(s.support):
+        if not m.dims[x]:
+            continue
+        above = s.targets & p.up_mask(x)
+        b0 = next(iter_mask(above))
+        for b in iter_mask(above & ~(1 << b0)):
+            col = np.zeros((total, m.dims[x]), dtype=np.int64)
+            col[tgt[b0]:tgt[b0] + m.dims[b0], :] = m.map_along(x, b0)
+            col[tgt[b]:tgt[b] + m.dims[b], :] = field.neg(m.map_along(x, b))
+            cols.append(col)
+    rel = np.concatenate(cols, axis=1) if cols else np.zeros((total, 0), dtype=np.int64)
+    a = next(iter_mask(s.sources))
+    b = next(iter_mask(s.targets & p.up_mask(a)))
+    image = np.zeros((total, lim.shape[1]), dtype=np.int64)
+    image[tgt[b]:tgt[b] + m.dims[b], :] = field.matmul(m.map_along(a, b), lim[src[a]:src[a] + m.dims[a], :])
     return field.rank(np.concatenate([rel, image], axis=1)) - field.rank(rel)
 
 
@@ -239,13 +234,6 @@ def generalized_rank_vector(m: PersistenceModule, collection) -> tuple[int, ...]
 def signed_diagram(m: PersistenceModule, collection) -> SignedDiagram:
     """δ(m, X) = Σ_{Y ⊇ X in the collection} μ(X, Y) · rk(m, Y)."""
     collection = tuple(collection)
-    seen = set()
-    for s in collection:
-        if not s.is_connected():
-            raise NotConnectedError(f"spread {s.render()} has disconnected support")
-        if s.support in seen:
-            raise DuplicateSpreadError(f"spread {s.render()} appears twice")
-        seen.add(s.support)
     q = containment_poset(list(collection))
     ranks = [generalized_rank(m, s) for s in collection]
     coeffs = []

@@ -49,29 +49,20 @@ class PersistenceModule:
         if validate:
             self._validate_commutativity()
 
-    def _canonical_maps_from(self, a: int) -> dict[int, np.ndarray]:
-        """Composites along one chosen cover-path from a to every c >= a."""
-        canon = {a: self.field.eye(self.dims[a])}
-        up = self.poset.up_mask(a)
-        for c in self.poset.topo_order:
-            if c == a or not (up >> c & 1):
-                continue
-            p = next(q for q in self.poset.parents(c) if up >> q & 1)
-            canon[c] = self.field.matmul(self.maps[(p, c)], canon[p])
-        return canon
-
     def _validate_commutativity(self):
-        # Every cover-path into c agrees with the canonical one; by induction
-        # on path length this makes all parallel composites equal.
+        # Every cover-path into c agrees with the map_along composite; by
+        # induction on path length this makes all parallel composites equal.
         for a in range(self.poset.n):
-            canon = self._canonical_maps_from(a)
             up = self.poset.up_mask(a)
-            for c in canon:
+            for c in self.poset.topo_order:
+                if c == a or not (up >> c & 1):
+                    continue
+                along = self.map_along(a, c)
                 for p in self.poset.parents(c):
                     if not (up >> p & 1):
                         continue
-                    via = self.field.matmul(self.maps[(p, c)], canon[p])
-                    if not np.array_equal(via, canon[c]):
+                    via = self.field.matmul(self.maps[(p, c)], self.map_along(a, p))
+                    if not np.array_equal(via, along):
                         raise CommutativityError(
                             f"paths {self.poset.label(a)} -> {self.poset.label(c)} "
                             f"disagree (one through {self.poset.label(p)})"

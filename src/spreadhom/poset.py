@@ -412,9 +412,6 @@ class Spread:
     def is_connected(self) -> bool:
         return self.poset.is_connected(self.support)
 
-    def is_interval(self) -> bool:
-        return bin(self.sources).count("1") == 1 and bin(self.targets).count("1") == 1
-
     def render(self) -> str:
         def side(mask: int) -> str:
             labels = [self.poset.label(i) for i in iter_mask(mask)]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spreadhom import (
     Morphism,
+    PosetMismatchError,
     PrimeField,
     direct_sum,
     enumerate_spreads,
@@ -14,6 +15,7 @@ from spreadhom import (
     hom_dim,
     image_module,
     kernel_module,
+    naturality_basis,
     projective_module,
     simple_module,
     spread_from_antichains,
@@ -37,7 +39,7 @@ from spreadhom.randmod import random_module
 def test_grid5x3_pair_has_one_dim_hom(field):
     p, s, t = grid53_hom_pair()
     assert spread_hom_dim(s, t) == 1
-    assert hom_basis(spread_module(s, field), spread_module(t, field), method="solver").dim == 1
+    assert naturality_basis(spread_module(s, field), spread_module(t, field)).dim == 1
 
 
 def test_spread_route_matches_solver_on_small_posets(field):
@@ -48,7 +50,7 @@ def test_spread_route_matches_solver_on_small_posets(field):
         for s, ms in zip(spreads, mods):
             for t, mt in zip(spreads, mods):
                 combinatorial = spread_hom_dim(s, t)
-                solved = hom_basis(ms, mt, method="solver").dim
+                solved = naturality_basis(ms, mt).dim
                 assert combinatorial == solved, (name, s.render(), t.render())
 
 
@@ -60,7 +62,7 @@ def test_indicator_basis_is_the_solver_basis(field):
         for ms in mods:
             for mt in mods:
                 got = hom_basis(ms, mt).matrix()
-                want = hom_basis(ms, mt, method="solver").matrix()
+                want = naturality_basis(ms, mt).matrix()
                 assert np.array_equal(got, want), (name, ms, mt)
 
 
@@ -79,7 +81,7 @@ def test_yoneda_route_matches_solver(name, seed):
     for s in YONEDA_SPREADS[name]:
         m = spread_module(s, field)
         got = hom_basis(m, n)
-        want = hom_basis(m, n, method="solver")
+        want = naturality_basis(m, n)
         assert got.dim == want.dim == hom_dim(m, n), s.render()
         both = np.concatenate([got.matrix(), want.matrix()], axis=1)
         assert field.rank(got.matrix()) == field.rank(both) == want.dim, s.render()
@@ -87,24 +89,27 @@ def test_yoneda_route_matches_solver(name, seed):
             Morphism(m, n, f.components)  # full naturality validation
 
 
-def test_hom_basis_methods(field):
-    s = spread_from_antichains(grid(2, 2), ["00"], ["11"])
-    ms = spread_module(s, field)
-    assert hom_basis(ms, ms, method="solver").dim == hom_basis(ms, ms).dim == 1
-    with pytest.raises(ValueError):
-        hom_basis(ms, ms, method="spread")
-
-
-def test_hom_dim_methods_agree(field):
+def test_hom_routes_agree(field):
+    # the spread tags alone pick the route; every route gives the solver's dimension
     p = grid(2, 2)
+    u = spread_from_antichains(p, ["00"], ["11"])
+    mu = spread_module(u, field)
+    assert naturality_basis(mu, mu).dim == hom_basis(mu, mu).dim == hom_dim(mu, mu) == 1
     s = spread_from_antichains(p, ["00"], ["01", "10"])
     t = spread_from_antichains(p, ["00"], ["11"])
     ms, mt = spread_module(s, field), spread_module(t, field)
     d = hom_dim(ms, mt)
-    assert d == hom_dim(ms, mt, method="solver")
-    assert d == hom_dim(ms, mt, method="spread")
-    with pytest.raises(ValueError):
-        hom_dim(ms, mt, method="magic")
+    assert d == naturality_basis(ms, mt).dim == hom_basis(ms, mt).dim == spread_hom_dim(s, t)
+
+
+def test_hom_endpoints_must_share_poset_and_prime():
+    s = spread_from_antichains(grid(2, 2), ["00"], ["11"])
+    m2, m3 = spread_module(s, PrimeField(2)), spread_module(s, PrimeField(3))
+    other = spread_module(spread_from_antichains(chain(4), ["1"], ["4"]), PrimeField(2))
+    for target in (m3, other, random_module(grid(2, 2), PrimeField(3), random.Random(0))):
+        for fn in (hom_dim, hom_basis, naturality_basis):
+            with pytest.raises(PosetMismatchError):
+                fn(m2, target)
 
 
 def test_hom_from_projective_is_fiber_dim(field, rng):
@@ -262,4 +267,4 @@ def test_spread_hom_dim_is_symmetric_under_field_choice(seed):
     d = spread_hom_dim(s, t)
     for prime in (2, 3, 32003):
         f = PrimeField(prime)
-        assert hom_basis(spread_module(s, f), spread_module(t, f), method="solver").dim == d
+        assert naturality_basis(spread_module(s, f), spread_module(t, f)).dim == d

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spreadhom import (
     DuplicateSpreadError,
@@ -9,6 +11,7 @@ from spreadhom import (
     NotConnectedError,
     NotTypeAError,
     PosetMismatchError,
+    PrimeField,
     ResolutionTruncatedError,
     Spread,
     UnknownInvariantError,
@@ -38,6 +41,7 @@ from spreadhom.gallery import (
     branching_vertex,
     chain,
     fan,
+    funnel,
     generator_posets,
     grid23_diagram_modules,
     grid,
@@ -47,7 +51,7 @@ from spreadhom.gallery import (
 )
 from spreadhom.invariants import COMPARE_KINDS
 from spreadhom.poset import elements_of, mask_of
-from spreadhom.randmod import random_module, random_spread_sum
+from spreadhom.randmod import base_change, random_module, random_spread_sum
 
 
 # -- dim-hom vectors ----------------------------------------------------------
@@ -201,6 +205,31 @@ def test_generalized_rank_needs_connected(field):
     m = zero_module(p, field)
     with pytest.raises(NotConnectedError):
         generalized_rank(m, disconnected)
+
+
+def test_generalized_rank_rejects_another_poset(field):
+    m = spread_module(spread_from_antichains(grid(2, 2), ["00"], ["11"]), field)
+    s = spread_from_antichains(chain(4), ["1"], ["4"])
+    with pytest.raises(PosetMismatchError):
+        generalized_rank(m, s)
+
+
+GENRANK_POSETS = {"grid2x2": grid(2, 2), "grid3x3": grid(3, 3), "funnel": funnel()}
+GENRANK_SPREADS = {k: enumerate_spreads(p, "connected_all") for k, p in GENRANK_POSETS.items()}
+
+
+@given(st.sampled_from(sorted(GENRANK_POSETS)), st.sampled_from([32003, 2]), st.integers(0, 10_000))
+def test_generalized_rank_counts_summands_containing_the_spread(name, prime, seed):
+    # rk(M_T, S) is 1 when S ⊆ T and 0 otherwise, for connected spreads S and
+    # T; rank is additive and blind to base change
+    field = PrimeField(prime)
+    rng = random.Random(seed)
+    spreads = GENRANK_SPREADS[name]
+    picks = [rng.choice(spreads) for _ in range(rng.randint(1, 3))]
+    m = base_change(direct_sum([spread_module(t, field) for t in picks]), rng)
+    for s in spreads:
+        want = sum(s.support & ~t.support == 0 for t in picks)
+        assert generalized_rank(m, s) == want, (s.render(), [t.render() for t in picks])
 
 
 def test_generalized_rank_additive(field, rng):

@@ -472,6 +472,60 @@ def test_cli_rejects_ragged_matrix(capsys, tmp_path):
     assert out == ""
 
 
+def test_cli_rejects_two_keys_for_one_cover(capsys, tmp_path):
+    # neither key may silently win over the other
+    path = _grid2x3_variant(tmp_path, '  "11->21": id\n', '  "11->21": id\n  "11 -> 12": [[1], [0]]\n')
+    code, out, err = run_cli(capsys, "invariant", "rank", path)
+    _one_line_error(code, err, "m.yaml", "'11->12'", "'11 -> 12'", "same cover")
+    assert out == ""
+
+
+def test_cli_rejects_a_repeated_yaml_key(capsys, tmp_path):
+    # yaml.safe_load alone would keep the later of two equal keys
+    path = _grid2x3_variant(tmp_path, '  "11->21": id\n', '  "11->21": id\n  "11->12": [[1], [0]]\n')
+    code, out, err = run_cli(capsys, "invariant", "rank", path)
+    _one_line_error(code, err, "m.yaml", "duplicate key '11->12'")
+    assert out == ""
+
+
+def test_cli_reports_invalid_yaml_on_one_line(capsys, tmp_path):
+    path = _grid2x3_variant(tmp_path, '"22": 1}', '"22": 1')
+    code, out, err = run_cli(capsys, "invariant", "rank", path)
+    _one_line_error(code, err, "m.yaml", "not valid YAML")
+    assert out == ""
+
+
+def test_cli_rejects_wrong_shape_matrix(capsys, tmp_path):
+    path = _grid2x3_variant(tmp_path, '"11->12": [[1], [1]]', '"11->12": []')
+    code, out, err = run_cli(capsys, "invariant", "dimvec", path)
+    _one_line_error(code, err, "m.yaml", "'11->12'", "expected (2, 1)")
+    assert out == ""
+
+
+def test_cli_rejects_maps_that_do_not_commute(capsys, tmp_path):
+    path = _grid2x3_variant(tmp_path, '"11->12": [[1], [1]]', '"11->12": [[0], [1]]')
+    code, out, err = run_cli(capsys, "invariant", "dimvec", path)
+    _one_line_error(code, err, "m.yaml", "paths 11 -> 22 disagree")
+    assert out == ""
+
+
+def test_cli_rejects_poset_reference_that_is_not_a_name(capsys, tmp_path):
+    path = _grid2x3_variant(tmp_path, 'poset: "grid2x3.yaml"', 'poset: ["grid2x3.yaml"]')
+    code, out, err = run_cli(capsys, "invariant", "dimvec", path)
+    _one_line_error(code, err, "m.yaml", "'poset' must be a file name")
+    assert out == ""
+
+
+def test_cli_rejects_quotient_closed_that_is_not_a_bool(capsys, tmp_path):
+    fam = tmp_path / "fam.yaml"
+    fam.write_text('quotient_closed: "no"\nspreads:\n  - {sources: ["1"], targets: ["4", "6"]}\n')
+    code, out, err = run_cli(
+        capsys, "invariant", "class", str(DATA / "m16.yaml"), "--family", str(fam)
+    )
+    _one_line_error(code, err, "fam.yaml", "'quotient_closed'")
+    assert out == ""
+
+
 def test_cli_rejects_spread_sources_that_are_not_a_list(capsys, tmp_path):
     fam = tmp_path / "fam.yaml"
     fam.write_text('spreads:\n  - {sources: 3, targets: ["4", "6"]}\n')
