@@ -89,17 +89,26 @@ def test_yoneda_route_matches_solver(name, seed):
             Morphism(m, n, f.components)  # full naturality validation
 
 
-def test_hom_routes_agree(field):
-    # the spread tags alone pick the route; every route gives the solver's dimension
+def test_hom_basis_methods(field):
+    # the spread tags alone pick the route; it gives the solver's basis size,
+    # and the removed method= option is refused
+    s = spread_from_antichains(grid(2, 2), ["00"], ["11"])
+    ms = spread_module(s, field)
+    assert naturality_basis(ms, ms).dim == hom_basis(ms, ms).dim == hom_dim(ms, ms) == 1
+    with pytest.raises(TypeError):
+        hom_basis(ms, ms, method="spread")
+
+
+def test_hom_dim_methods_agree(field):
     p = grid(2, 2)
-    u = spread_from_antichains(p, ["00"], ["11"])
-    mu = spread_module(u, field)
-    assert naturality_basis(mu, mu).dim == hom_basis(mu, mu).dim == hom_dim(mu, mu) == 1
     s = spread_from_antichains(p, ["00"], ["01", "10"])
     t = spread_from_antichains(p, ["00"], ["11"])
     ms, mt = spread_module(s, field), spread_module(t, field)
     d = hom_dim(ms, mt)
-    assert d == naturality_basis(ms, mt).dim == hom_basis(ms, mt).dim == spread_hom_dim(s, t)
+    assert d == naturality_basis(ms, mt).dim
+    assert d == hom_basis(ms, mt).dim == spread_hom_dim(s, t)
+    with pytest.raises(TypeError):
+        hom_dim(ms, mt, method="magic")
 
 
 def test_hom_endpoints_must_share_poset_and_prime():
