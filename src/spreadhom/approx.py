@@ -5,6 +5,14 @@ pairwise non-isomorphic, which the minimality formula below relies on).
 Multiplicities of the minimal approximation of M are computed as
 dim Hom(R, M) minus the dimension of the span of all composites through the
 other members; representatives of a complement realize the approximation.
+
+The member Hom digraph is computed once per family and kept sparse: row i
+lists the members j with Hom(R_i, R_j) != 0.  Two exact tests keep the work
+small.  Hom(R_i, R_j) is 0 unless a source of R_i lies in R_j and a target
+of R_j lies in R_i, because every component that carries a morphism holds
+one of each (`spread_hom_components`).  Hom(R, M) is 0 unless M is nonzero
+at a source of R, because it embeds in ⊕ M_a over those sources; a minimal
+approximation does Hom work only for the members that pass.
 """
 from __future__ import annotations
 
@@ -27,7 +35,6 @@ from .hom import (
     hom_dim,
     kernel_module,
     spread_hom_components,
-    spread_hom_dim,
     yoneda_basis,
     yoneda_morphism,
     yoneda_values,
@@ -71,9 +78,8 @@ class Family:
         self.quotient_closed = quotient_closed
         self.restricted_support = restricted_support
         self._supports = frozenset(seen)
-        self._modules: dict[int, list[PersistenceModule]] = {}
-        self._pair_hom: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._hom_matrix: tuple[tuple[int, ...], ...] | None = None
+        self._modules: dict[tuple[int, int], PersistenceModule] = {}  # (p, i) -> module
+        self._rows: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] | None = None
         self._diagnostics: FamilyDiagnostics | None = None
 
     def __len__(self):
@@ -93,29 +99,39 @@ class Family:
             if self.poset.up_mask(a) not in self._supports
         )
 
+    def member_module(self, i: int, field: PrimeField) -> PersistenceModule:
+        """The spread module of member i over `field`, built on first use."""
+        mod = self._modules.get((field.p, i))
+        if mod is None:
+            mod = self._modules[(field.p, i)] = spread_module(self.members[i], field)
+        return mod
+
     def member_modules(self, field: PrimeField) -> list[PersistenceModule]:
-        mods = self._modules.get(field.p)
-        if mods is None:
-            mods = [spread_module(s, field) for s in self.members]
-            self._modules[field.p] = mods
-        return mods
+        return [self.member_module(i, field) for i in range(len(self.members))]
+
+    def hom_rows(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """Row i: (j, `pair_hom(i, j)`) for each j with Hom(member_i, member_j) != 0, by j.
+
+        The sparse member Hom digraph, combinatorial and field-free; built on
+        first use.
+        """
+        if self._rows is None:
+            members = self.members
+            self._rows = tuple(
+                tuple((j, comps) for j, t in enumerate(members)
+                      if (comps := spread_hom_components(s, t)))
+                for s in members
+            )
+        return self._rows
 
     def pair_hom(self, i: int, j: int) -> tuple[int, ...]:
         """Supports of the indicator basis of Hom(member_i, member_j), field-free."""
-        key = (i, j)
-        comps = self._pair_hom.get(key)
-        if comps is None:
-            comps = spread_hom_components(self.members[i], self.members[j])
-            self._pair_hom[key] = comps
-        return comps
+        return next((comps for k, comps in self.hom_rows()[i] if k == j), ())
 
     def hom_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """H[i][j] = dim Hom(member_i, member_j), combinatorial and field-free."""
-        if self._hom_matrix is None:
-            self._hom_matrix = tuple(
-                tuple(spread_hom_dim(s, t) for t in self.members) for s in self.members
-            )
-        return self._hom_matrix
+        """H[i][j] = dim Hom(member_i, member_j): a dense view of `hom_rows`."""
+        n = len(self.members)
+        return tuple(tuple(len(dict(row).get(j, ())) for j in range(n)) for row in self.hom_rows())
 
 
 def builtin_family(poset: Poset, name: str, cap: int = 100_000) -> Family:
@@ -144,16 +160,16 @@ def builtin_family(poset: Poset, name: str, cap: int = 100_000) -> Family:
 class FamilyDiagnostics:
     contains_projectives: bool
     missing_projectives: tuple[str, ...]
-    hom_matrix: tuple[tuple[int, ...], ...]
     hom_acyclic: bool
     topo_order: tuple[int, ...] | None   # members ordered so Hom(i,j) != 0 => i first
     hom_cycle: tuple[int, ...] | None    # member indices of one directed cycle
 
 
-def _hom_digraph_topo(h) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Topological order of i -> j whenever h[i][j] != 0 (i != j), or a cycle."""
-    n = len(h)
-    order, indeg = kahn_order([[j for j in range(n) if j != i and h[i][j]] for i in range(n)])
+def _hom_digraph_topo(rows) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """Topological order of i -> j whenever row i lists j (i != j), or a cycle."""
+    n = len(rows)
+    succs = [[j for j, _ in row if j != i] for i, row in enumerate(rows)]
+    order, indeg = kahn_order(succs)
     if len(order) == n:
         return tuple(order), None
     # Every node Kahn leaves behind keeps a predecessor that was left behind
@@ -163,7 +179,7 @@ def _hom_digraph_topo(h) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None
     seen = {start: 0}
     while True:
         cur = walk[-1]
-        prev = next(i for i in range(n) if i != cur and h[i][cur] and indeg[i] > 0)
+        prev = next(i for i in range(n) if indeg[i] > 0 and cur in succs[i])
         if prev in seen:
             cycle = walk[seen[prev]:][::-1]
             k = cycle.index(min(cycle))  # start at the least index
@@ -180,12 +196,10 @@ def check_family(x: Family, require_projectives: bool = False) -> FamilyDiagnost
     diag = x._diagnostics
     if diag is None:
         missing = x.missing_projectives()
-        h = x.hom_matrix()
-        topo, cycle = _hom_digraph_topo(h)
+        topo, cycle = _hom_digraph_topo(x.hom_rows())
         diag = x._diagnostics = FamilyDiagnostics(
             contains_projectives=not missing,
             missing_projectives=missing,
-            hom_matrix=h,
             hom_acyclic=topo is not None,
             topo_order=topo,
             hom_cycle=cycle,
@@ -210,12 +224,11 @@ def _require_coverage(x: Family, m: PersistenceModule):
 def _assemble(x: Family, m: PersistenceModule, picks) -> Morphism:
     """Morphism ⊕ R_i^{len(picks[i])} -> m whose columns are the picked maps."""
     field = m.field
-    mods = x.member_modules(field)
     summands = []
     columns = []
     for i, fs in enumerate(picks):
         for f in fs:
-            summands.append(mods[i])
+            summands.append(x.member_module(i, field))
             columns.append(f)
     if not summands:
         return Morphism(zero_module(m.poset, field), m,
@@ -261,7 +274,11 @@ def minimal_approximation(x: Family, m: PersistenceModule):
     _require_coverage(x, m)
     field = m.field
     members = x.members
-    homs = [yoneda_basis(s, m) for s in members]
+    rows = x.hom_rows()
+    supp = m.support_mask()
+    # Hom(R_j, m) embeds in ⊕ m_a over the sources of R_j, so it is 0 unless one lies in supp m
+    homs = {j: yoneda_basis(s, m) for j, s in enumerate(members) if s.sources & supp}
+    homs = {j: h for j, h in homs.items() if h[1].shape[1]}  # j -> (offsets, basis), by j
     values = {}  # (j, a) -> the basis of Hom(R_j, m) evaluated at a
 
     def value_at(j, a):
@@ -271,18 +288,15 @@ def minimal_approximation(x: Family, m: PersistenceModule):
             out = values[(j, a)] = yoneda_values(members[j], m, offsets, w, a)
         return out
 
-    mods = x.member_modules(field)
-    live = [j for j, (_, w) in enumerate(homs) if w.shape[1]]
     multiplicities = [0] * len(members)
     picks = [[] for _ in members]
-    for i in live:
+    for i, (offsets, w) in homs.items():
         s = members[i]
-        offsets, w = homs[i]
         blocks = []
-        for j in live:
-            if j == i:
+        for j, comps in rows[i]:
+            if j == i or j not in homs:
                 continue
-            for comp in x.pair_hom(i, j):
+            for comp in comps:
                 block = field.zeros(w.shape[0], homs[j][1].shape[1])
                 for a in iter_mask(s.sources & comp):
                     block[offsets[a]:offsets[a] + m.dims[a]] = value_at(j, a)
@@ -293,7 +307,7 @@ def minimal_approximation(x: Family, m: PersistenceModule):
         _, pivots = field.rref(stacked)
         chosen = [c - start for c in pivots if c >= start]
         multiplicities[i] = len(chosen)
-        picks[i] = [yoneda_morphism(mods[i], m, offsets, w[:, c]) for c in chosen]
+        picks[i] = [yoneda_morphism(x.member_module(i, field), m, offsets, w[:, c]) for c in chosen]
     f = _assemble(x, m, picks)
     _check_epi(f)
     return tuple(multiplicities), f

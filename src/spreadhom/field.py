@@ -75,8 +75,10 @@ class PrimeField:
         Pivot choice: scan columns left to right, take the first row with a
         nonzero entry at or below the working row.
         """
-        a = self.arr(m).copy()
+        a = self.arr(m)  # a fresh array: np.mod allocates its result
         rows, cols = a.shape
+        if not rows or not cols:
+            return a, ()
         pivots = []
         r = 0
         for c in range(cols):

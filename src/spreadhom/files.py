@@ -13,7 +13,7 @@ import numpy as np
 import yaml
 
 from .approx import BUILTIN_FAMILIES, Family, builtin_family
-from .errors import CommutativityError, FileFormatError, ShapeError
+from .errors import CommutativityError, FileFormatError, ShapeError, SpreadHomError
 from .field import PrimeField
 from .modules import PersistenceModule
 from .poset import Poset, Spread, spread_from_antichains
@@ -48,8 +48,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _as_label(x) -> str:
-    return x if isinstance(x, str) else str(x)
+def _as_label(path: str, x) -> str:
+    """A label as written; an integer (YAML reads `1` as one) by its digits."""
+    if not isinstance(x, str) and not _is_int(x):
+        raise FileFormatError(f"{path}: label {x!r} is not a string or an integer")
+    return str(x)
 
 
 def _expect_keys(path: str, data: dict, allowed: set[str], required: set[str]):
@@ -67,18 +70,24 @@ def load_poset(path: str) -> Poset:
     elements = data["elements"]
     if not isinstance(elements, list):
         raise FileFormatError(f"{path}: 'elements' must be a list of labels")
-    names = [_as_label(x) for x in elements]
+    names = [_as_label(path, x) for x in elements]
     index = {lbl: i for i, lbl in enumerate(names)}
+    raw_covers = data["covers"] or []
+    if not isinstance(raw_covers, list):
+        raise FileFormatError(f"{path}: 'covers' must be a list of pairs, got {raw_covers!r}")
     covers = []
-    for item in data["covers"] or []:
+    for item in raw_covers:
         if not isinstance(item, list) or len(item) != 2:
             raise FileFormatError(f"{path}: each cover must be a pair, got {item!r}")
-        a, b = (_as_label(x) for x in item)
+        a, b = (_as_label(path, x) for x in item)
         for lbl in (a, b):
             if lbl not in index:
                 raise FileFormatError(f"{path}: unknown element label {lbl!r} in cover")
         covers.append((index[a], index[b]))
-    return Poset(len(names), covers, names)
+    try:
+        return Poset(len(names), covers, names)
+    except (SpreadHomError, ValueError) as e:  # a cycle, a redundant cover, a repeated label
+        raise type(e)(f"{path}: {e}") from None
 
 
 def load_module(path: str, field: PrimeField, poset: Poset | None = None,
@@ -104,12 +113,16 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
     raw_dims = data["dims"]
     if not isinstance(raw_dims, dict):
         raise FileFormatError(f"{path}: 'dims' must map labels to counts")
+    seen = set()
     for lbl, d in raw_dims.items():
-        lbl = _as_label(lbl)
+        lbl = _as_label(path, lbl)
         try:
             a = poset.element(lbl)
         except KeyError:
             raise FileFormatError(f"{path}: unknown element label {lbl!r} in dims") from None
+        if a in seen:  # e.g. the keys "1" and 1
+            raise FileFormatError(f"{path}: dims gives element {lbl!r} twice")
+        seen.add(a)
         if not _is_int(d) or d < 0:
             raise FileFormatError(f"{path}: dims[{lbl!r}] must be a non-negative integer, got {d!r}")
         dims[a] = d
@@ -119,7 +132,7 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
     maps = {}
     keys = {}
     for key, value in raw_maps.items():
-        key = _as_label(key)
+        key = _as_label(path, key)
         if "->" not in key:
             raise FileFormatError(f"{path}: map key {key!r} is not of the form 'a->b'")
         left, right = (t.strip() for t in key.split("->", 1))
@@ -169,8 +182,8 @@ def _parse_spread(path: str, item, poset: Poset) -> Spread:
         if not isinstance(item[key], list):
             raise FileFormatError(f"{path}: spread {key!r} must be a list of labels, got {item[key]!r}")
     try:
-        sources = [poset.element(_as_label(x)) for x in item["sources"]]
-        targets = [poset.element(_as_label(x)) for x in item["targets"]]
+        sources = [poset.element(_as_label(path, x)) for x in item["sources"]]
+        targets = [poset.element(_as_label(path, x)) for x in item["targets"]]
     except KeyError as e:
         raise FileFormatError(f"{path}: {e.args[0]}") from None
     return spread_from_antichains(poset, sources, targets)
@@ -187,7 +200,7 @@ def load_family(spec: str, poset: Poset, cap: int = 100_000) -> Family:
     data = _load_yaml(spec)
     if "family" in data:
         _expect_keys(spec, data, {"family"}, {"family"})
-        name = _as_label(data["family"])
+        name = _as_label(spec, data["family"])
         if name not in BUILTIN_FAMILIES:
             raise FileFormatError(f"{spec}: unknown builtin family {name!r}")
         return builtin_family(poset, name, cap)

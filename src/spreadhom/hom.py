@@ -6,12 +6,15 @@ of the endpoints alone:
 - both modules are tagged with their spread: the combinatorial route.  The
   basis is one indicator morphism per valid component of the intersection
   of the supports (`spread_hom_components`), and `spread_hom_dim` counts
-  them.
+  them.  Hom(M_S, M_T) is 0 unless a source of S lies in T and a target of
+  T lies in S: a valid component contains the sources of S below it and
+  the targets of T above it, hence one of each.
 - only the source is a tagged spread module M_S: Yoneda.  M_S is a quotient
   of ⊕_{a ∈ min S} P_a and Hom(P_a, N) = N_a, so a morphism is a tuple
   (v_a) in ⊕ N_a whose pushes N(a -> x) v_a agree at every x in S
   (`agreement_system`) and vanish across every cover leaving S
-  (`yoneda_basis`).
+  (`yoneda_basis`).  Hom(M_S, N) is 0 when N is 0 at every source of S,
+  since it embeds in ⊕ N_a.
 - an untagged source: `naturality_basis`, one linear system over all covers.
   It solves any pair, and the tests hold the other two routes against it.
 """
@@ -115,7 +118,7 @@ def agreement_system(s: Spread, n: PersistenceModule) -> tuple[np.ndarray, dict[
     p = s.poset
     offsets, total = stacked_offsets(s.sources, n)
     rows = [np.zeros((0, total), dtype=np.int64)]
-    if not s.sources & (s.sources - 1):  # a single source agrees with itself
+    if not total or not s.sources & (s.sources - 1):  # no unknowns, or one source
         return rows[0], offsets
     for x in iter_mask(s.support):
         below = s.sources & p.down_mask(x)
@@ -135,6 +138,8 @@ def _yoneda_system(s: Spread, n: PersistenceModule) -> tuple[np.ndarray, dict[in
     p = s.poset
     agree, offsets = agreement_system(s, n)
     total = agree.shape[1]
+    if not total:  # n vanishes at every source of s, so Hom(M_s, n) is 0
+        return agree, offsets
     rows = [agree]
     exits = set()
     for x in iter_mask(s.support):
@@ -224,16 +229,17 @@ def spread_hom_components(s: Spread, t: Spread) -> tuple[int, ...]:
 
     A component X of the support intersection carries a morphism when every
     source of s lying below X belongs to X and every target of t lying above
-    X belongs to X.
+    X belongs to X.  Such an X holds a source of s and a target of t, so a
+    pair without a source of s in t or a target of t in s is rejected before
+    any component is computed.
     """
     p = s.poset
     if t.poset is not p and t.poset != p:  # identity first: this runs per member pair
         raise PosetMismatchError("spreads live over different posets")
-    both = s.support & t.support
-    if not both:
+    if not (s.sources & t.support and t.targets & s.support):
         return ()
     out = []
-    for comp in p.connected_components(both):
+    for comp in p.connected_components(s.support & t.support):
         for a in iter_mask(s.sources & ~comp):
             if p.up_mask(a) & comp:
                 break

@@ -107,19 +107,13 @@ def class_via_hom_matrix(x: Family, m: PersistenceModule) -> GrothClass:
     if not diag.hom_acyclic:
         cycle = " -> ".join(x.members[i].render() for i in diag.hom_cycle)
         raise HomMatrixSingularError(f"Hom digraph has a cycle: {cycle} -> ...")
-    h = diag.hom_matrix
+    rows = x.hom_rows()
     b = dim_hom_vector(x, m)
-    order = diag.topo_order
     c = [0] * len(x)
-    for u in range(len(order) - 1, -1, -1):
-        i = order[u]
-        acc = b[i]
-        for v in range(u + 1, len(order)):
-            j = order[v]
-            acc -= h[i][j] * c[j]
-        c[i] = acc
-    for i in range(len(x)):  # the system is small; re-check the solution exactly
-        if sum(h[i][j] * c[j] for j in range(len(x))) != b[i]:
+    for i in reversed(diag.topo_order):  # row i lists only i and members after it
+        c[i] = b[i] - sum(len(comps) * c[j] for j, comps in rows[i] if j != i)
+    for i, row in enumerate(rows):  # re-check the solution exactly
+        if sum(len(comps) * c[j] for j, comps in row) != b[i]:
             raise SpreadHomError("hom-matrix back-substitution failed to verify")
     return GrothClass(x, tuple(c))
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spreadhom import (
     DuplicateMemberError,
@@ -16,6 +18,7 @@ from spreadhom import (
     builtin_family,
     check_family,
     direct_sum,
+    enumerate_spreads,
     hom_basis,
     hom_dim,
     kernel_module,
@@ -39,7 +42,8 @@ from spreadhom.gallery import (
     grid,
     equal_rank_pair,
 )
-from spreadhom.poset import mask_of
+from spreadhom.hom import spread_hom_components
+from spreadhom.poset import iter_mask, kahn_order, mask_of
 from spreadhom.randmod import random_module
 
 
@@ -124,6 +128,62 @@ def test_check_family_is_computed_once():
     d = check_family(x)
     assert check_family(x) is d
     assert d.hom_acyclic and len(d.topo_order) == len(x)
+
+
+def _all_components(s, t):
+    """spread_hom_components without its source/target rejection: every component is tested."""
+    p = s.poset
+    out = [
+        comp for comp in p.connected_components(s.support & t.support)
+        if not any(p.up_mask(a) & comp for a in iter_mask(s.sources & ~comp))
+        and not any(p.down_mask(d) & comp for d in iter_mask(t.targets & ~comp))
+    ]
+    return tuple(sorted(out, key=int.bit_length))
+
+
+def _dense_topo(h):
+    """Kahn and the predecessor walk on the dense matrix, as before the sparse rows."""
+    n = len(h)
+    order, indeg = kahn_order([[j for j in range(n) if j != i and h[i][j]] for i in range(n)])
+    if len(order) == n:
+        return tuple(order), None
+    walk = [next(i for i in range(n) if indeg[i] > 0)]
+    seen = {walk[0]: 0}
+    while True:
+        prev = next(i for i in range(n) if i != walk[-1] and h[i][walk[-1]] and indeg[i] > 0)
+        if prev in seen:
+            cycle = walk[seen[prev]:][::-1]
+            k = cycle.index(min(cycle))
+            return None, tuple(cycle[k:] + cycle[:k])
+        seen[prev] = len(walk)
+        walk.append(prev)
+
+
+def _assert_rows_match_unfiltered(x):
+    rows = x.hom_rows()
+    h = x.hom_matrix()
+    for i, s in enumerate(x.members):
+        want = [(j, _all_components(s, t)) for j, t in enumerate(x.members)]
+        assert rows[i] == tuple((j, c) for j, c in want if c), s.render()
+        for j, comps in want:
+            assert spread_hom_components(s, x.members[j]) == x.pair_hom(i, j) == comps
+            assert h[i][j] == len(comps)
+    d = check_family(x)
+    assert (d.topo_order, d.hom_cycle) == _dense_topo(h)
+
+
+def test_hom_rows_match_unfiltered_components_on_small_posets():
+    for name, p in generator_posets(max_n=5):
+        _assert_rows_match_unfiltered(Family(p, enumerate_spreads(p, "connected_all")))
+
+
+GRID33_SPREADS = enumerate_spreads(grid(3, 3), "connected_all")
+
+
+@given(st.lists(st.integers(0, len(GRID33_SPREADS) - 1), min_size=1, max_size=40, unique=True))
+def test_hom_rows_match_unfiltered_components_on_random_families(picks):
+    # members in a random order and subset, so both acyclic and cyclic digraphs occur
+    _assert_rows_match_unfiltered(Family(grid(3, 3), [GRID33_SPREADS[k] for k in picks]))
 
 
 def test_coverage_guard(field):

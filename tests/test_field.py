@@ -115,6 +115,25 @@ def test_image_complement_dim(field):
     assert field.image_complement_dim(field.zeros(3, 0), 3) == 3
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_matrices_with_a_zero_dimension(field, shape):
+    rows, cols = shape
+    m = field.zeros(rows, cols)
+    red, pivots = field.rref(m)
+    assert red.shape == shape and pivots == ()
+    assert field.rank(m) == 0
+    assert np.array_equal(field.kernel_basis(m), field.eye(cols))
+    assert np.array_equal(field.solve(m, field.zeros(rows, 2)), field.zeros(cols, 2))
+    if rows:
+        assert field.solve(m, np.ones(rows, dtype=np.int64)) is None
+
+
+def test_rref_leaves_its_input_alone(field):
+    m = field.arr([[2, 4], [1, 3]])
+    field.rref(m)
+    assert m.tolist() == [[2, 4], [1, 3]]
+
+
 def test_matmul_matches_integer_arithmetic():
     f = PrimeField(32003)
     rng = np.random.default_rng(7)

@@ -33,6 +33,7 @@ from spreadhom.gallery import (
     nonthin_brick,
     equal_rank_pair,
 )
+from spreadhom.hom import yoneda_basis
 from spreadhom.randmod import random_module
 
 
@@ -68,6 +69,23 @@ def test_indicator_basis_is_the_solver_basis(field):
 
 YONEDA_POSETS = {"grid2x2": grid(2, 2), "grid3x3": grid(3, 3), "funnel": funnel()}
 YONEDA_SPREADS = {k: enumerate_spreads(p, "connected_all") for k, p in YONEDA_POSETS.items()}
+
+
+@given(st.sampled_from(sorted(YONEDA_POSETS)), st.integers(0, 10_000))
+def test_yoneda_basis_is_empty_when_the_target_vanishes_at_the_sources(name, seed):
+    # Hom(M_s, n) embeds in ⊕ n_a over the sources a of s; when that is 0 the
+    # basis is empty at once, otherwise it has the solver's dimension
+    field = PrimeField()
+    n = random_module(YONEDA_POSETS[name], field, random.Random(seed))
+    for s in YONEDA_SPREADS[name]:
+        offsets, w = yoneda_basis(s, n)
+        assert sorted(offsets) == list(s.source_elements())
+        m = spread_module(s, field)
+        want = naturality_basis(m, n).dim
+        if any(n.dims[a] for a in offsets):
+            assert w.shape == (sum(n.dims[a] for a in offsets), want), s.render()
+        else:
+            assert w.shape == (0, 0) and want == hom_dim(m, n) == 0, s.render()
 
 
 @given(st.sampled_from(sorted(YONEDA_POSETS)), st.integers(0, 10_000))

@@ -536,6 +536,29 @@ def test_cli_rejects_spread_sources_that_are_not_a_list(capsys, tmp_path):
     assert out == ""
 
 
+def test_cli_rejects_two_dims_keys_for_one_label(capsys, tmp_path):
+    # YAML reads "1" and 1 as two keys; neither may silently win
+    (tmp_path / "p.yaml").write_text('elements: ["1", "2"]\ncovers: [["1", "2"]]\n')
+    path = tmp_path / "m.yaml"
+    path.write_text('poset: "p.yaml"\ndims: {"1": 1, 1: 2}\n')
+    code, out, err = run_cli(capsys, "invariant", "dimvec", str(path))
+    _one_line_error(code, err, "m.yaml", "'1' twice")
+    assert out == ""
+
+
+@pytest.mark.parametrize("body,needles", [
+    ('elements: ["a", "b"]\ncovers: 5\n', ["'covers'"]),
+    ('elements: [["a"], "b"]\ncovers: []\n', ["['a']", "not a string or an integer"]),
+    ('elements: ["a", "b"]\ncovers: [["a", "b"], ["b", "a"]]\n', ["cycle through {a, b}"]),
+], ids=["covers-not-a-list", "list-as-label", "cyclic-covers"])
+def test_cli_poset_file_errors_name_the_file(capsys, tmp_path, body, needles):
+    path = tmp_path / "p.yaml"
+    path.write_text(body)
+    code, out, err = run_cli(capsys, "validate", str(path))
+    _one_line_error(code, err, "p.yaml", *needles)
+    assert out == ""
+
+
 def test_cli_jsonl_records(capsys):
     code, out, _ = run_cli(
         capsys,
