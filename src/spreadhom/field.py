@@ -145,18 +145,7 @@ class PrimeField:
             x[pc] = red[i, cols:]
         return x[:, 0] if vector_rhs else x
 
-    def pivot_columns(self, m) -> tuple[int, ...]:
-        return self.rref(m)[1]
-
     def column_space_basis(self, m) -> np.ndarray:
         """The pivot columns of m, in order (a deterministic image basis)."""
         a = self.arr(m)
-        piv = self.pivot_columns(a)
-        return a[:, list(piv)]
-
-    def image_complement_dim(self, sub, ambient_dim: int) -> int:
-        """Codimension of the column span of `sub` inside F_p^ambient_dim."""
-        a = self.arr(sub)
-        if a.shape[0] != ambient_dim:
-            raise ValueError(f"subspace matrix has {a.shape[0]} rows, ambient dim {ambient_dim}")
-        return ambient_dim - self.rank(a)
+        return a[:, list(self.rref(a)[1])]

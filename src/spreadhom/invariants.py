@@ -2,8 +2,8 @@
 
 Grothendieck-style classes relative to a family (two independent algorithms),
 dim-hom vectors, the classical rank invariant (directly and from hook Hom
-spaces), generalized ranks over connected spreads, signed diagrams by Möbius
-inversion over the containment order, the type-A barcode, and comparison.
+spaces), generalized ranks over connected spreads, signed diagrams by
+back-substitution in the containment order, the type-A barcode, and comparison.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import numpy as np
 
 from .approx import Family, builtin_family, check_family, resolve
 from .errors import (
+    DuplicateSpreadError,
     HomMatrixSingularError,
     NotConnectedError,
     NotTypeAError,
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .hom import agreement_system, hom_dim, stacked_offsets
 from .modules import PersistenceModule, hook_module
-from .poset import Poset, Spread, containment_poset, elements_of, iter_mask
+from .poset import Poset, Spread, iter_mask
 
 COMPARE_KINDS = ("dimvec", "rank", "class", "dimhom", "genrank", "diagram")
 
@@ -97,6 +98,19 @@ def class_via_resolution(x: Family, m: PersistenceModule, max_depth: int = 32) -
     return GrothClass(x, tuple(coeffs))
 
 
+def _back_substitute(b, rows, order) -> tuple[int, ...]:
+    """The exact integer c with Σ_{(j, w) in rows[i]} w · c_j = b_i for all i, re-checked.
+
+    Row i includes (i, 1); `order` visits each i after every other j it names.
+    """
+    c = [0] * len(b)
+    for i in order:
+        c[i] = b[i] - sum(w * c[j] for j, w in rows[i] if j != i)
+    if any(sum(w * c[j] for j, w in row) != bi for row, bi in zip(rows, b)):
+        raise SpreadHomError("back-substitution failed to verify")
+    return tuple(c)
+
+
 def class_via_hom_matrix(x: Family, m: PersistenceModule) -> GrothClass:
     """Solve dim Hom(R', m) = Σ_R c_R dim Hom(R', R) over the integers.
 
@@ -107,15 +121,9 @@ def class_via_hom_matrix(x: Family, m: PersistenceModule) -> GrothClass:
     if not diag.hom_acyclic:
         cycle = " -> ".join(x.members[i].render() for i in diag.hom_cycle)
         raise HomMatrixSingularError(f"Hom digraph has a cycle: {cycle} -> ...")
-    rows = x.hom_rows()
-    b = dim_hom_vector(x, m)
-    c = [0] * len(x)
-    for i in reversed(diag.topo_order):  # row i lists only i and members after it
-        c[i] = b[i] - sum(len(comps) * c[j] for j, comps in rows[i] if j != i)
-    for i, row in enumerate(rows):  # re-check the solution exactly
-        if sum(len(comps) * c[j] for j, comps in row) != b[i]:
-            raise SpreadHomError("hom-matrix back-substitution failed to verify")
-    return GrothClass(x, tuple(c))
+    rows = [[(j, len(comps)) for j, comps in row] for row in x.hom_rows()]
+    c = _back_substitute(dim_hom_vector(x, m), rows, reversed(diag.topo_order))
+    return GrothClass(x, c)
 
 
 @dataclass
@@ -202,7 +210,7 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
 
 @dataclass
 class SignedDiagram:
-    """Möbius inversion of the generalized ranks over a spread collection."""
+    """δ over a spread collection, back-substituted from rk(X) = Σ_{Y ⊇ X} δ(Y)."""
 
     collection: tuple[Spread, ...]
     coeffs: tuple[int, ...]
@@ -226,17 +234,16 @@ def generalized_rank_vector(m: PersistenceModule, collection) -> tuple[int, ...]
 
 
 def signed_diagram(m: PersistenceModule, collection) -> SignedDiagram:
-    """δ(m, X) = Σ_{Y ⊇ X in the collection} μ(X, Y) · rk(m, Y)."""
+    """The δ with rk(m, X) = Σ_{Y ⊇ X in the collection} δ(Y), largest X first."""
     collection = tuple(collection)
-    q = containment_poset(list(collection))
-    ranks = [generalized_rank(m, s) for s in collection]
-    coeffs = []
-    for i in range(len(collection)):
-        acc = 0
-        for j in elements_of(q.up_mask(i)):
-            acc += q.mobius(i, j) * ranks[j]
-        coeffs.append(acc)
-    return SignedDiagram(collection, tuple(coeffs))
+    supports = [s.support for s in collection]
+    if len(set(supports)) < len(supports):
+        dup = next(s for i, s in enumerate(collection) if s.support in supports[:i])
+        raise DuplicateSpreadError(f"spread {dup.render()} appears twice")
+    rows = [[(j, 1) for j, y in enumerate(supports) if x & y == x] for x in supports]
+    order = sorted(range(len(supports)), key=lambda i: -supports[i].bit_count())
+    coeffs = _back_substitute(generalized_rank_vector(m, collection), rows, order)
+    return SignedDiagram(collection, coeffs)
 
 
 def barcode(m: PersistenceModule, cap: int = 100_000) -> GrothClass:

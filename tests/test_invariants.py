@@ -20,6 +20,7 @@ from spreadhom import (
     class_via_hom_matrix,
     class_via_resolution,
     compare,
+    containment_poset,
     dim_hom_vector,
     direct_sum,
     enumerate_spreads,
@@ -277,9 +278,36 @@ def test_signed_diagram_inverts_generalized_rank(field, rng):
 
 def test_signed_diagram_duplicate_collection(field):
     p = grid(2, 2)
+    m = zero_module(p, field)
     s = spread_from_convex(p, ["00"])
+    with pytest.raises(DuplicateSpreadError, match=r"spread \[00,00\] appears twice"):
+        signed_diagram(m, [s, s])
+    # the duplicate is reported before any generalized rank rejects a spread
+    tops = mask_of([p.element("01"), p.element("10")])
+    disconnected = Spread(p, tops, tops, tops)
     with pytest.raises(DuplicateSpreadError):
-        signed_diagram(zero_module(p, field), [s, s])
+        signed_diagram(m, [disconnected, s, disconnected])
+    with pytest.raises(PosetMismatchError):
+        signed_diagram(m, [s, spread_from_antichains(chain(4), ["1"], ["4"])])
+    assert signed_diagram(m, []).coeffs == ()
+
+
+@given(st.sampled_from(sorted(GENRANK_POSETS)), st.integers(0, 10_000))
+def test_signed_diagram_matches_mobius_inversion(name, seed):
+    # oracle: δ(X) = Σ_{Y ⊇ X} μ(X, Y) · rk(Y), with μ the Möbius function of
+    # the containment poset of a random shuffled sub-collection
+    field = PrimeField()
+    rng = random.Random(seed)
+    spreads = GENRANK_SPREADS[name]
+    m = random_module(GENRANK_POSETS[name], field, rng, spreads)
+    collection = rng.sample(spreads, rng.randint(0, len(spreads)))
+    ranks = generalized_rank_vector(m, collection)
+    q = containment_poset(collection)
+    want = tuple(
+        sum(q.mobius(i, j) * ranks[j] for j in elements_of(q.up_mask(i)))
+        for i in range(len(collection))
+    )
+    assert signed_diagram(m, collection).coeffs == want
 
 
 def test_grid2x3_diagram_collision(field):

@@ -1,14 +1,21 @@
 import collections
+import io
 import itertools
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spreadhom
 from spreadhom import FileFormatError, PrimeField, ShapeError, dim_hom_vector, direct_sum
 from spreadhom import cli, files
 from spreadhom.cli import main
@@ -559,6 +566,64 @@ def test_cli_poset_file_errors_name_the_file(capsys, tmp_path, body, needles):
     assert out == ""
 
 
+# -- loader fuzzing ------------------------------------------------------------
+
+FUZZ_FILES = {
+    "p.yaml": (DATA / "grid2x2.yaml").read_text(),
+    "m.yaml": (DATA / "equal_rank_m.yaml").read_text().replace("grid2x2.yaml", "p.yaml"),
+    "n.yaml": (DATA / "equal_rank_mprime.yaml").read_text().replace("grid2x2.yaml", "p.yaml"),
+    "fam.yaml": (
+        "quotient_closed: true\n"
+        "spreads:\n"
+        '  - {sources: ["00"], targets: ["11"]}\n'
+        '  - {sources: ["01"], targets: ["11"]}\n'
+        '  - {sources: ["10"], targets: ["11"]}\n'
+        '  - {sources: ["11"], targets: ["11"]}\n'
+        '  - {sources: ["00"], targets: ["01", "10"]}\n'
+    ),
+}
+FUZZ_TOKENS = [
+    '"', "'", ",", ":", "[", "]", "{", "}", "-", "\n", "  ", "0", "1", "-1", "1.5", "1e3",
+    "true", "null", "id", "->", "&a", "*a", "!!binary", "99999999999999999999", '"00"', '"11"',
+    '"zz"', '"p.yaml"', '"m.yaml"', '"fam.yaml"', "[[1]]", "[[0, 1]]", "[]", "{}",
+]
+FUZZ_RUNS = [
+    ["invariant", "rank", "m.yaml"],
+    ["invariant", "class", "m.yaml", "--family", "fam.yaml"],
+    ["invariant", "diagram", "m.yaml", "--collection", "fam.yaml"],
+    ["compare", "class", "m.yaml", "n.yaml", "--family", "fam.yaml"],
+    ["compare", "genrank", "m.yaml", "n.yaml", "--collection", "fam.yaml"],
+]
+# (position, characters cut there, token put in their place)
+FUZZ_EDITS = st.lists(
+    st.tuples(st.integers(0, 400), st.integers(0, 4), st.sampled_from(FUZZ_TOKENS)), max_size=3
+)
+
+
+def _mutated(text, ops):
+    for pos, cut, token in ops:
+        pos %= len(text) + 1
+        text = text[:pos] + token + text[pos + cut:]
+    return text
+
+
+@settings(max_examples=40)
+@given(FUZZ_EDITS, FUZZ_EDITS, FUZZ_EDITS)
+def test_cli_survives_mutated_input_files(poset_ops, module_ops, family_ops):
+    # every run ends in a documented exit code with at most one stderr line
+    ops = {"p.yaml": poset_ops, "m.yaml": module_ops, "fam.yaml": family_ops}
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in FUZZ_FILES.items():
+            Path(d, name).write_text(_mutated(text, ops.get(name, [])))
+        for argv in FUZZ_RUNS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([str(Path(d, a)) if a.endswith(".yaml") else a for a in argv])
+            err = err.getvalue()
+            assert code in (0, 1, 2, 3), (argv, err)
+            assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, err)
+
+
 def test_cli_jsonl_records(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -590,10 +655,14 @@ def test_cli_jsonl_resolve_payload(capsys):
 
 
 def test_cli_entry_point_runs():
+    # the child imports the same spreadhom, installed or not
+    home = str(Path(spreadhom.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "spreadhom", "invariant", "dimvec", str(DATA / "diagram_x.yaml")],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "dimension vector" in proc.stdout
