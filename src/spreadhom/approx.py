@@ -30,15 +30,7 @@ from .errors import (
     SpreadHomError,
 )
 from .field import PrimeField
-from .hom import (
-    hom_basis,
-    hom_dim,
-    kernel_module,
-    spread_hom_components,
-    yoneda_basis,
-    yoneda_morphism,
-    yoneda_values,
-)
+from .hom import kernel_module, spread_hom_components, yoneda_basis, yoneda_values
 from .modules import (
     Morphism,
     PersistenceModule,
@@ -59,10 +51,12 @@ BUILTIN_FAMILIES = (
 
 
 class Family:
-    """An ordered set of pairwise-distinct connected spreads over one poset."""
+    """An ordered set of pairwise-distinct connected spreads over one poset.
 
-    def __init__(self, poset: Poset, members, *, quotient_closed: bool = False,
-                 restricted_support: int | None = None):
+    Coverage, closure under quotients and the Hom digraph are derived from the members.
+    """
+
+    def __init__(self, poset: Poset, members, *, restricted_support: int | None = None):
         self.poset = poset
         members = tuple(members)
         seen = set()
@@ -75,7 +69,6 @@ class Family:
                 raise DuplicateMemberError(f"member {s.render()} appears twice")
             seen.add(s.support)
         self.members = members
-        self.quotient_closed = quotient_closed
         self.restricted_support = restricted_support
         self._supports = frozenset(seen)
         self._modules: dict[tuple[int, int], PersistenceModule] = {}  # (p, i) -> module
@@ -91,6 +84,23 @@ class Family:
     @property
     def contains_projectives(self) -> bool:
         return not self.missing_projectives()
+
+    @property
+    def quotient_closed(self) -> bool:
+        """Whether add(family) holds every quotient of every member; derived on each read.
+
+        The quotients of M_S are the M_D with D ⊆ S closed downward in S, and
+        each such D is reached from S by removing maximal elements one at a
+        time.  So it suffices that, for every member S and target t of S,
+        each connected component of S minus t is a member.
+        """
+        p = self.poset
+        return all(
+            comp in self._supports
+            for s in self.members
+            for t in iter_mask(s.targets)
+            for comp in p.connected_components(s.support & ~(1 << t))
+        )
 
     def missing_projectives(self) -> tuple[str, ...]:
         return tuple(
@@ -151,9 +161,7 @@ def builtin_family(poset: Poset, name: str, cap: int = 100_000) -> Family:
     }.get(name)
     if kind is None:
         raise ValueError(f"unknown family name {name!r}; expected one of {BUILTIN_FAMILIES}")
-    members = enumerate_spreads(poset, kind, cap)
-    closed = name in ("single_source", "connected_spreads", "connected_upsets")
-    return Family(poset, members, quotient_closed=closed)
+    return Family(poset, enumerate_spreads(poset, kind, cap))
 
 
 @dataclass(frozen=True)
@@ -221,44 +229,33 @@ def _require_coverage(x: Family, m: PersistenceModule):
     )
 
 
-def _assemble(x: Family, m: PersistenceModule, picks) -> Morphism:
-    """Morphism ⊕ R_i^{len(picks[i])} -> m whose columns are the picked maps."""
+def _member_homs(x: Family, m: PersistenceModule) -> dict[int, tuple[dict[int, int], np.ndarray]]:
+    """{j: (offsets, basis)}: Hom(member_j, m) in source coordinates, for each j where it is nonzero."""
+    # Hom(R_j, m) embeds in ⊕ m_a over the sources of R_j, so it is 0 unless one lies in supp m
+    supp = m.support_mask()
+    homs = {j: yoneda_basis(s, m) for j, s in enumerate(x.members) if s.sources & supp}
+    return {j: h for j, h in homs.items() if h[1].shape[1]}
+
+
+def _assemble(x: Family, m: PersistenceModule, coords) -> Morphism:
+    """The epimorphism ⊕_j R_j^{k_j} -> m with the k_j columns of coords[j] = (offsets, w)."""
     field = m.field
-    summands = []
-    columns = []
-    for i, fs in enumerate(picks):
-        for f in fs:
-            summands.append(x.member_module(i, field))
-            columns.append(f)
-    if not summands:
-        return Morphism(zero_module(m.poset, field), m,
-                        [field.zeros(m.dims[a], 0) for a in range(m.poset.n)],
-                        validate=False)
-    dom = direct_sum(summands)
+    summands = [x.member_module(j, field) for j, (_, w) in coords.items() for _ in range(w.shape[1])]
+    dom = direct_sum(summands) if summands else zero_module(m.poset, field)
     comps = []
     for a in range(m.poset.n):
-        blocks = [f.components[a] for f in columns]
+        blocks = [yoneda_values(x.members[j], m, offsets, w, a)
+                  for j, (offsets, w) in coords.items() if x.members[j].support >> a & 1]
         comps.append(np.concatenate(blocks, axis=1) if blocks else field.zeros(m.dims[a], 0))
+        if field.rank(comps[a]) != m.dims[a]:
+            raise SpreadHomError(f"approximation fails to be onto at {m.poset.label(a)}")
     return Morphism(dom, m, comps, validate=False)
-
-
-def _check_epi(f: Morphism):
-    field = f.source.field
-    for a in range(f.source.poset.n):
-        if field.rank(f.components[a]) != f.target.dims[a]:
-            raise SpreadHomError(
-                f"approximation fails to be onto at {f.source.poset.label(a)}"
-            )
 
 
 def universal_approximation(x: Family, m: PersistenceModule) -> Morphism:
     """The epimorphism ⊕_R R^{dim Hom(R,m)} -> m collecting full Hom bases."""
     _require_coverage(x, m)
-    mods = x.member_modules(m.field)
-    picks = [hom_basis(r, m).basis for r in mods]
-    f = _assemble(x, m, picks)
-    _check_epi(f)
-    return f
+    return _assemble(x, m, _member_homs(x, m))
 
 
 def minimal_approximation(x: Family, m: PersistenceModule):
@@ -275,10 +272,7 @@ def minimal_approximation(x: Family, m: PersistenceModule):
     field = m.field
     members = x.members
     rows = x.hom_rows()
-    supp = m.support_mask()
-    # Hom(R_j, m) embeds in ⊕ m_a over the sources of R_j, so it is 0 unless one lies in supp m
-    homs = {j: yoneda_basis(s, m) for j, s in enumerate(members) if s.sources & supp}
-    homs = {j: h for j, h in homs.items() if h[1].shape[1]}  # j -> (offsets, basis), by j
+    homs = _member_homs(x, m)
     values = {}  # (j, a) -> the basis of Hom(R_j, m) evaluated at a
 
     def value_at(j, a):
@@ -289,7 +283,7 @@ def minimal_approximation(x: Family, m: PersistenceModule):
         return out
 
     multiplicities = [0] * len(members)
-    picks = [[] for _ in members]
+    chosen = {}  # i -> (offsets, the picked columns of the basis)
     for i, (offsets, w) in homs.items():
         s = members[i]
         blocks = []
@@ -305,12 +299,11 @@ def minimal_approximation(x: Family, m: PersistenceModule):
         stacked = np.concatenate(blocks, axis=1)
         start = stacked.shape[1] - w.shape[1]
         _, pivots = field.rref(stacked)
-        chosen = [c - start for c in pivots if c >= start]
-        multiplicities[i] = len(chosen)
-        picks[i] = [yoneda_morphism(x.member_module(i, field), m, offsets, w[:, c]) for c in chosen]
-    f = _assemble(x, m, picks)
-    _check_epi(f)
-    return tuple(multiplicities), f
+        cols = [c - start for c in pivots if c >= start]
+        multiplicities[i] = len(cols)
+        if cols:
+            chosen[i] = (offsets, w[:, cols])
+    return tuple(multiplicities), _assemble(x, m, chosen)
 
 
 @dataclass
@@ -338,12 +331,13 @@ class Resolution:
 
 
 def _kernel_signature(x: Family, k: PersistenceModule):
-    profile = tuple(hom_dim(r, k) for r in x.member_modules(k.field))
-    return k.dims, profile
+    return k.dims, {j: w.shape[1] for j, (_, w) in _member_homs(x, k).items()}
 
 
 def resolve(x: Family, m: PersistenceModule, max_depth: int = 32) -> Resolution:
     """Resolve m by minimal approximations until the kernel dies or depth runs out."""
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     terms = []
     approxs = []
     kernels = []
@@ -412,7 +406,9 @@ def support_restrict(x: Family, m: PersistenceModule) -> Family:
     """Drop members whose support leaves supp(m); approximations of m are unchanged.
 
     Sound when every quotient of a member lies in add(x): any map R -> m then
-    factors through members supported inside supp(m).
+    factors through members supported inside supp(m).  That is checked from
+    the members (`Family.quotient_closed`); a family that fails it raises
+    `NotQuotientClosedError`.
     """
     if not x.quotient_closed:
         raise NotQuotientClosedError(
@@ -426,4 +422,4 @@ def support_restrict(x: Family, m: PersistenceModule) -> Family:
         allowed = supp
     else:
         allowed = None
-    return Family(x.poset, keep, quotient_closed=True, restricted_support=allowed)
+    return Family(x.poset, keep, restricted_support=allowed)

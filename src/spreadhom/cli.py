@@ -230,9 +230,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ResolutionTruncatedError as e:
-        print(f"undecided: {e}", file=sys.stderr)
-        if e.terms:
-            print(f"partial terms: {[list(t) for t in e.terms]}", file=sys.stderr)
+        partial = f"; partial terms: {[list(t) for t in e.terms]}" if e.terms else ""
+        print(f"undecided: {e}{partial}", file=sys.stderr)
         return 2
     except (HomMatrixSingularError, CapExceededError) as e:
         print(f"undecided: {e}", file=sys.stderr)

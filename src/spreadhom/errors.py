@@ -75,7 +75,10 @@ class DuplicateMemberError(SpreadHomError):
 
 
 class NotQuotientClosedError(SpreadHomError):
-    """Operation requires a family flagged quotient-closed."""
+    """Operation requires a family whose member quotients stay in add(family).
+
+    Closure is derived from the members (`Family.quotient_closed`).
+    """
 
 
 class OutOfRangeError(SpreadHomError):

@@ -190,7 +190,11 @@ def _parse_spread(path: str, item, poset: Poset) -> Spread:
 
 
 def load_family(spec: str, poset: Poset, cap: int = 100_000) -> Family:
-    """A builtin family name, or a path to a family file."""
+    """A builtin family name, or a path to a family file.
+
+    A family file is `{family: <builtin name>}` or `{spreads: [...]}`; any
+    other key is refused.
+    """
     if spec in BUILTIN_FAMILIES:
         return builtin_family(poset, spec, cap)
     if not os.path.exists(spec):
@@ -204,14 +208,10 @@ def load_family(spec: str, poset: Poset, cap: int = 100_000) -> Family:
         if name not in BUILTIN_FAMILIES:
             raise FileFormatError(f"{spec}: unknown builtin family {name!r}")
         return builtin_family(poset, name, cap)
-    _expect_keys(spec, data, {"spreads", "quotient_closed"}, {"spreads"})
+    _expect_keys(spec, data, {"spreads"}, {"spreads"})
     if not isinstance(data["spreads"], list):
         raise FileFormatError(f"{spec}: 'spreads' must be a list")
-    members = [_parse_spread(spec, item, poset) for item in data["spreads"]]
-    closed = data.get("quotient_closed", False)
-    if not isinstance(closed, bool):
-        raise FileFormatError(f"{spec}: 'quotient_closed' must be true or false, got {closed!r}")
-    return Family(poset, members, quotient_closed=closed)
+    return Family(poset, [_parse_spread(spec, item, poset) for item in data["spreads"]])
 
 
 # -- canonical emission ---------------------------------------------------------
@@ -248,11 +248,8 @@ def dump_module(m: PersistenceModule, poset_ref: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_family(members, quotient_closed: bool = False) -> str:
-    lines = []
-    if quotient_closed:
-        lines.append("quotient_closed: true")
-    lines.append("spreads:")
+def dump_family(members) -> str:
+    lines = ["spreads:"]
     for s in members:
         src = json.dumps([s.poset.label(a) for a in s.source_elements()])
         tgt = json.dumps([s.poset.label(b) for b in s.target_elements()])

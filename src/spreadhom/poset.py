@@ -400,9 +400,6 @@ class Spread:
     def __len__(self):
         return bin(self.support).count("1")
 
-    def elements(self) -> tuple[int, ...]:
-        return elements_of(self.support)
-
     def source_elements(self) -> tuple[int, ...]:
         return elements_of(self.sources)
 
@@ -482,6 +479,8 @@ def enumerate_spreads(p: Poset, kind: str, cap: int = 100_000) -> list[Spread]:
     """
     if kind not in SPREAD_KINDS:
         raise ValueError(f"unknown spread kind {kind!r}; expected one of {SPREAD_KINDS}")
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
     supports: set[int] = set()
 
     def add(mask: int):

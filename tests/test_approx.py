@@ -9,6 +9,7 @@ from spreadhom import (
     DuplicateMemberError,
     Family,
     MissingProjectivesError,
+    Morphism,
     NotConnectedError,
     NotQuotientClosedError,
     OutOfRangeError,
@@ -34,8 +35,10 @@ from spreadhom import (
     x_dimension,
     zero_module,
 )
+from spreadhom.approx import BUILTIN_FAMILIES
 from spreadhom.gallery import (
     atilde5_family,
+    chain,
     fan,
     funnel,
     generator_posets,
@@ -186,6 +189,49 @@ def test_hom_rows_match_unfiltered_components_on_random_families(picks):
     _assert_rows_match_unfiltered(Family(grid(3, 3), [GRID33_SPREADS[k] for k in picks]))
 
 
+def _connected_quotient_supports(p, s):
+    """Every connected D ⊆ supp s closed downward in s, by trying every subset."""
+    out = set()
+    d = s.support
+    while d:
+        if all(p.down_mask(a) & s.support & ~d == 0 for a in iter_mask(d)):
+            out.update(p.connected_components(d))
+        d = (d - 1) & s.support
+    return out
+
+
+def _quotient_closed_by_brute_force(x):
+    supports = {s.support for s in x.members}
+    return all(_connected_quotient_supports(x.poset, s) <= supports for s in x.members)
+
+
+def test_quotient_closed_matches_brute_force_on_small_posets():
+    answers = set()
+    for name, p in generator_posets(max_n=5):
+        for fam in BUILTIN_FAMILIES:
+            x = builtin_family(p, fam)
+            want = _quotient_closed_by_brute_force(x)
+            assert x.quotient_closed == want, (name, fam)
+            answers.add(want)
+    assert answers == {True, False}
+
+
+@given(st.lists(st.integers(0, len(GRID33_SPREADS) - 1), min_size=1, max_size=12, unique=True),
+       st.integers(0, 10**6))
+def test_quotient_closed_matches_brute_force_on_random_families(picks, drop):
+    # a random sub-family is rarely closed and its quotient closure always is;
+    # the closure less one member is closed unless another member has it as a quotient
+    p = grid(3, 3)
+    picked = [GRID33_SPREADS[k] for k in picks]
+    closure = [spread_from_convex(p, c) for c in sorted(
+        set().union(*(_connected_quotient_supports(p, s) for s in picked)))]
+    assert Family(p, closure).quotient_closed
+    drop %= len(closure)
+    for members in (picked, closure, closure[:drop] + closure[drop + 1:]):
+        x = Family(p, members)
+        assert x.quotient_closed == _quotient_closed_by_brute_force(x)
+
+
 def test_coverage_guard(field):
     x = builtin_family(fan(3), "intervals")  # lacks the up-set at the hub
     m = simple_module(fan(3), field, 0)
@@ -249,21 +295,37 @@ def _greedy_minimal(x, m):
     return tuple(mult)
 
 
+def _summand_maps(x, f):
+    """The columns of f: (i, f restricted to one summand R_i), in domain order."""
+    field = f.target.field
+    p = f.target.poset
+    out = []
+    col = [0] * p.n
+    for i, r in enumerate(x.member_modules(field)):
+        for _ in range(hom_dim(r, f.target)):
+            comps = []
+            for a in range(p.n):
+                comps.append(f.components[a][:, col[a]:col[a] + r.dims[a]])
+                col[a] += r.dims[a]
+            out.append((i, Morphism(r, f.target, comps)))  # validates naturality
+    assert col == [f.source.dims[a] for a in range(p.n)]
+    return out
+
+
 def test_universal_approximation_factors_everything(field, rng):
-    x = builtin_family(grid(2, 2), "single_source")
-    for _ in range(4):
-        m = random_module(grid(2, 2), field, rng)
+    p = grid(2, 2)
+    x = builtin_family(p, "single_source")
+    targets = [random_module(p, field, rng) for _ in range(4)]
+    # a tagged spread module: its Hom basis comes in Yoneda coordinates here
+    targets.append(spread_module(spread_from_antichains(p, ["00"], ["01", "10"]), field))
+    for m in targets:
         f = universal_approximation(x, m)
         # pointwise surjective
         for a in range(m.poset.n):
             assert field.rank(f.components[a]) == m.dim(a)
-        # and Hom(T, f) is onto for every member T
-        mods = x.member_modules(field)
-        picked = []
-        col = 0
-        for i, r in enumerate(mods):
-            for g in hom_basis(r, m).basis:
-                picked.append((i, g))
+        # one summand per basis vector of each Hom(R, m), and Hom(T, f) is onto
+        # for every member T
+        picked = _summand_maps(x, f)
         assert all(
             full == reached for full, reached in _approximation_spans(x, picked, m)
         )
@@ -441,10 +503,25 @@ def test_support_restrict_keeps_inside_members(field):
     assert y.quotient_closed
 
 
+def test_support_restrict_refuses_connected_upsets(field):
+    # M_{1,2} / M_{2} = S_1 is not a member, so the family is not quotient-closed
+    p = chain(2)
+    x = builtin_family(p, "connected_upsets")
+    assert not x.quotient_closed
+    with pytest.raises(NotQuotientClosedError):
+        support_restrict(x, simple_module(p, field, 1))
+
+
 def test_support_restrict_preserves_minimal_approximation(field, rng):
-    for p in (grid(2, 2), grid(3, 3)):
-        x = builtin_family(p, "single_source")
-        for _ in (range(3) if p.n == 4 else range(1)):
+    cases = [
+        (grid(2, 2), "single_source", 3),
+        (grid(3, 3), "single_source", 1),
+        (chain(4), "hooks", 3),
+        (funnel(), "intervals", 3),
+    ]
+    for p, fam, draws in cases:
+        x = builtin_family(p, fam)
+        for _ in range(draws):
             m = random_module(p, field, rng)
             y = support_restrict(x, m)
             mult_full, _ = minimal_approximation(x, m)

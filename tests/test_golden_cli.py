@@ -7,6 +7,9 @@ command line to [exit code, stdout, stderr].  To regenerate it after an
 intended output change (and say why in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+which prints each command line whose entry it adds, removes or changes, so
+that the diff of golden_cli.json can be reviewed against that list.
 """
 import contextlib
 import io
@@ -84,4 +87,9 @@ def test_cli_output_matches_golden():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(run_all(), indent=1, sort_keys=True) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = run_all()
+    for cmd in sorted(old.keys() | new.keys()):
+        if old.get(cmd) != new.get(cmd):
+            print(cmd)
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")

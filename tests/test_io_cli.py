@@ -64,7 +64,7 @@ def test_module_round_trip_is_byte_identical(name, field):
 def test_family_round_trip_is_byte_identical():
     raw = (DATA / "atilde5_family.yaml").read_text()
     fam = load_family(str(DATA / "atilde5_family.yaml"), atilde5())
-    assert dump_family(fam.members, fam.quotient_closed) == raw
+    assert dump_family(fam.members) == raw
     assert len(fam) == 9
 
 
@@ -279,8 +279,29 @@ def test_cli_class_on_cyclic_family_reports_undecided(capsys):
         "--max-depth", "6",
     )
     assert code == 2
-    assert "undecided" in err
-    assert "partial terms" in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("undecided: ")
+    assert "; partial terms: [[" in err
+
+
+def test_cli_rejects_negative_max_depth(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "invariant", "resolve", str(DATA / "m16.yaml"),
+        "--family", str(DATA / "atilde5_family.yaml"),
+        "--max-depth", "-1",
+    )
+    _one_line_error(code, err, "max_depth", "-1")
+    assert out == ""
+
+
+def test_cli_rejects_negative_cap(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "invariant", "class", str(DATA / "equal_rank_m.yaml"), "--family", "intervals", "--cap", "-1",
+    )
+    _one_line_error(code, err, "cap", "-1")
+    assert out == ""
 
 
 def test_cli_barcode_exit_codes(capsys):
@@ -524,13 +545,15 @@ def test_cli_rejects_poset_reference_that_is_not_a_name(capsys, tmp_path):
 
 
 def test_cli_rejects_quotient_closed_that_is_not_a_bool(capsys, tmp_path):
+    # closure is derived from the members, so the key is refused whatever its value
     fam = tmp_path / "fam.yaml"
-    fam.write_text('quotient_closed: "no"\nspreads:\n  - {sources: ["1"], targets: ["4", "6"]}\n')
-    code, out, err = run_cli(
-        capsys, "invariant", "class", str(DATA / "m16.yaml"), "--family", str(fam)
-    )
-    _one_line_error(code, err, "fam.yaml", "'quotient_closed'")
-    assert out == ""
+    for value in ('"no"', "true"):
+        fam.write_text(f'quotient_closed: {value}\nspreads:\n  - {{sources: ["1"], targets: ["4", "6"]}}\n')
+        code, out, err = run_cli(
+            capsys, "invariant", "class", str(DATA / "m16.yaml"), "--family", str(fam)
+        )
+        _one_line_error(code, err, "fam.yaml", "unknown keys ['quotient_closed']")
+        assert out == ""
 
 
 def test_cli_rejects_spread_sources_that_are_not_a_list(capsys, tmp_path):
@@ -573,7 +596,6 @@ FUZZ_FILES = {
     "m.yaml": (DATA / "equal_rank_m.yaml").read_text().replace("grid2x2.yaml", "p.yaml"),
     "n.yaml": (DATA / "equal_rank_mprime.yaml").read_text().replace("grid2x2.yaml", "p.yaml"),
     "fam.yaml": (
-        "quotient_closed: true\n"
         "spreads:\n"
         '  - {sources: ["00"], targets: ["11"]}\n'
         '  - {sources: ["01"], targets: ["11"]}\n'
