@@ -23,7 +23,6 @@ from spreadhom import (
     MissingProjectivesError,
     PrimeField,
     builtin_family,
-    check_family,
     resolve,
 )
 from spreadhom.gallery import generator_posets, grid, path_poset
@@ -45,17 +44,16 @@ def named_poset(name):
 
 
 def survey_one(p, kind, count, rng, max_depth, field):
-    try:
-        x = builtin_family(p, kind)
-        check_family(x, require_projectives=True)
-    except MissingProjectivesError as e:
-        return None, str(e)
+    x = builtin_family(p, kind)
     finite = 0
     deepest = 0
     xdims = collections.Counter()
     for _ in range(count):
         m = random_module(p, field, rng)
-        res = resolve(x, m, max_depth)
+        try:
+            res = resolve(x, m, max_depth)
+        except MissingProjectivesError as e:
+            return None, str(e)
         deepest = max(deepest, res.depth)
         if res.status == "finite":
             finite += 1

@@ -79,7 +79,7 @@ def main():
     xdim = x_dimension(x, mprime)
     print(f"  minimal interval resolution of M' ({res.status}, x-dimension {xdim}):")
     show_terms(x, res)
-    spreads = enumerate_spreads(p, "connected_all")
+    spreads = enumerate_spreads(p, "connected_spreads")
     for kind in ("dimvec", "rank", "genrank", "diagram", "dimhom", "class"):
         verdict = compare(kind, m, mprime, family=x, collection=spreads)
         print(f"  compare {kind:8s}: {verdict}")
@@ -102,7 +102,7 @@ def main():
 
     heading("Signed diagram over all connected spreads (2x3 grid)")
     g = grid23_diagram_modules(FIELD)
-    collection = enumerate_spreads(g["poset"], "connected_all")
+    collection = enumerate_spreads(g["poset"], "connected_spreads")
     d = signed_diagram(g["m"], collection)
     print(f"  delta(M) = {d.render()}")
     dn, dl = signed_diagram(g["n"], collection), signed_diagram(g["l"], collection)

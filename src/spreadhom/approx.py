@@ -17,6 +17,7 @@ approximation does Hom work only for the members that pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -38,16 +39,7 @@ from .modules import (
     spread_module,
     zero_module,
 )
-from .poset import Poset, enumerate_spreads, iter_mask, kahn_order, spread_from_convex
-
-BUILTIN_FAMILIES = (
-    "projectives",
-    "hooks",
-    "intervals",
-    "single_source",
-    "connected_spreads",
-    "connected_upsets",
-)
+from .poset import BUILTIN_FAMILIES, Poset, enumerate_spreads, iter_mask, kahn_order
 
 
 class Family:
@@ -146,31 +138,17 @@ class Family:
 
 def builtin_family(poset: Poset, name: str, cap: int = 100_000) -> Family:
     """One of the named families; see BUILTIN_FAMILIES."""
-    if name == "projectives":
-        spreads = sorted(
-            {poset.up_mask(a) for a in range(poset.n)}
-        )
-        members = [spread_from_convex(poset, m) for m in spreads]
-        return Family(poset, members)
-    kind = {
-        "hooks": "hook",
-        "intervals": "interval",
-        "single_source": "single_source",
-        "connected_spreads": "connected_all",
-        "connected_upsets": "connected_upset",
-    }.get(name)
-    if kind is None:
-        raise ValueError(f"unknown family name {name!r}; expected one of {BUILTIN_FAMILIES}")
-    return Family(poset, enumerate_spreads(poset, kind, cap))
+    return Family(poset, enumerate_spreads(poset, name, cap))
 
 
 @dataclass(frozen=True)
 class FamilyDiagnostics:
-    contains_projectives: bool
-    missing_projectives: tuple[str, ...]
-    hom_acyclic: bool
     topo_order: tuple[int, ...] | None   # members ordered so Hom(i,j) != 0 => i first
     hom_cycle: tuple[int, ...] | None    # member indices of one directed cycle
+
+    @property
+    def hom_acyclic(self) -> bool:
+        return self.topo_order is not None
 
 
 def _hom_digraph_topo(rows) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
@@ -196,37 +174,32 @@ def _hom_digraph_topo(rows) -> tuple[tuple[int, ...] | None, tuple[int, ...] | N
         walk.append(prev)
 
 
-def check_family(x: Family, require_projectives: bool = False) -> FamilyDiagnostics:
-    """Structural diagnostics: projective coverage and the Hom digraph.
+def check_family(x: Family) -> FamilyDiagnostics:
+    """The member Hom digraph: a topological order, or one directed cycle.
 
     Computed once per family, which is immutable after construction.
     """
-    diag = x._diagnostics
-    if diag is None:
-        missing = x.missing_projectives()
-        topo, cycle = _hom_digraph_topo(x.hom_rows())
-        diag = x._diagnostics = FamilyDiagnostics(
-            contains_projectives=not missing,
-            missing_projectives=missing,
-            hom_acyclic=topo is not None,
-            topo_order=topo,
-            hom_cycle=cycle,
-        )
-    if require_projectives and diag.missing_projectives:
-        raise MissingProjectivesError(
-            f"family lacks the principal up-sets at {{{', '.join(diag.missing_projectives)}}}"
-        )
-    return diag
+    if x._diagnostics is None:
+        x._diagnostics = FamilyDiagnostics(*_hom_digraph_topo(x.hom_rows()))
+    return x._diagnostics
+
+
+def _covers(x: Family, supp: int) -> bool:
+    """Whether x can approximate every module supported inside supp.
+
+    True when x holds the principal up-sets, or is the restriction of such a
+    family to a support containing supp (sufficient by the factoring argument).
+    """
+    return x.contains_projectives or (
+        x.restricted_support is not None and supp & ~x.restricted_support == 0
+    )
 
 
 def _require_coverage(x: Family, m: PersistenceModule):
-    if x.contains_projectives:
-        return
-    if x.restricted_support is not None and m.support_mask() & ~x.restricted_support == 0:
-        return  # restriction of a covering family; sufficient by the factoring argument
-    raise MissingProjectivesError(
-        f"family lacks the principal up-sets at {{{', '.join(x.missing_projectives())}}}"
-    )
+    if not _covers(x, m.support_mask()):
+        raise MissingProjectivesError(
+            f"family lacks the principal up-sets at {{{', '.join(x.missing_projectives())}}}"
+        )
 
 
 def _member_homs(x: Family, m: PersistenceModule) -> dict[int, tuple[dict[int, int], np.ndarray]]:
@@ -357,18 +330,8 @@ def resolve(x: Family, m: PersistenceModule, max_depth: int = 32) -> Resolution:
         kernels.append(ker)
         inclusions.append(incl)
         current = ker
-    periodicity = None
-    if status == "truncated":
-        sigs = [_kernel_signature(x, k) for k in kernels]
-        found = False
-        for i in range(len(sigs)):
-            for j in range(i + 1, len(sigs)):
-                if sigs[i] == sigs[j]:
-                    periodicity = (i, j)
-                    found = True
-                    break
-            if found:
-                break
+    sigs = [_kernel_signature(x, k) for k in kernels] if status == "truncated" else []
+    periodicity = next(((i, j) for i, j in combinations(range(len(sigs)), 2) if sigs[i] == sigs[j]), None)
     return Resolution(
         family=x,
         module=m,
@@ -416,10 +379,4 @@ def support_restrict(x: Family, m: PersistenceModule) -> Family:
         )
     supp = m.support_mask()
     keep = [s for s in x.members if s.support & ~supp == 0]
-    if x.contains_projectives:
-        allowed = supp
-    elif x.restricted_support is not None and supp & ~x.restricted_support == 0:
-        allowed = supp
-    else:
-        allowed = None
-    return Family(x.poset, keep, restricted_support=allowed)
+    return Family(x.poset, keep, restricted_support=supp if _covers(x, supp) else None)

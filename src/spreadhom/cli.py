@@ -228,6 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for option in ("max_depth", "cap"):
+            if (value := getattr(args, option)) < 0:
+                raise ValueError(f"{option} must be non-negative, got {value}")
         return args.fn(args)
     except ResolutionTruncatedError as e:
         partial = f"; partial terms: {[list(t) for t in e.terms]}" if e.terms else ""

@@ -21,7 +21,14 @@ from .errors import (
     RedundantCoverError,
 )
 
-SPREAD_KINDS = ("connected_all", "single_source", "interval", "hook", "connected_upset")
+BUILTIN_FAMILIES = (
+    "projectives",
+    "hooks",
+    "intervals",
+    "single_source",
+    "connected_spreads",
+    "connected_upsets",
+)
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -471,14 +478,14 @@ def _antichain_masks(p: Poset, ground: int) -> Iterator[int]:
 
 
 def enumerate_spreads(p: Poset, kind: str, cap: int = 100_000) -> list[Spread]:
-    """Enumerate spreads of the given kind, sorted by support bitmask.
+    """Enumerate the spreads of one of the BUILTIN_FAMILIES, sorted by support bitmask.
 
-    Kinds: connected_all (all connected convex subsets), single_source,
-    interval, hook (including the one-endpoint hooks = principal up-sets),
-    connected_upset.
+    projectives (the principal up-sets), hooks (including the one-endpoint
+    hooks = principal up-sets), intervals, single_source, connected_spreads
+    (all connected convex subsets), connected_upsets.
     """
-    if kind not in SPREAD_KINDS:
-        raise ValueError(f"unknown spread kind {kind!r}; expected one of {SPREAD_KINDS}")
+    if kind not in BUILTIN_FAMILIES:
+        raise ValueError(f"unknown spread kind {kind!r}; expected one of {BUILTIN_FAMILIES}")
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
     supports: set[int] = set()
@@ -488,11 +495,14 @@ def enumerate_spreads(p: Poset, kind: str, cap: int = 100_000) -> list[Spread]:
         if len(supports) > cap:
             raise CapExceededError(f"more than cap={cap} spreads of kind {kind!r}")
 
-    if kind == "interval":
+    if kind == "projectives":
+        for a in range(p.n):
+            add(p.up_mask(a))
+    elif kind == "intervals":
         for a in range(p.n):
             for b in elements_of(p.up_mask(a)):
                 add(p.interval_mask(a, b))
-    elif kind == "hook":
+    elif kind == "hooks":
         for a in range(p.n):
             add(p.up_mask(a))
             for b in elements_of(p.up_mask(a) & ~(1 << a)):
@@ -504,14 +514,14 @@ def enumerate_spreads(p: Poset, kind: str, cap: int = 100_000) -> list[Spread]:
                 for b in iter_mask(bmask):
                     support |= p.up_mask(a) & p.down_mask(b)
                 add(support)
-    elif kind == "connected_upset":
+    elif kind == "connected_upsets":
         for amask in _antichain_masks(p, p.full_mask):
             support = 0
             for a in iter_mask(amask):
                 support |= p.up_mask(a)
             if p.is_connected(support):
                 add(support)
-    else:  # connected_all: grow connected convex sets one Hasse neighbour at a time
+    else:  # connected_spreads: grow connected convex sets one Hasse neighbour at a time
         frontier = [1 << a for a in range(p.n)]
         for m in frontier:
             add(m)

@@ -15,6 +15,8 @@ from .hom import hom_basis, kernel_module
 from .modules import PersistenceModule, direct_sum, spread_module
 from .poset import Poset, enumerate_spreads
 
+MAX_SUMMANDS = 3
+
 
 def random_invertible(field: PrimeField, rng: random.Random, d: int) -> np.ndarray:
     if d == 0:
@@ -44,23 +46,23 @@ def base_change(m: PersistenceModule, rng: random.Random) -> PersistenceModule:
 
 
 def random_spread_sum(p: Poset, field: PrimeField, rng: random.Random,
-                      spreads=None, max_summands: int = 3) -> PersistenceModule:
+                      spreads=None) -> PersistenceModule:
     if spreads is None:
-        spreads = enumerate_spreads(p, "connected_all")
-    k = rng.randint(1, max_summands)
+        spreads = enumerate_spreads(p, "connected_spreads")
+    k = rng.randint(1, MAX_SUMMANDS)
     picks = [spreads[rng.randrange(len(spreads))] for _ in range(k)]
     return direct_sum([spread_module(s, field) for s in picks])
 
 
 def random_module(p: Poset, field: PrimeField, rng: random.Random,
-                  spreads=None, max_summands: int = 3) -> PersistenceModule:
-    """A random module with pointwise dimension at most max_summands."""
+                  spreads=None) -> PersistenceModule:
+    """A random module with pointwise dimension at most MAX_SUMMANDS."""
     if spreads is None:
-        spreads = enumerate_spreads(p, "connected_all")
-    m = random_spread_sum(p, field, rng, spreads, max_summands)
+        spreads = enumerate_spreads(p, "connected_spreads")
+    m = random_spread_sum(p, field, rng, spreads)
     if rng.random() < 0.4:
         # replace by the kernel of a random morphism into another sum
-        n = random_spread_sum(p, field, rng, spreads, max_summands)
+        n = random_spread_sum(p, field, rng, spreads)
         hb = hom_basis(m, n)
         if hb.basis:
             coeffs = [rng.randrange(field.p) for _ in hb.basis]

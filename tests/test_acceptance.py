@@ -76,7 +76,7 @@ def test_criterion_02_spread_hom_oracle(capsys):
     mismatches = []
     pairs = 0
     for name, p in generator_posets(max_n=6):
-        spreads = enumerate_spreads(p, "connected_all")
+        spreads = enumerate_spreads(p, "connected_spreads")
         mods = [spread_module(s, FIELD) for s in spreads]
         for s, ms in zip(spreads, mods):
             for t, mt in zip(spreads, mods):
@@ -228,7 +228,7 @@ def test_criterion_05_single_source_classes_refine_rank(capsys):
 def test_criterion_06_grid2x3_signed_diagram(capsys):
     t0 = time.perf_counter()
     g = grid23_diagram_modules(FIELD)
-    collection = enumerate_spreads(g["poset"], "connected_all")
+    collection = enumerate_spreads(g["poset"], "connected_spreads")
     d = signed_diagram(g["m"], collection)
     got = d.nonzero()
     want = {"[12,12]": 1, "[11,{12,21}]": -1, "[11,{13,21}]": 1, "[11,22]": 1}
@@ -350,7 +350,7 @@ def test_criterion_10_property_suites(capsys):
 
     # containment Möbius inversion round trip
     for q in (grid(2, 2), grid(2, 3)):
-        collection = enumerate_spreads(q, "connected_all")
+        collection = enumerate_spreads(q, "connected_spreads")
         for _ in range(5):
             m = random_module(q, FIELD, rng)
             d = signed_diagram(m, collection)

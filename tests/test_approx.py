@@ -77,15 +77,15 @@ def test_builtin_families_acyclic_on_small_posets():
             assert d.topo_order is not None and d.hom_cycle is None
 
 
-def test_check_family_reports_missing_projectives():
-    x = builtin_family(fan(3), "intervals")
-    d = check_family(x)
-    assert not d.contains_projectives
-    assert d.missing_projectives == ("0",)
-    with pytest.raises(MissingProjectivesError):
-        check_family(x, require_projectives=True)
+def test_check_family_reports_missing_projectives(field):
+    p = fan(3)
+    x = builtin_family(p, "intervals")
+    assert not x.contains_projectives
+    assert x.missing_projectives() == ("0",)
+    with pytest.raises(MissingProjectivesError, match=r"principal up-sets at \{0\}"):
+        resolve(x, simple_module(p, field, 0))
     # hooks subsume the up-sets, so nothing is missing
-    assert check_family(builtin_family(fan(3), "hooks")).contains_projectives
+    assert builtin_family(p, "hooks").contains_projectives
 
 
 def test_hom_matrix_diagonal_is_one(field):
@@ -177,10 +177,10 @@ def _assert_rows_match_unfiltered(x):
 
 def test_hom_rows_match_unfiltered_components_on_small_posets():
     for name, p in generator_posets(max_n=5):
-        _assert_rows_match_unfiltered(Family(p, enumerate_spreads(p, "connected_all")))
+        _assert_rows_match_unfiltered(Family(p, enumerate_spreads(p, "connected_spreads")))
 
 
-GRID33_SPREADS = enumerate_spreads(grid(3, 3), "connected_all")
+GRID33_SPREADS = enumerate_spreads(grid(3, 3), "connected_spreads")
 
 
 @given(st.lists(st.integers(0, len(GRID33_SPREADS) - 1), min_size=1, max_size=40, unique=True))

@@ -46,7 +46,7 @@ def test_grid5x3_pair_has_one_dim_hom(field):
 def test_spread_route_matches_solver_on_small_posets(field):
     # the counting route and the naturality-kernel route must agree everywhere
     for name, p in generator_posets(max_n=5):
-        spreads = enumerate_spreads(p, "connected_all")
+        spreads = enumerate_spreads(p, "connected_spreads")
         mods = [spread_module(s, field) for s in spreads]
         for s, ms in zip(spreads, mods):
             for t, mt in zip(spreads, mods):
@@ -59,7 +59,7 @@ def test_indicator_basis_is_the_solver_basis(field):
     # spread -> spread bases are the component indicators, ordered by largest
     # element id, which is exactly the solver's canonical kernel basis
     for name, p in generator_posets(max_n=5):
-        mods = [spread_module(s, field) for s in enumerate_spreads(p, "connected_all")]
+        mods = [spread_module(s, field) for s in enumerate_spreads(p, "connected_spreads")]
         for ms in mods:
             for mt in mods:
                 got = hom_basis(ms, mt).matrix()
@@ -68,7 +68,7 @@ def test_indicator_basis_is_the_solver_basis(field):
 
 
 YONEDA_POSETS = {"grid2x2": grid(2, 2), "grid3x3": grid(3, 3), "funnel": funnel()}
-YONEDA_SPREADS = {k: enumerate_spreads(p, "connected_all") for k, p in YONEDA_POSETS.items()}
+YONEDA_SPREADS = {k: enumerate_spreads(p, "connected_spreads") for k, p in YONEDA_POSETS.items()}
 
 
 @given(st.sampled_from(sorted(YONEDA_POSETS)), st.integers(0, 10_000))
@@ -151,7 +151,7 @@ def test_hom_from_projective_is_fiber_dim(field, rng):
 
 def test_connected_spread_modules_are_bricks(field):
     for name, p in generator_posets(max_n=5):
-        for s in enumerate_spreads(p, "connected_all"):
+        for s in enumerate_spreads(p, "connected_spreads"):
             m = spread_module(s, field)
             assert hom_basis(m, m).dim == 1, (name, s.render())
 
@@ -288,7 +288,7 @@ def test_spread_hom_dim_is_symmetric_under_field_choice(seed):
     # the counting route is field-free; solver answers match across primes
     rng = random.Random(seed)
     p = grid(2, 2)
-    spreads = enumerate_spreads(p, "connected_all")
+    spreads = enumerate_spreads(p, "connected_spreads")
     s = rng.choice(spreads)
     t = rng.choice(spreads)
     d = spread_hom_dim(s, t)

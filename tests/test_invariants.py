@@ -195,7 +195,7 @@ def test_generalized_rank_on_intervals_is_classical(field, rng):
 
 def test_generalized_rank_of_spread_over_itself(field):
     p = grid(2, 3, base=1)
-    for s in enumerate_spreads(p, "connected_all")[:12]:
+    for s in enumerate_spreads(p, "connected_spreads")[:12]:
         assert generalized_rank(spread_module(s, field), s) == 1
 
 
@@ -216,7 +216,7 @@ def test_generalized_rank_rejects_another_poset(field):
 
 
 GENRANK_POSETS = {"grid2x2": grid(2, 2), "grid3x3": grid(3, 3), "funnel": funnel()}
-GENRANK_SPREADS = {k: enumerate_spreads(p, "connected_all") for k, p in GENRANK_POSETS.items()}
+GENRANK_SPREADS = {k: enumerate_spreads(p, "connected_spreads") for k, p in GENRANK_POSETS.items()}
 
 
 @given(st.sampled_from(sorted(GENRANK_POSETS)), st.sampled_from([32003, 2]), st.integers(0, 10_000))
@@ -249,7 +249,7 @@ def test_generalized_rank_additive(field, rng):
 
 def test_signed_diagram_of_collection_member_sum(field):
     p = grid(2, 2)
-    collection = enumerate_spreads(p, "connected_all")
+    collection = enumerate_spreads(p, "connected_spreads")
     m = direct_sum([
         spread_module(collection[0], field),
         spread_module(collection[0], field),
@@ -263,7 +263,7 @@ def test_signed_diagram_of_collection_member_sum(field):
 def test_signed_diagram_inverts_generalized_rank(field, rng):
     # Möbius round trip: summing the diagram over supersets returns the rank
     p = grid(2, 2)
-    collection = enumerate_spreads(p, "connected_all")
+    collection = enumerate_spreads(p, "connected_spreads")
     for _ in range(4):
         m = random_module(p, field, rng)
         ranks = generalized_rank_vector(m, collection)
@@ -312,7 +312,7 @@ def test_signed_diagram_matches_mobius_inversion(name, seed):
 
 def test_grid2x3_diagram_collision(field):
     g = grid23_diagram_modules(field)
-    collection = enumerate_spreads(g["poset"], "connected_all")
+    collection = enumerate_spreads(g["poset"], "connected_spreads")
     dn = signed_diagram(g["n"], collection)
     dl = signed_diagram(g["l"], collection)
     assert dn.coeffs == dl.coeffs
@@ -406,7 +406,7 @@ def test_class_equal_implies_rank_equal(field, rng):
 def test_compare_kinds(field):
     p, m, mprime = equal_rank_pair(field)
     x = builtin_family(p, "single_source")
-    collection = enumerate_spreads(p, "connected_all")
+    collection = enumerate_spreads(p, "connected_spreads")
     assert compare("dimvec", m, mprime) == "equal"
     assert compare("rank", m, mprime) == "equal"
     # over all connected spreads the generalized rank already separates the
@@ -427,7 +427,7 @@ def test_compare_kinds(field):
 def test_invariant_key_is_the_value_compare_tests(field):
     p, m, mprime = equal_rank_pair(field)
     x = builtin_family(p, "single_source")
-    collection = enumerate_spreads(p, "connected_all")
+    collection = enumerate_spreads(p, "connected_spreads")
     assert invariant_key("dimvec", m) == m.dims
     assert invariant_key("rank", m) == rank_invariant(m)
     assert invariant_key("class", m, family=x) == class_via_hom_matrix(x, m)

@@ -304,6 +304,28 @@ def test_cli_rejects_negative_cap(capsys):
     assert out == ""
 
 
+def test_cli_rejects_negative_max_depth_on_the_acyclic_route(capsys):
+    # the hom-matrix route never resolves, so the depth is checked where it is parsed
+    code, out, err = run_cli(
+        capsys,
+        "invariant", "class", str(DATA / "equal_rank_m.yaml"), "--family", "intervals",
+        "--max-depth", "-1",
+    )
+    assert err == "error: max_depth must be non-negative, got -1\n"
+    assert code == 1 and out == ""
+
+
+def test_cli_rejects_negative_cap_with_a_family_file(capsys):
+    # a family file enumerates nothing, so the cap is checked where it is parsed
+    code, out, err = run_cli(
+        capsys,
+        "invariant", "class", str(DATA / "m16.yaml"),
+        "--family", str(DATA / "atilde5_family.yaml"), "--cap", "-1",
+    )
+    assert err == "error: cap must be non-negative, got -1\n"
+    assert code == 1 and out == ""
+
+
 def test_cli_barcode_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "invariant", "barcode", str(DATA / "zigzag_module.yaml"))
     assert code == 0

@@ -15,6 +15,7 @@ from spreadhom import (
     NotConvexError,
     Poset,
     RedundantCoverError,
+    builtin_family,
     containment_poset,
     enumerate_spreads,
     spread_from_antichains,
@@ -284,7 +285,7 @@ def test_spread_from_convex():
 def test_spread_canonical_antichains():
     # a spread built from antichains equals the one rebuilt from its support
     for name, p in generator_posets(max_n=6):
-        for s in enumerate_spreads(p, "connected_all"):
+        for s in enumerate_spreads(p, "connected_spreads"):
             again = spread_from_convex(p, elements_of(s.support))
             assert again == s, (name, s.render())
             assert mask_to_set(s.sources) == mask_to_set(p.minimal_elements(s.support))
@@ -293,14 +294,14 @@ def test_spread_canonical_antichains():
 
 @pytest.mark.parametrize("name,p", generator_posets(max_n=6))
 def test_enumerate_connected_all_matches_powerset_oracle(name, p):
-    got = {frozenset(elements_of(s.support)) for s in enumerate_spreads(p, "connected_all")}
+    got = {frozenset(elements_of(s.support)) for s in enumerate_spreads(p, "connected_spreads")}
     assert got == oracle_connected_convex_subsets(p)
 
 
 @pytest.mark.parametrize("name,p", generator_posets(max_n=6))
 def test_enumerate_kinds_are_the_right_subsets(name, p):
-    conn = {s.support: s for s in enumerate_spreads(p, "connected_all")}
-    intervals = {s.support for s in enumerate_spreads(p, "interval")}
+    conn = {s.support: s for s in enumerate_spreads(p, "connected_spreads")}
+    intervals = {s.support for s in enumerate_spreads(p, "intervals")}
     want_intervals = set()
     for a in range(p.n):
         for b in range(p.n):
@@ -314,14 +315,14 @@ def test_enumerate_kinds_are_the_right_subsets(name, p):
     }
     assert single == want_single
 
-    upsets = {s.support for s in enumerate_spreads(p, "connected_upset")}
+    upsets = {s.support for s in enumerate_spreads(p, "connected_upsets")}
     want_upsets = set()
     for m in conn:
         if all(p.up_mask(x) & ~m == 0 for x in elements_of(m)):
             want_upsets.add(m)
     assert upsets == want_upsets
 
-    hooks = {s.support for s in enumerate_spreads(p, "hook")}
+    hooks = {s.support for s in enumerate_spreads(p, "hooks")}
     want_hooks = set()
     for a in range(p.n):
         want_hooks.add(p.up_mask(a))
@@ -330,23 +331,33 @@ def test_enumerate_kinds_are_the_right_subsets(name, p):
                 want_hooks.add(p.up_mask(a) & ~p.up_mask(b))
     assert hooks == want_hooks
 
+    projectives = {s.support for s in enumerate_spreads(p, "projectives")}
+    assert projectives == {p.up_mask(a) for a in range(p.n)}
+
 
 def test_hooks_are_connected_spreads():
     for name, p in generator_posets(max_n=6):
-        conn = {s.support for s in enumerate_spreads(p, "connected_all")}
-        for s in enumerate_spreads(p, "hook"):
+        conn = {s.support for s in enumerate_spreads(p, "connected_spreads")}
+        for s in enumerate_spreads(p, "hooks"):
             assert s.support in conn, (name, s.render())
 
 
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
-        enumerate_spreads(grid(3, 3), "connected_all", cap=10)
+        enumerate_spreads(grid(3, 3), "connected_spreads", cap=10)
+    # the projectives obey the cap like every other builtin family
+    with pytest.raises(CapExceededError):
+        builtin_family(grid(3, 3), "projectives", cap=8)
+    assert len(builtin_family(grid(3, 3), "projectives", cap=9)) == 9
+    for old in "connected_all interval hook connected_upset".split():
+        with pytest.raises(ValueError, match="unknown spread kind"):
+            enumerate_spreads(grid(2, 2), old)
 
 
 def test_enumeration_deterministic():
     p = grid(2, 3)
-    a = [s.render() for s in enumerate_spreads(p, "connected_all")]
-    b = [s.render() for s in enumerate_spreads(p, "connected_all")]
+    a = [s.render() for s in enumerate_spreads(p, "connected_spreads")]
+    b = [s.render() for s in enumerate_spreads(p, "connected_spreads")]
     assert a == b
 
 
@@ -355,7 +366,7 @@ def test_enumeration_deterministic():
 
 def test_containment_poset_is_inclusion_order():
     p = grid(2, 2)
-    spreads = enumerate_spreads(p, "connected_all")
+    spreads = enumerate_spreads(p, "connected_spreads")
     cp = containment_poset(spreads)
     assert cp.n == len(spreads)
     for i, s in enumerate(spreads):
