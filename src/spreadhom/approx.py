@@ -25,7 +25,6 @@ from .errors import (
     DuplicateMemberError,
     MissingProjectivesError,
     NotConnectedError,
-    NotQuotientClosedError,
     OutOfRangeError,
     PosetMismatchError,
     SpreadHomError,
@@ -45,10 +44,10 @@ from .poset import BUILTIN_FAMILIES, Poset, enumerate_spreads, iter_mask, kahn_o
 class Family:
     """An ordered set of pairwise-distinct connected spreads over one poset.
 
-    Coverage, closure under quotients and the Hom digraph are derived from the members.
+    Coverage and the Hom digraph are derived from the members.
     """
 
-    def __init__(self, poset: Poset, members, *, restricted_support: int | None = None):
+    def __init__(self, poset: Poset, members):
         self.poset = poset
         members = tuple(members)
         seen = set()
@@ -61,7 +60,6 @@ class Family:
                 raise DuplicateMemberError(f"member {s.render()} appears twice")
             seen.add(s.support)
         self.members = members
-        self.restricted_support = restricted_support
         self._supports = frozenset(seen)
         self._modules: dict[tuple[int, int], PersistenceModule] = {}  # (p, i) -> module
         self._rows: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] | None = None
@@ -76,23 +74,6 @@ class Family:
     @property
     def contains_projectives(self) -> bool:
         return not self.missing_projectives()
-
-    @property
-    def quotient_closed(self) -> bool:
-        """Whether add(family) holds every quotient of every member; derived on each read.
-
-        The quotients of M_S are the M_D with D ⊆ S closed downward in S, and
-        each such D is reached from S by removing maximal elements one at a
-        time.  So it suffices that, for every member S and target t of S,
-        each connected component of S minus t is a member.
-        """
-        p = self.poset
-        return all(
-            comp in self._supports
-            for s in self.members
-            for t in iter_mask(s.targets)
-            for comp in p.connected_components(s.support & ~(1 << t))
-        )
 
     def missing_projectives(self) -> tuple[str, ...]:
         return tuple(
@@ -133,7 +114,7 @@ class Family:
     def hom_matrix(self) -> tuple[tuple[int, ...], ...]:
         """H[i][j] = dim Hom(member_i, member_j): a dense view of `hom_rows`."""
         n = len(self.members)
-        return tuple(tuple(len(dict(row).get(j, ())) for j in range(n)) for row in self.hom_rows())
+        return tuple(tuple(len(row.get(j, ())) for j in range(n)) for row in map(dict, self.hom_rows()))
 
 
 def builtin_family(poset: Poset, name: str, cap: int = 100_000) -> Family:
@@ -184,19 +165,8 @@ def check_family(x: Family) -> FamilyDiagnostics:
     return x._diagnostics
 
 
-def _covers(x: Family, supp: int) -> bool:
-    """Whether x can approximate every module supported inside supp.
-
-    True when x holds the principal up-sets, or is the restriction of such a
-    family to a support containing supp (sufficient by the factoring argument).
-    """
-    return x.contains_projectives or (
-        x.restricted_support is not None and supp & ~x.restricted_support == 0
-    )
-
-
-def _require_coverage(x: Family, m: PersistenceModule):
-    if not _covers(x, m.support_mask()):
+def _require_coverage(x: Family):
+    if not x.contains_projectives:
         raise MissingProjectivesError(
             f"family lacks the principal up-sets at {{{', '.join(x.missing_projectives())}}}"
         )
@@ -227,7 +197,7 @@ def _assemble(x: Family, m: PersistenceModule, coords) -> Morphism:
 
 def universal_approximation(x: Family, m: PersistenceModule) -> Morphism:
     """The epimorphism ⊕_R R^{dim Hom(R,m)} -> m collecting full Hom bases."""
-    _require_coverage(x, m)
+    _require_coverage(x)
     return _assemble(x, m, _member_homs(x, m))
 
 
@@ -241,7 +211,7 @@ def minimal_approximation(x: Family, m: PersistenceModule):
     indicator h of a component X and g in Hom(R', m), g∘h has the value of g
     at each source a of R in X and 0 at the others.
     """
-    _require_coverage(x, m)
+    _require_coverage(x)
     field = m.field
     members = x.members
     rows = x.hom_rows()
@@ -363,20 +333,3 @@ def betti(res: Resolution, k: int) -> tuple[int, ...]:
     raise OutOfRangeError(
         f"resolution truncated at depth {res.depth}; degree {k} is undetermined"
     )
-
-
-def support_restrict(x: Family, m: PersistenceModule) -> Family:
-    """Drop members whose support leaves supp(m); approximations of m are unchanged.
-
-    Sound when every quotient of a member lies in add(x): any map R -> m then
-    factors through members supported inside supp(m).  That is checked from
-    the members (`Family.quotient_closed`); a family that fails it raises
-    `NotQuotientClosedError`.
-    """
-    if not x.quotient_closed:
-        raise NotQuotientClosedError(
-            "support restriction needs a family whose member quotients stay in add(family)"
-        )
-    supp = m.support_mask()
-    keep = [s for s in x.members if s.support & ~supp == 0]
-    return Family(x.poset, keep, restricted_support=supp if _covers(x, supp) else None)

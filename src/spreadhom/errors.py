@@ -74,13 +74,6 @@ class DuplicateMemberError(SpreadHomError):
     """Family members must have pairwise distinct supports."""
 
 
-class NotQuotientClosedError(SpreadHomError):
-    """Operation requires a family whose member quotients stay in add(family).
-
-    Closure is derived from the members (`Family.quotient_closed`).
-    """
-
-
 class OutOfRangeError(SpreadHomError):
     """Index beyond the computed part of a truncated resolution."""
 

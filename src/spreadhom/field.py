@@ -30,10 +30,11 @@ class PrimeField:
     """F_p arithmetic on numpy int64 matrices."""
 
     def __init__(self, p: int = DEFAULT_PRIME):
+        # the bound first: trial division up to sqrt(p) is slow for large p
+        if isinstance(p, int) and p >= _MAX_PRIME:
+            raise ValueError(f"p = {p} too large (need p < 2**20 for exact int64 products)")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"p = {p!r} is not prime")
-        if p >= _MAX_PRIME:
-            raise ValueError(f"p = {p} too large (need p < 2**20 for exact int64 products)")
         self.p = p
 
     def __repr__(self):

@@ -463,18 +463,18 @@ def spread_from_convex(p: Poset, subset) -> Spread:
 def _antichain_masks(p: Poset, ground: int) -> Iterator[int]:
     """All nonempty antichain masks inside `ground` (elements in id order)."""
     elems = elements_of(ground)
-
-    def rec(i: int, cur: int) -> Iterator[int]:
+    # depth-first over (next element, antichain so far), without e before with e
+    stack = [(0, 0)]
+    while stack:
+        i, cur = stack.pop()
         if i == len(elems):
             if cur:
                 yield cur
-            return
+            continue
         e = elems[i]
-        yield from rec(i + 1, cur)
         if not (cur & (p.up_mask(e) | p.down_mask(e))):
-            yield from rec(i + 1, cur | (1 << e))
-
-    yield from rec(0, 0)
+            stack.append((i + 1, cur | (1 << e)))
+        stack.append((i + 1, cur))
 
 
 def enumerate_spreads(p: Poset, kind: str, cap: int = 100_000) -> list[Spread]:

@@ -11,7 +11,6 @@ from spreadhom import (
     MissingProjectivesError,
     Morphism,
     NotConnectedError,
-    NotQuotientClosedError,
     OutOfRangeError,
     PrimeField,
     Spread,
@@ -30,15 +29,12 @@ from spreadhom import (
     spread_from_antichains,
     spread_from_convex,
     spread_module,
-    support_restrict,
     universal_approximation,
     x_dimension,
     zero_module,
 )
-from spreadhom.approx import BUILTIN_FAMILIES
 from spreadhom.gallery import (
     atilde5_family,
-    chain,
     fan,
     funnel,
     generator_posets,
@@ -187,49 +183,6 @@ GRID33_SPREADS = enumerate_spreads(grid(3, 3), "connected_spreads")
 def test_hom_rows_match_unfiltered_components_on_random_families(picks):
     # members in a random order and subset, so both acyclic and cyclic digraphs occur
     _assert_rows_match_unfiltered(Family(grid(3, 3), [GRID33_SPREADS[k] for k in picks]))
-
-
-def _connected_quotient_supports(p, s):
-    """Every connected D ⊆ supp s closed downward in s, by trying every subset."""
-    out = set()
-    d = s.support
-    while d:
-        if all(p.down_mask(a) & s.support & ~d == 0 for a in iter_mask(d)):
-            out.update(p.connected_components(d))
-        d = (d - 1) & s.support
-    return out
-
-
-def _quotient_closed_by_brute_force(x):
-    supports = {s.support for s in x.members}
-    return all(_connected_quotient_supports(x.poset, s) <= supports for s in x.members)
-
-
-def test_quotient_closed_matches_brute_force_on_small_posets():
-    answers = set()
-    for name, p in generator_posets(max_n=5):
-        for fam in BUILTIN_FAMILIES:
-            x = builtin_family(p, fam)
-            want = _quotient_closed_by_brute_force(x)
-            assert x.quotient_closed == want, (name, fam)
-            answers.add(want)
-    assert answers == {True, False}
-
-
-@given(st.lists(st.integers(0, len(GRID33_SPREADS) - 1), min_size=1, max_size=12, unique=True),
-       st.integers(0, 10**6))
-def test_quotient_closed_matches_brute_force_on_random_families(picks, drop):
-    # a random sub-family is rarely closed and its quotient closure always is;
-    # the closure less one member is closed unless another member has it as a quotient
-    p = grid(3, 3)
-    picked = [GRID33_SPREADS[k] for k in picks]
-    closure = [spread_from_convex(p, c) for c in sorted(
-        set().union(*(_connected_quotient_supports(p, s) for s in picked)))]
-    assert Family(p, closure).quotient_closed
-    drop %= len(closure)
-    for members in (picked, closure, closure[:drop] + closure[drop + 1:]):
-        x = Family(p, members)
-        assert x.quotient_closed == _quotient_closed_by_brute_force(x)
 
 
 def test_coverage_guard(field):
@@ -480,76 +433,3 @@ def test_betti_numbers(field):
     assert betti(rt, 3) == rt.terms[3]
     with pytest.raises(OutOfRangeError):
         betti(rt, 4)
-
-
-# -- support restriction ---------------------------------------------------
-
-
-def test_support_restrict_needs_quotient_closure(field):
-    x = builtin_family(grid(2, 2), "hooks")
-    m = simple_module(grid(2, 2), field, 0)
-    with pytest.raises(NotQuotientClosedError):
-        support_restrict(x, m)
-
-
-def test_support_restrict_keeps_inside_members(field):
-    p = grid(2, 2)
-    x = builtin_family(p, "single_source")
-    s = spread_from_antichains(p, ["00"], ["01", "10"])
-    m = spread_module(s, field)
-    y = support_restrict(x, m)
-    assert all(t.support & ~m.support_mask() == 0 for t in y.members)
-    assert len(y) < len(x)
-    assert y.quotient_closed
-
-
-def test_support_restrict_refuses_connected_upsets(field):
-    # M_{1,2} / M_{2} = S_1 is not a member, so the family is not quotient-closed
-    p = chain(2)
-    x = builtin_family(p, "connected_upsets")
-    assert not x.quotient_closed
-    with pytest.raises(NotQuotientClosedError):
-        support_restrict(x, simple_module(p, field, 1))
-
-
-def test_support_restrict_preserves_minimal_approximation(field, rng):
-    cases = [
-        (grid(2, 2), "single_source", 3),
-        (grid(3, 3), "single_source", 1),
-        (chain(4), "hooks", 3),
-        (funnel(), "intervals", 3),
-    ]
-    for p, fam, draws in cases:
-        x = builtin_family(p, fam)
-        for _ in range(draws):
-            m = random_module(p, field, rng)
-            y = support_restrict(x, m)
-            mult_full, _ = minimal_approximation(x, m)
-            mult_sub, _ = minimal_approximation(y, m)
-            # members outside the support never appear
-            by_label_full = {
-                lbl: k for lbl, k in zip(x.labels(), mult_full) if k
-            }
-            by_label_sub = {
-                lbl: k for lbl, k in zip(y.labels(), mult_sub) if k
-            }
-            assert by_label_full == by_label_sub
-            # and the resolutions agree too
-            rx = resolve(x, m)
-            ry = resolve(y, m)
-            assert rx.status == ry.status == "finite"
-            assert len(rx.terms) == len(ry.terms)
-            for tx, ty in zip(rx.terms, ry.terms):
-                fx = {l: k for l, k in zip(x.labels(), tx) if k}
-                fy = {l: k for l, k in zip(y.labels(), ty) if k}
-                assert fx == fy
-
-
-def test_restricted_family_rejects_larger_modules(field):
-    p = grid(2, 2)
-    x = builtin_family(p, "single_source")
-    small = spread_module(spread_from_antichains(p, ["01"], ["01"]), field)
-    y = support_restrict(x, small)
-    big = spread_module(spread_from_antichains(p, ["00"], ["11"]), field)
-    with pytest.raises(MissingProjectivesError):
-        minimal_approximation(y, big)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -25,6 +27,14 @@ def test_prime_validation():
         PrimeField(1)
     with pytest.raises(ValueError):
         PrimeField((1 << 20) + 7)  # prime, but past the int64 safety bound
+
+
+def test_huge_prime_is_refused_before_primality_testing():
+    # 2**61 - 1 is prime; trial division up to its square root would take minutes
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"too large \(need p < 2\*\*20"):
+        PrimeField(2**61 - 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_arr_reduces_mod_p():

@@ -698,16 +698,21 @@ def test_cli_jsonl_resolve_payload(capsys):
     assert body["periodicity"] is not None
 
 
-def test_cli_entry_point_runs():
-    # the child imports the same spreadhom, installed or not
+def _run_entry_point(*args, timeout=None):
+    """`python -m spreadhom *args` in a child that imports the same spreadhom, installed or not."""
     home = str(Path(spreadhom.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "spreadhom", "invariant", "dimvec", str(DATA / "diagram_x.yaml")],
+    return subprocess.run(
+        [sys.executable, "-m", "spreadhom", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
+
+
+def test_cli_entry_point_runs():
+    proc = _run_entry_point("invariant", "dimvec", str(DATA / "diagram_x.yaml"))
     assert proc.returncode == 0
     assert "dimension vector" in proc.stdout
 
@@ -724,6 +729,14 @@ def test_cli_custom_prime(capsys):
     )
     assert code == 1
     assert "prime" in err
+
+
+def test_cli_refuses_a_huge_prime_at_once():
+    # a prime past the int64 bound is refused before any trial division, in one line
+    proc = _run_entry_point("invariant", "dimvec", str(DATA / "m16.yaml"),
+                            "--prime", "2305843009213693951", timeout=20)
+    assert proc.stdout == ""
+    _one_line_error(proc.returncode, proc.stderr, "2305843009213693951 too large")
 
 
 def test_data_files_match_generator(tmp_path):

@@ -354,6 +354,14 @@ def test_enumeration_cap():
             enumerate_spreads(grid(2, 2), old)
 
 
+def test_antichain_families_reach_the_cap_on_a_long_chain():
+    # the antichain search is as deep as the poset is long; it must not recurse per element
+    p = chain(1100)
+    for kind in ("single_source", "connected_upsets"):
+        with pytest.raises(CapExceededError, match=f"cap=10 spreads of kind '{kind}'"):
+            builtin_family(p, kind, cap=10)
+
+
 def test_enumeration_deterministic():
     p = grid(2, 3)
     a = [s.render() for s in enumerate_spreads(p, "connected_spreads")]
