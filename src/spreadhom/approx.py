@@ -13,6 +13,15 @@ of R_j lies in R_i, because every component that carries a morphism holds
 one of each (`spread_hom_components`).  Hom(R, M) is 0 unless M is nonzero
 at a source of R, because it embeds in ⊕ M_a over those sources; a minimal
 approximation does Hom work only for the members that pass.
+
+The span of the composites is the radical of Hom(R, M), and the radical of
+End(⊕X) for a finite family X of bricks is generated by irreducible maps
+(Auslander-Reiten-Smalø, Representation Theory of Artin Algebras, ch. V).
+So each member keeps, once per family, only the radical generators that do
+not visibly factor through a third member (`Family.radical_generators`):
+the indicator of a component that is itself a member's support, R_K, is the
+composite R_i ->> R_K >-> R_j.  The span, and every pivot read off it, is
+the same as over all basis maps.
 """
 from __future__ import annotations
 
@@ -63,6 +72,7 @@ class Family:
         self._supports = frozenset(seen)
         self._modules: dict[tuple[int, int], PersistenceModule] = {}  # (p, i) -> module
         self._rows: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] | None = None
+        self._radical: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._diagnostics: FamilyDiagnostics | None = None
 
     def __len__(self):
@@ -106,6 +116,27 @@ class Family:
                 for s in members
             )
         return self._rows
+
+    def radical_generators(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row i: pairs (j, sources of member i in X) whose composites span rad(R_i, -).
+
+        One pair per basis map R_i -> R_j (j != i), the indicator of a
+        component X; g∘h_X depends only on the pair, so each is kept once.  An
+        X that is the support of a third member is left out (see the module
+        docstring).  Field-free; built on first use.
+        """
+        if self._radical is None:
+            members, supports = self.members, self._supports
+            self._radical = tuple(
+                tuple(dict.fromkeys(
+                    (j, s.sources & comp)
+                    for j, comps in row if j != i
+                    for comp in comps
+                    if comp not in supports or comp in (s.support, members[j].support)
+                ))
+                for i, (s, row) in enumerate(zip(members, self.hom_rows()))
+            )
+        return self._radical
 
     def pair_hom(self, i: int, j: int) -> tuple[int, ...]:
         """Supports of the indicator basis of Hom(member_i, member_j), field-free."""
@@ -190,9 +221,11 @@ def _assemble(x: Family, m: PersistenceModule, coords) -> Morphism:
         blocks = [yoneda_values(x.members[j], m, offsets, w, a)
                   for j, (offsets, w) in coords.items() if x.members[j].support >> a & 1]
         comps.append(np.concatenate(blocks, axis=1) if blocks else field.zeros(m.dims[a], 0))
-        if field.rank(comps[a]) != m.dims[a]:
+    f = Morphism(dom, m, comps, validate=False)
+    for a, (_, pivots) in enumerate(f.reduced()):
+        if len(pivots) != m.dims[a]:
             raise SpreadHomError(f"approximation fails to be onto at {m.poset.label(a)}")
-    return Morphism(dom, m, comps, validate=False)
+    return f
 
 
 def universal_approximation(x: Family, m: PersistenceModule) -> Morphism:
@@ -206,15 +239,16 @@ def minimal_approximation(x: Family, m: PersistenceModule):
 
     Multiplicity at member R is dim Hom(R,m) minus the rank of the span of
     composites R -> R' -> m over the other members R'; the representatives
-    are read off the pivots of one elimination per member.  Everything runs
-    in the source coordinates ⊕_{a in sources(R)} m_a of Hom(R, m): for the
-    indicator h of a component X and g in Hom(R', m), g∘h has the value of g
-    at each source a of R in X and 0 at the others.
+    are read off the pivots of one elimination per member, over the
+    `Family.radical_generators` of R only.  Everything runs in the source
+    coordinates ⊕_{a in sources(R)} m_a of Hom(R, m): for the indicator h of
+    a component X and g in Hom(R', m), g∘h has the value of g at each source
+    a of R in X and 0 at the others.
     """
     _require_coverage(x)
     field = m.field
     members = x.members
-    rows = x.hom_rows()
+    generators = x.radical_generators()
     homs = _member_homs(x, m)
     values = {}  # (j, a) -> the basis of Hom(R_j, m) evaluated at a
 
@@ -228,14 +262,11 @@ def minimal_approximation(x: Family, m: PersistenceModule):
     multiplicities = [0] * len(members)
     chosen = {}  # i -> (offsets, the picked columns of the basis)
     for i, (offsets, w) in homs.items():
-        s = members[i]
         blocks = []
-        for j, comps in rows[i]:
-            if j == i or j not in homs:
-                continue
-            for comp in comps:
+        for j, sources in generators[i]:
+            if j in homs:
                 block = field.zeros(w.shape[0], homs[j][1].shape[1])
-                for a in iter_mask(s.sources & comp):
+                for a in iter_mask(sources):
                     block[offsets[a]:offsets[a] + m.dims[a]] = value_at(j, a)
                 blocks.append(block)
         blocks.append(w)

@@ -26,6 +26,12 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def free_columns(cols: int, pivots) -> list[int]:
+    """The columns 0..cols-1 that are not pivots, in order."""
+    taken = set(pivots)
+    return [c for c in range(cols) if c not in taken]
+
+
 class PrimeField:
     """F_p arithmetic on numpy int64 matrices."""
 
@@ -114,10 +120,15 @@ class PrimeField:
         Free variables are set to 1 one at a time, ordered by column index.
         Shape (cols, nullity).
         """
-        a = self.arr(m)
-        rows, cols = a.shape
-        red, pivots = self.rref(a)
-        free = [c for c in range(cols) if c not in set(pivots)]
+        return self.kernel_of_rref(*self.rref(m))
+
+    def kernel_of_rref(self, red, pivots) -> np.ndarray:
+        """`kernel_basis` of a matrix, read off its (rref, pivots) without eliminating again.
+
+        The basis is the identity on the free rows (the non-pivot columns).
+        """
+        cols = red.shape[1]
+        free = free_columns(cols, pivots)
         basis = np.zeros((cols, len(free)), dtype=np.int64)
         for k, fc in enumerate(free):
             basis[fc, k] = 1

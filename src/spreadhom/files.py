@@ -1,8 +1,9 @@
 """Declarative poset / module / family files.
 
-Parsing goes through yaml.safe_load; serialization is a small canonical
-emitter (stable ordering, labels always double-quoted) so that serializing a
-parsed canonical file reproduces it byte for byte.
+Parsing uses yaml's safe loader, on libyaml when PyYAML was built with it,
+and refuses a repeated key.  Serialization is a small canonical emitter
+(stable ordering, labels always double-quoted) so that serializing a parsed
+canonical file reproduces it byte for byte.
 """
 from __future__ import annotations
 
@@ -19,8 +20,12 @@ from .modules import PersistenceModule
 from .poset import Poset, Spread, spread_from_antichains
 
 
-class _Loader(yaml.SafeLoader):
-    """yaml.safe_load, except that a mapping may not repeat a key (the last would win)."""
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """yaml.safe_load, except that a mapping may not repeat a key (the last would win).
+
+    The C parser, when present, feeds the same Python constructor and
+    resolver, so every value keeps its type.
+    """
 
     def construct_mapping(self, node, deep=False):
         mapping = super().construct_mapping(node, deep)

@@ -4,7 +4,7 @@ from __future__ import annotations
 from .errors import SpreadHomError
 from .field import PrimeField
 from .modules import PersistenceModule, direct_sum, interval_module, spread_module
-from .poset import Poset, Spread, spread_from_antichains
+from .poset import Poset, spread_from_antichains
 
 
 def chain(n: int) -> Poset:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PosetMismatchError
+from .field import free_columns
 from .modules import Morphism, PersistenceModule, morphism_from_vec
 from .poset import Spread, iter_mask
 
@@ -134,8 +135,21 @@ def agreement_system(s: Spread, n: PersistenceModule) -> tuple[np.ndarray, dict[
 
 
 def _yoneda_system(s: Spread, n: PersistenceModule) -> tuple[np.ndarray, dict[int, int]]:
-    """The agreement system, plus N(a0 -> y) v_a0 = 0 for each cover x -> y leaving S."""
+    """The agreement system, plus N(a0 -> y) v_a0 = 0 for each cover x -> y leaving S.
+
+    With one source a there is nothing to agree on, and the system is the
+    stack of N(a -> y) over the y that a cover leaves S for; row order and
+    repeats do not change its kernel.
+    """
     p = s.poset
+    if not s.sources & (s.sources - 1):
+        a = s.sources.bit_length() - 1
+        exits = 0
+        for x in iter_mask(s.support):
+            for y in p.children(x):
+                exits |= 1 << y
+        rows = [n.map_along(a, y) for y in iter_mask(exits & ~s.support) if n.dims[y]]
+        return np.concatenate(rows) if rows else np.zeros((0, n.dims[a]), dtype=np.int64), {a: 0}
     agree, offsets = agreement_system(s, n)
     total = agree.shape[1]
     if not total:  # n vanishes at every source of s, so Hom(M_s, n) is 0
@@ -259,26 +273,44 @@ def spread_hom_dim(s: Spread, t: Spread) -> int:
     return len(spread_hom_components(s, t))
 
 
-def _submodule(m: PersistenceModule, bases, what: str):
+def _subfunctor(m: PersistenceModule, bases, coords, what: str):
     """The submodule of m spanned at each a by the columns of bases[a]; returns (module, inclusion).
 
-    Each structure map is rewritten in those bases by one solve per cover.
+    coords(b, v) gives the coordinates of the columns v in bases[b], or None
+    when they leave its span.
     """
     field = m.field
-    p = m.poset
     maps = {}
-    for a, b in p.covers:
-        sol = field.solve(bases[b], field.matmul(m.maps[(a, b)], bases[a]))
-        if sol is None:  # naturality guarantees solvability
+    for a, b in m.poset.covers:
+        x = coords(b, field.matmul(m.maps[(a, b)], bases[a]))
+        if x is None:  # naturality guarantees the span is preserved
             raise AssertionError(f"{what} is not preserved by a structure map")
-        maps[(a, b)] = sol
-    sub = PersistenceModule(p, field, tuple(b.shape[1] for b in bases), maps, validate=False)
+        maps[(a, b)] = x
+    sub = PersistenceModule(m.poset, field, tuple(b.shape[1] for b in bases), maps, validate=False)
     return sub, Morphism(sub, m, bases, validate=False)
 
 
+def _submodule(m: PersistenceModule, bases, what: str):
+    """`_subfunctor` with coordinates by one solve per cover."""
+    return _subfunctor(m, bases, lambda b, v: m.field.solve(bases[b], v), what)
+
+
 def kernel_module(f: Morphism):
-    """The kernel subfunctor of a morphism; returns (module, inclusion)."""
-    return _submodule(f.source, [f.source.field.kernel_basis(c) for c in f.components], "kernel")
+    """The kernel subfunctor of a morphism; returns (module, inclusion).
+
+    The kernel bases come from `f.reduced()`.  Each is the identity on its
+    free rows, so the coordinates of columns v in the basis at b are the free
+    rows of v; one product checks that v lies in the kernel's span.
+    """
+    field = f.source.field
+    bases = [field.kernel_of_rref(red, pivots) for red, pivots in f.reduced()]
+    free = [free_columns(red.shape[1], pivots) for red, pivots in f.reduced()]
+
+    def coords(b, v):
+        x = v[free[b]]
+        return x if np.array_equal(field.matmul(bases[b], x), v) else None
+
+    return _subfunctor(f.source, bases, coords, "kernel")
 
 
 def image_module(f: Morphism):

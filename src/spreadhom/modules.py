@@ -15,7 +15,7 @@ from .errors import (
     ShapeError,
 )
 from .field import PrimeField
-from .poset import Poset, Spread, elements_of, iter_mask, spread_from_convex
+from .poset import Poset, Spread, spread_from_convex
 
 
 class PersistenceModule:
@@ -152,6 +152,7 @@ class Morphism:
                 )
             comps.append(c)
         self.components = tuple(comps)
+        self._reduced = None
         if validate:
             self._validate_naturality()
 
@@ -165,6 +166,12 @@ class Morphism:
                     f"naturality fails on cover "
                     f"{self.source.poset.label(a)}->{self.source.poset.label(b)}"
                 )
+
+    def reduced(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+        """(rref, pivot columns) of each component, by one elimination each on first use."""
+        if self._reduced is None:
+            self._reduced = tuple(map(self.source.field.rref, self.components))
+        return self._reduced
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         if other.target is not self.source and other.target != self.source:

@@ -1,13 +1,20 @@
 """Brute-force oracles and generators shared across the suite.
 
-Everything here is deliberately independent of the library internals: the
-oracles work on explicit pair sets computed by graph search over cover lists,
-never on the bitmask machinery they are checking.
+The poset oracles are deliberately independent of the library internals:
+they work on explicit pair sets computed by graph search over cover lists,
+never on the bitmask machinery they are checking.  The approximation oracle
+at the end is the earlier production route, kept to hold its replacement to
+the same bytes.
 """
 
 import itertools
 
+import numpy as np
+
 from spreadhom import Poset
+from spreadhom.approx import _assemble, _member_homs
+from spreadhom.hom import yoneda_values
+from spreadhom.poset import iter_mask
 
 
 def closure_pairs(n, covers):
@@ -109,3 +116,33 @@ def mask_to_set(mask):
         mask >>= 1
         i += 1
     return out
+
+
+def full_row_minimal_approximation(x, m):
+    """`minimal_approximation` composing every basis map R_i -> R_j (j != i).
+
+    One block per component of each row of `Family.hom_rows`, none dropped
+    or merged, as before `Family.radical_generators`.
+    """
+    field = m.field
+    homs = _member_homs(x, m)
+    multiplicities = [0] * len(x)
+    chosen = {}
+    for i, (offsets, w) in homs.items():
+        blocks = []
+        for j, comps in x.hom_rows()[i]:
+            if j == i or j not in homs:
+                continue
+            for comp in comps:
+                block = field.zeros(w.shape[0], homs[j][1].shape[1])
+                for a in iter_mask(x.members[i].sources & comp):
+                    block[offsets[a]:offsets[a] + m.dims[a]] = yoneda_values(x.members[j], m, *homs[j], a)
+                blocks.append(block)
+        blocks.append(w)
+        stacked = np.concatenate(blocks, axis=1)
+        start = stacked.shape[1] - w.shape[1]
+        cols = [c - start for c in field.rref(stacked)[1] if c >= start]
+        multiplicities[i] = len(cols)
+        if cols:
+            chosen[i] = (offsets, w[:, cols])
+    return tuple(multiplicities), _assemble(x, m, chosen)

@@ -1,4 +1,4 @@
-import itertools
+import random
 
 import numpy as np
 import pytest
@@ -41,9 +41,12 @@ from spreadhom.gallery import (
     grid,
     equal_rank_pair,
 )
+from spreadhom.approx import BUILTIN_FAMILIES, _member_homs
 from spreadhom.hom import spread_hom_components
 from spreadhom.poset import iter_mask, kahn_order, mask_of
 from spreadhom.randmod import random_module
+
+from helpers import full_row_minimal_approximation
 
 
 # -- family construction and diagnostics -------------------------------------
@@ -326,6 +329,93 @@ def test_minimal_matches_greedy_oracle(field, rng):
                 for k, s in zip(mult, x.members)
             )
             assert f.source.total_dim() == dom_dim
+
+
+def _assert_matches_full_row_oracle(x, m, depth=3):
+    """minimal_approximation equals the full-row oracle byte for byte, on m and its next kernels."""
+    for _ in range(depth):
+        if m.is_zero():
+            return
+        mult, f = minimal_approximation(x, m)
+        want_mult, want = full_row_minimal_approximation(x, m)
+        assert mult == want_mult
+        assert f.source == want.source
+        for got_c, want_c in zip(f.components, want.components):
+            assert (got_c.dtype, got_c.shape, got_c.tobytes()) == (want_c.dtype, want_c.shape, want_c.tobytes())
+        m, _ = kernel_module(f)
+
+
+ORACLE_POSETS = dict(generator_posets(max_n=5))  # the funnel among them
+ORACLE_CASES = [
+    (name, kind) for name, p in ORACLE_POSETS.items() for kind in BUILTIN_FAMILIES
+    if builtin_family(p, kind).contains_projectives
+]
+
+
+@given(st.sampled_from(ORACLE_CASES), st.integers(0, 10_000))
+def test_minimal_approximation_matches_full_row_oracle(case, seed):
+    name, kind = case
+    p = ORACLE_POSETS[name]
+    m = random_module(p, PrimeField(), random.Random(seed))
+    _assert_matches_full_row_oracle(builtin_family(p, kind), m)
+
+
+def test_minimal_approximation_matches_full_row_oracle_on_the_funnel(field, rng):
+    p = funnel()
+    for kind in BUILTIN_FAMILIES:
+        x = builtin_family(p, kind)
+        if x.contains_projectives:
+            for _ in range(3):
+                _assert_matches_full_row_oracle(x, random_module(p, field, rng))
+
+
+@given(st.lists(st.integers(0, len(GRID33_SPREADS) - 1), min_size=1, max_size=40, unique=True),
+       st.integers(0, 10_000))
+def test_minimal_approximation_matches_full_row_oracle_on_random_families(picks, seed):
+    # a random sub-family in a random order, completed by the principal up-sets it lacks
+    p = grid(3, 3)
+    members = [GRID33_SPREADS[k] for k in picks]
+    supports = {s.support for s in members}
+    members += [spread_from_convex(p, p.up_mask(a)) for a in range(p.n) if p.up_mask(a) not in supports]
+    m = random_module(p, PrimeField(), random.Random(seed))
+    _assert_matches_full_row_oracle(Family(p, members), m)
+
+
+def test_radical_generators_drop_maps_through_a_third_member():
+    # on grid(4, 4) the indicator of a member's support, between two other
+    # members, adds nothing; nor does a second component with the same sources
+    for kind, kept, total in (("intervals", 600, 1125), ("hooks", 800, 1775)):
+        x = builtin_family(grid(4, 4), kind)
+        rows = x.hom_rows()
+        assert sum(len(comps) for i, row in enumerate(rows) for j, comps in row if j != i) == total
+        assert sum(map(len, x.radical_generators())) == kept
+        assert x.radical_generators() is x.radical_generators()
+
+
+def test_a_resolution_step_eliminates_once_per_quantity(field, monkeypatch):
+    # one rref per Yoneda system, per radical stack and per approximation
+    # component, and no solve: kernel coordinates are read off free rows
+    p = grid(4, 4)
+    x = builtin_family(p, "intervals")
+    rng = random.Random(4)
+    mods = [random_module(p, field, rng) for _ in range(3)]
+    calls = {"rref": 0, "solve": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _orig=getattr(PrimeField, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(PrimeField, name, counted)
+    resolutions = [resolve(x, m) for m in mods]
+    monkeypatch.undo()
+    budget = 0
+    for m, res in zip(mods, resolutions):
+        assert res.status == "finite" and res.depth >= 2
+        for stage in (m, *res.kernels[:-1]):
+            supp = stage.support_mask()
+            yoneda = sum(1 for s in x.members if s.sources & supp)
+            budget += yoneda + len(_member_homs(x, stage)) + p.n
+    assert calls["solve"] == 0
+    assert 0 < calls["rref"] <= budget
 
 
 def test_twisted_corner_module_minimal_multiplicities(field):

@@ -93,6 +93,19 @@ def test_kernel_basis_annihilates(data):
     assert f.rank(k) == k.shape[1]
 
 
+@given(matrices)
+def test_kernel_basis_is_the_identity_on_free_rows(data):
+    # kernel_module reads kernel coordinates off the free rows, and reuses
+    # an elimination through kernel_of_rref
+    f = PrimeField(31)
+    m = f.arr(data)
+    red, pivots = f.rref(m)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    k = f.kernel_basis(m)
+    assert np.array_equal(k[free], np.eye(len(free), dtype=np.int64))
+    assert np.array_equal(f.kernel_of_rref(red, pivots), k)
+
+
 @given(matrices, st.lists(st.integers(0, 30), min_size=5, max_size=5))
 def test_solve_consistent_system(data, xs):
     f = PrimeField(31)

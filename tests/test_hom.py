@@ -25,7 +25,6 @@ from spreadhom import (
 )
 from spreadhom.gallery import (
     chain,
-    crown,
     grid53_hom_pair,
     funnel,
     generator_posets,
@@ -33,7 +32,7 @@ from spreadhom.gallery import (
     nonthin_brick,
     equal_rank_pair,
 )
-from spreadhom.hom import yoneda_basis
+from spreadhom.hom import _submodule, yoneda_basis
 from spreadhom.randmod import random_module
 
 
@@ -226,6 +225,36 @@ def test_kernel_of_zero_is_identity_like(field, rng):
     assert ker.dimension_vector() == m.dimension_vector()
     for a in range(p.n):
         assert field.rank(inc.components[a]) == m.dim(a)
+
+
+@given(st.sampled_from(sorted(YONEDA_POSETS)), st.integers(0, 10_000))
+def test_kernel_module_matches_the_solve_route(name, seed):
+    # coordinates read off the free rows of each kernel basis are the ones
+    # a solve per cover finds, byte for byte
+    field = PrimeField()
+    p = YONEDA_POSETS[name]
+    rng = random.Random(seed)
+    m, n = random_module(p, field, rng), random_module(p, field, rng)
+    hb = hom_basis(m, n)
+    f = hb.linear_combination([rng.randrange(field.p) for _ in hb.basis])
+    ker, inc = kernel_module(f)
+    want, want_inc = _submodule(m, [field.kernel_basis(c) for c in f.components], "kernel")
+    assert ker.dims == want.dims
+    for key, mat in want.maps.items():
+        assert (ker.maps[key].dtype, ker.maps[key].shape, ker.maps[key].tobytes()) == (mat.dtype, mat.shape, mat.tobytes())
+    for got_c, want_c in zip(inc.components, want_inc.components):
+        assert (got_c.dtype, got_c.shape, got_c.tobytes()) == (want_c.dtype, want_c.shape, want_c.tobytes())
+
+
+def test_kernel_module_refuses_a_morphism_that_is_not_natural(field):
+    # 0 at the bottom and 1 at the top of [0, 1]: the kernel at 0 is all of
+    # m_0, and the structure map carries it out of the kernel at 1
+    from spreadhom import interval_module
+
+    m = interval_module(chain(2), field, 0, 1)
+    f = Morphism(m, m, [field.zeros(1, 1), field.eye(1)], validate=False)
+    with pytest.raises(AssertionError, match="kernel is not preserved"):
+        kernel_module(f)
 
 
 def test_image_module(field):

@@ -1,0 +1,55 @@
+"""Every name a library module imports is read, there or by a module that imports it from there."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "spreadhom"
+
+
+def _imports(tree):
+    """{bound name: line} for the import statements of a module, `from __future__` aside."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _reexported(trees):
+    """{module stem: names other library modules import from it}."""
+    out = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                out.setdefault(node.module, set()).update(a.name for a in node.names)
+    return out
+
+
+def unused_imports(src=SRC):
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    reexported = _reexported(trees)
+    found = []
+    for stem, tree in trees.items():
+        if stem == "__init__":  # the package namespace: it imports in order to export
+            continue
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for name, line in _imports(tree).items():
+            if name not in read and name not in reexported.get(stem, ()):
+                found.append(f"{stem}.py:{line} {name}")
+    return found
+
+
+def test_library_modules_read_every_name_they_import():
+    assert unused_imports() == []
+
+
+def test_the_scan_sees_an_unused_import(tmp_path):
+    (tmp_path / "a.py").write_text("import os\nfrom .b import x, y\nprint(x)\n")
+    (tmp_path / "b.py").write_text("from json import dumps as x\nfrom json import loads as y\n")
+    (tmp_path / "c.py").write_text("from .a import os\nos.getcwd()\n")
+    # a.y is never read; b's names are read by a's import; a.os by c's
+    assert unused_imports(tmp_path) == ["a.py:2 y"]

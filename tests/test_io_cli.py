@@ -12,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spreadhom
-from spreadhom import FileFormatError, PrimeField, ShapeError, dim_hom_vector, direct_sum
+from spreadhom import FileFormatError, ShapeError, dim_hom_vector, direct_sum
 from spreadhom import cli, files
 from spreadhom.cli import main
 from spreadhom.files import (
@@ -543,6 +544,23 @@ def test_cli_reports_invalid_yaml_on_one_line(capsys, tmp_path):
     code, out, err = run_cli(capsys, "invariant", "rank", path)
     _one_line_error(code, err, "m.yaml", "not valid YAML")
     assert out == ""
+
+
+def test_files_parse_with_libyaml_when_present(capsys, tmp_path):
+    # the C parser feeds the same constructor, so the repeated-key refusal
+    # and the one-line report of malformed YAML stay as they were
+    if yaml.__with_libyaml__:
+        assert issubclass(files._Loader, yaml.CSafeLoader)
+    assert issubclass(files._Loader, yaml.constructor.SafeConstructor)
+    cases = [
+        ('  "11->21": id\n', '  "11->21": id\n  "11->21": id\n', "duplicate key '11->21'"),
+        ('"22": 1}', '"22": 1', "not valid YAML"),
+    ]
+    for old, new, needle in cases:
+        path = _grid2x3_variant(tmp_path, old, new)
+        code, out, err = run_cli(capsys, "invariant", "rank", path)
+        _one_line_error(code, err, "m.yaml", needle)
+        assert out == ""
 
 
 def test_cli_rejects_wrong_shape_matrix(capsys, tmp_path):

@@ -22,7 +22,6 @@ from spreadhom import (
     spread_from_convex,
 )
 from spreadhom.gallery import (
-    atilde5,
     chain,
     crown,
     fan,
