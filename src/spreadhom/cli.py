@@ -1,8 +1,8 @@
 """Command-line driver: validate files, print invariants, compare modules.
 
 Exit codes: 0 ok; 1 validation/parse failure; 2 well-posed but undecided
-(truncated resolution, cyclic Hom matrix, enumeration cap); 3 unsupported
-input (e.g. a barcode request off a path-shaped poset).
+(truncated resolution, enumeration cap); 3 unsupported input (e.g. a barcode
+request off a path-shaped poset).
 """
 from __future__ import annotations
 
@@ -12,11 +12,10 @@ import json
 import os
 import sys
 
-from .approx import check_family, resolve
+from .approx import resolve
 from .errors import (
     CapExceededError,
     FileFormatError,
-    HomMatrixSingularError,
     NotTypeAError,
     PosetMismatchError,
     ResolutionTruncatedError,
@@ -24,9 +23,9 @@ from .errors import (
 )
 from .field import DEFAULT_PRIME, PrimeField
 from .files import load_family, load_module, load_poset
-from .invariants import COMPARE_KINDS, barcode, invariant_key, rank_invariant
+from .invariants import COMPARE_KINDS, barcode, class_route, invariant_key
 
-INVARIANT_KINDS = ("dimvec", "rank", "class", "dimhom", "genrank", "diagram", "barcode", "resolve")
+INVARIANT_KINDS = COMPARE_KINDS + ("barcode", "resolve")
 FORMAT_TAG = "spreadhom.v1"
 FAMILY_OPTION = {"class": "family", "dimhom": "family", "resolve": "family",
                  "genrank": "collection", "diagram": "collection"}
@@ -76,26 +75,25 @@ def cmd_invariant(args) -> int:
     family = _family(args, poset)
     rep = Reporter(args.jsonl, "invariant", rep_options)
 
+    if kind in COMPARE_KINDS:
+        value = invariant_key(kind, module, family=family, max_depth=args.max_depth,
+                              collection=None if family is None else family.members)
+
     if kind == "dimvec":
-        dims = {poset.label(a): int(d) for a, d in enumerate(module.dims)}
+        dims = {poset.label(a): int(d) for a, d in enumerate(value)}
         rep.record(f"dimension vector: {dims}", record="invariant", kind=kind, dims=dims)
         return 0
 
     if kind == "rank":
-        rk = rank_invariant(module)
         entries = [
             [poset.label(a), poset.label(b), int(r)]
-            for (a, b), r in sorted(rk.entries.items())
+            for (a, b), r in sorted(value.entries.items())
         ]
-        rep.record(rk.table(), record="invariant", kind=kind, entries=entries)
+        rep.record(value.table(), record="invariant", kind=kind, entries=entries)
         return 0
 
-    if kind in COMPARE_KINDS:
-        value = invariant_key(kind, module, family=family, collection=family.members,
-                              max_depth=args.max_depth)
-
     if kind == "class":
-        route = "hom_matrix" if check_family(family).hom_acyclic else "resolution"
+        route = class_route(family)
         rep.record(
             f"class ({route}): {value.render()}",
             record="invariant", kind=kind, route=route, coeffs=value.nonzero(),
@@ -236,7 +234,7 @@ def main(argv=None) -> int:
         partial = f"; partial terms: {[list(t) for t in e.terms]}" if e.terms else ""
         print(f"undecided: {e}{partial}", file=sys.stderr)
         return 2
-    except (HomMatrixSingularError, CapExceededError) as e:
+    except CapExceededError as e:
         print(f"undecided: {e}", file=sys.stderr)
         return 2
     except NotTypeAError as e:

@@ -1,9 +1,10 @@
 """The invariant layer.
 
-Grothendieck-style classes relative to a family (two independent algorithms),
-dim-hom vectors, the classical rank invariant (directly and from hook Hom
-spaces), generalized ranks over connected spreads, signed diagrams by
-back-substitution in the containment order, the type-A barcode, and comparison.
+Grothendieck-style classes relative to a family (two independent algorithms,
+one of which `class_route` picks), dim-hom vectors, the classical rank
+invariant (directly and from hook Hom spaces), generalized ranks over
+connected spreads, signed diagrams by back-substitution in the containment
+order, the type-A barcode, and comparison.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import Family, builtin_family, check_family, resolve
+from .approx import Family, _member_homs, builtin_family, check_family, resolve
 from .errors import (
     DuplicateSpreadError,
     HomMatrixSingularError,
@@ -75,9 +76,9 @@ class GrothClass:
 
 
 def dim_hom_vector(x: Family, m: PersistenceModule) -> tuple[int, ...]:
-    """(dim Hom(R, m))_{R in x}; combinatorial when m itself is a spread module."""
-    mods = x.member_modules(m.field)
-    return tuple(hom_dim(r, m) for r in mods)
+    """(dim Hom(R, m))_{R in x}: the widths of the Yoneda bases that approximations use."""
+    homs = _member_homs(x, m)
+    return tuple(homs[j][1].shape[1] if j in homs else 0 for j in range(len(x)))
 
 
 def class_via_resolution(x: Family, m: PersistenceModule, max_depth: int = 32) -> GrothClass:
@@ -124,6 +125,14 @@ def class_via_hom_matrix(x: Family, m: PersistenceModule) -> GrothClass:
     rows = [[(j, len(comps)) for j, comps in row] for row in x.hom_rows()]
     c = _back_substitute(dim_hom_vector(x, m), rows, reversed(diag.topo_order))
     return GrothClass(x, c)
+
+
+def class_route(x: Family) -> str:
+    """The route by which `invariant_key` reads a class over x.
+
+    "hom_matrix" when the member Hom digraph is acyclic, "resolution" otherwise.
+    """
+    return "hom_matrix" if check_family(x).hom_acyclic else "resolution"
 
 
 @dataclass
@@ -249,13 +258,13 @@ def signed_diagram(m: PersistenceModule, collection) -> SignedDiagram:
 def barcode(m: PersistenceModule, cap: int = 100_000) -> GrothClass:
     """Interval multiplicities over a path-shaped poset, as a class.
 
-    Computed as the class relative to all connected spread modules, which on
-    such posets is finite-dimensional business: resolutions stop by depth 2.
+    The class relative to all connected spread modules, read by `invariant_key`
+    like any other class.  Type-A quivers are representation-directed, so the
+    member Hom digraph is acyclic and the class is back-substituted.
     """
     if m.poset.hasse_path_order() is None:
         raise NotTypeAError("the Hasse graph of the poset is not a simple path")
-    fam = builtin_family(m.poset, "connected_spreads", cap)
-    return class_via_resolution(fam, m)
+    return invariant_key("class", m, family=builtin_family(m.poset, "connected_spreads", cap))
 
 
 def invariant_key(kind: str, m: PersistenceModule, *, family: Family | None = None,
@@ -264,8 +273,7 @@ def invariant_key(kind: str, m: PersistenceModule, *, family: Family | None = No
 
     kind: dimvec | rank | class | dimhom | genrank | diagram.  class and
     dimhom need family=, genrank and diagram need collection=.  A class is
-    solved from the Hom matrix when the family's Hom digraph is acyclic and
-    read off the minimal resolution otherwise.
+    read by the route that `class_route` names.
     """
     if kind in ("class", "dimhom") and family is None:
         raise ValueError(f"kind {kind!r} needs family=")
@@ -276,7 +284,7 @@ def invariant_key(kind: str, m: PersistenceModule, *, family: Family | None = No
     if kind == "rank":
         return rank_invariant(m)
     if kind == "class":
-        if check_family(family).hom_acyclic:
+        if class_route(family) == "hom_matrix":
             return class_via_hom_matrix(family, m)
         return class_via_resolution(family, m, max_depth)
     if kind == "dimhom":

@@ -76,9 +76,6 @@ class PersistenceModule:
     def dimension_vector(self) -> tuple[int, ...]:
         return self.dims
 
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims)
 
@@ -282,27 +279,3 @@ def direct_sum(summands) -> PersistenceModule:
             c += blk.shape[1]
         maps[(a, b)] = out
     return PersistenceModule(p, field, dims, maps, validate=False)
-
-
-def summand_inclusions(total: PersistenceModule, summands) -> list[Morphism]:
-    """Inclusions of the given summands into their direct sum (block layout)."""
-    out = []
-    offsets = [0] * total.poset.n
-    for m in summands:
-        comps = []
-        for a in range(total.poset.n):
-            blk = total.field.zeros(total.dims[a], m.dims[a])
-            blk[offsets[a]:offsets[a] + m.dims[a], :] = total.field.eye(m.dims[a])
-            comps.append(blk)
-            offsets[a] += m.dims[a]
-        out.append(Morphism(m, total, comps, validate=False))
-    return out
-
-
-def identity_morphism(m: PersistenceModule) -> Morphism:
-    return Morphism(m, m, [m.field.eye(d) for d in m.dims], validate=False)
-
-
-def zero_morphism(source: PersistenceModule, target: PersistenceModule) -> Morphism:
-    comps = [source.field.zeros(target.dims[a], source.dims[a]) for a in range(source.poset.n)]
-    return Morphism(source, target, comps, validate=False)

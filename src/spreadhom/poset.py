@@ -288,16 +288,6 @@ class Poset:
 
     # -- structure tests -------------------------------------------------------
 
-    def principal_upsets_totally_ordered(self) -> bool:
-        """True when every up-set {x : a <= x} is a chain."""
-        for a in range(self._n):
-            ups = elements_of(self._up[a])
-            for i, x in enumerate(ups):
-                for y in ups[i + 1:]:
-                    if not (self.leq(x, y) or self.leq(y, x)):
-                        return False
-        return True
-
     def hasse_path_order(self) -> tuple[int, ...] | None:
         """Element order along the Hasse graph if it is a simple path, else None."""
         n = self._n
@@ -386,13 +376,9 @@ class SubPoset:
                     covers.append((i, index[b]))
         names = tuple(parent.label(e) for e in self.elements)
         self.poset = Poset(len(self.elements), covers, names)
-        self._index = index
 
     def to_parent(self, i: int) -> int:
         return self.elements[i]
-
-    def from_parent(self, a: int) -> int:
-        return self._index[a]
 
 
 @dataclass(frozen=True)

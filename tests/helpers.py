@@ -2,19 +2,20 @@
 
 The poset oracles are deliberately independent of the library internals:
 they work on explicit pair sets computed by graph search over cover lists,
-never on the bitmask machinery they are checking.  The approximation oracle
-at the end is the earlier production route, kept to hold its replacement to
-the same bytes.
+never on the bitmask machinery they are checking.  The module fixtures
+(inclusions of summands, zero morphisms) and the up-set predicate are used
+by tests only.  The approximation oracle at the end is the earlier
+production route, kept to hold its replacement to the same bytes.
 """
 
 import itertools
 
 import numpy as np
 
-from spreadhom import Poset
+from spreadhom import Morphism, Poset
 from spreadhom.approx import _assemble, _member_homs
 from spreadhom.hom import yoneda_values
-from spreadhom.poset import iter_mask
+from spreadhom.poset import elements_of, iter_mask
 
 
 def closure_pairs(n, covers):
@@ -116,6 +117,37 @@ def mask_to_set(mask):
         mask >>= 1
         i += 1
     return out
+
+
+def principal_upsets_totally_ordered(p):
+    """True when every up-set {x : a <= x} of p is a chain."""
+    for a in range(p.n):
+        ups = elements_of(p.up_mask(a))
+        for i, x in enumerate(ups):
+            for y in ups[i + 1:]:
+                if not (p.leq(x, y) or p.leq(y, x)):
+                    return False
+    return True
+
+
+def summand_inclusions(total, summands):
+    """Inclusions of the given summands into their direct sum (block layout)."""
+    out = []
+    offsets = [0] * total.poset.n
+    for m in summands:
+        comps = []
+        for a in range(total.poset.n):
+            blk = total.field.zeros(total.dims[a], m.dims[a])
+            blk[offsets[a]:offsets[a] + m.dims[a], :] = total.field.eye(m.dims[a])
+            comps.append(blk)
+            offsets[a] += m.dims[a]
+        out.append(Morphism(m, total, comps, validate=False))
+    return out
+
+
+def zero_morphism(source, target):
+    comps = [source.field.zeros(target.dims[a], source.dims[a]) for a in range(source.poset.n)]
+    return Morphism(source, target, comps, validate=False)
 
 
 def full_row_minimal_approximation(x, m):

@@ -47,6 +47,8 @@ from spreadhom.gallery import (
 )
 from spreadhom.randmod import random_module
 
+from helpers import principal_upsets_totally_ordered
+
 FIELD = PrimeField()
 
 
@@ -206,7 +208,7 @@ def test_criterion_05_single_source_classes_refine_rank(capsys):
 
     blind_fail = []
     for name, p in generator_posets(max_n=6):
-        if p.principal_upsets_totally_ordered():
+        if principal_upsets_totally_ordered(p):
             continue
         m, n = rank_blind_pair(p, FIELD)
         x = families[name]

@@ -325,10 +325,10 @@ def test_minimal_matches_greedy_oracle(field, rng):
             assert mult == _greedy_minimal(x, m), (fam, m.dimension_vector())
             # domain multiplicities are what the vector says
             dom_dim = sum(
-                k * spread_module(s, field).total_dim()
+                k * sum(spread_module(s, field).dims)
                 for k, s in zip(mult, x.members)
             )
-            assert f.source.total_dim() == dom_dim
+            assert sum(f.source.dims) == dom_dim
 
 
 def _assert_matches_full_row_oracle(x, m, depth=3):

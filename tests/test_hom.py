@@ -21,7 +21,6 @@ from spreadhom import (
     spread_from_antichains,
     spread_hom_dim,
     spread_module,
-    zero_morphism,
 )
 from spreadhom.gallery import (
     chain,
@@ -34,6 +33,8 @@ from spreadhom.gallery import (
 )
 from spreadhom.hom import _submodule, yoneda_basis
 from spreadhom.randmod import random_module
+
+from helpers import zero_morphism
 
 
 def test_grid5x3_pair_has_one_dim_hom(field):

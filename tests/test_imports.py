@@ -43,6 +43,17 @@ def unused_imports(src=SRC):
     return found
 
 
+def export_mismatch(init=SRC / "__init__.py"):
+    """Names the package module imports but leaves out of `__all__`, or lists but never imports."""
+    tree = ast.parse(init.read_text(), str(init))
+    listed = next(
+        [elt.value for elt in node.value.elts]
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    )
+    return sorted(set(_imports(tree)) ^ set(listed)) + sorted({n for n in listed if listed.count(n) > 1})
+
+
 def test_library_modules_read_every_name_they_import():
     assert unused_imports() == []
 
@@ -53,3 +64,14 @@ def test_the_scan_sees_an_unused_import(tmp_path):
     (tmp_path / "c.py").write_text("from .a import os\nos.getcwd()\n")
     # a.y is never read; b's names are read by a's import; a.os by c's
     assert unused_imports(tmp_path) == ["a.py:2 y"]
+
+
+def test_package_exports_exactly_what_it_imports():
+    assert export_mismatch() == []
+
+
+def test_the_export_check_sees_a_name_left_behind(tmp_path):
+    init = tmp_path / "__init__.py"
+    init.write_text('from . import errors\nfrom .a import x, y\n__all__ = ["errors", "x", "z", "x"]\n')
+    # y is imported but not listed, z listed but not imported, x listed twice
+    assert export_mismatch(init) == ["y", "z", "x"]

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from spreadhom import (
     UnknownInvariantError,
     barcode,
     builtin_family,
+    check_family,
     class_via_hom_matrix,
     class_via_resolution,
     compare,
@@ -38,6 +40,7 @@ from spreadhom import (
     spread_module,
     zero_module,
 )
+from spreadhom import approx, invariants
 from spreadhom.gallery import (
     branching_vertex,
     chain,
@@ -53,6 +56,8 @@ from spreadhom.gallery import (
 from spreadhom.invariants import COMPARE_KINDS
 from spreadhom.poset import elements_of, mask_of
 from spreadhom.randmod import base_change, random_module, random_spread_sum
+
+from helpers import principal_upsets_totally_ordered
 
 
 # -- dim-hom vectors ----------------------------------------------------------
@@ -73,6 +78,29 @@ def test_dim_hom_vector_upset_entries_are_fiber_dims(field, rng):
             mins = elements_of(p.minimal_elements(s.support))
             if len(mins) == 1 and s.support == p.up_mask(mins[0]):
                 assert d == m.dim(mins[0])
+
+
+DIMHOM_FAMILIES = {
+    (name, fam): builtin_family(p, fam)
+    for name, p in generator_posets(max_n=5)
+    for fam in ("connected_spreads", "single_source")
+}
+
+
+@given(st.sampled_from(sorted(DIMHOM_FAMILIES)), st.sampled_from(["random", "spread", "zero"]),
+       st.integers(0, 10_000))
+def test_dim_hom_vector_matches_hom_dim_over_member_modules(key, target, seed):
+    # the Yoneda widths against the routed hom_dim of each built member module
+    field = PrimeField()
+    rng = random.Random(seed)
+    x = DIMHOM_FAMILIES[key]
+    if target == "random":
+        m = random_module(x.poset, field, rng)
+    elif target == "spread":
+        m = spread_module(rng.choice(DIMHOM_FAMILIES[key[0], "connected_spreads"].members), field)
+    else:
+        m = zero_module(x.poset, field)
+    assert dim_hom_vector(x, m) == tuple(hom_dim(r, m) for r in x.member_modules(field))
 
 
 # -- Grothendieck classes -------------------------------------------------------
@@ -351,6 +379,31 @@ def test_barcode_zigzag(field, rng):
         assert dim_hom_vector(x, rebuilt) == dim_hom_vector(x, m)
 
 
+def test_barcode_is_the_resolution_class_on_every_small_path(field, rng):
+    # type A is representation-directed: the connected spreads of a path
+    # poset have an acyclic Hom digraph, so the barcode is back-substituted
+    for n in range(1, 7):
+        for pattern in itertools.product("ud", repeat=n - 1):
+            p = path_poset("".join(pattern))
+            x = builtin_family(p, "connected_spreads")
+            assert check_family(x).hom_acyclic, pattern
+            for _ in range(2):
+                m = random_module(p, field, rng)
+                assert barcode(m) == class_via_resolution(x, m), (pattern, m.dims)
+
+
+def test_barcode_never_resolves(field, rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("barcode resolved")
+
+    monkeypatch.setattr(approx, "resolve", refuse)
+    monkeypatch.setattr(invariants, "resolve", refuse)
+    p = path_poset("udud")
+    for m in (random_module(p, field, rng), zero_module(p, field)):
+        bc = barcode(m)
+        assert sum(c * len(s) for s, c in zip(bc.family.members, bc.coeffs)) == sum(m.dims)
+
+
 def test_barcode_rejects_branching(field):
     with pytest.raises(NotTypeAError):
         barcode(zero_module(grid(2, 2), field))
@@ -374,7 +427,7 @@ def test_equal_rank_pair_rank_equal_class_distinct(field):
 
 def test_rank_blind_pair_on_every_branching_poset(field):
     for name, p in generator_posets(max_n=6):
-        if p.principal_upsets_totally_ordered():
+        if principal_upsets_totally_ordered(p):
             assert branching_vertex(p) is None or name == "atilde5"
             continue
         m, mprime = rank_blind_pair(p, field)

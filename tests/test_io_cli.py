@@ -29,7 +29,7 @@ from spreadhom.files import (
     load_poset,
 )
 from spreadhom.gallery import atilde5
-from spreadhom.invariants import COMPARE_KINDS
+from spreadhom.invariants import COMPARE_KINDS, class_route
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -247,6 +247,21 @@ def test_cli_class_intervals(capsys):
     assert code == 0
     assert "hom_matrix" in out
     assert "[00,11]" in out
+
+
+@pytest.mark.parametrize("module, options, route", [
+    ("equal_rank_mprime.yaml", ["--family", "intervals"], "hom_matrix"),
+    ("m16.yaml", ["--family", "connected_spreads", "--max-depth", "8"], "resolution"),
+])
+def test_cli_class_route_is_class_route(capsys, field, module, options, route):
+    path = str(DATA / module)
+    code, out, _ = run_cli(capsys, "invariant", "class", path, *options, "--jsonl")
+    assert code == 0
+    record = json.loads(out.splitlines()[-1])
+    _, poset, _ = load_module(path, field)
+    assert record["route"] == class_route(load_family(options[1], poset, 100_000)) == route
+    code, out, _ = run_cli(capsys, "invariant", "class", path, *options)
+    assert code == 0 and out.startswith(f"class ({route}): ")
 
 
 def test_cli_resolve_truncates_with_exit_2(capsys):
