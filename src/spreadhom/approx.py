@@ -47,7 +47,9 @@ from .modules import (
     spread_module,
     zero_module,
 )
-from .poset import BUILTIN_FAMILIES, Poset, enumerate_spreads, iter_mask, kahn_order
+from .poset import BUILTIN_FAMILIES, DEFAULT_CAP, Poset, enumerate_spreads, iter_mask, kahn_order
+
+DEFAULT_MAX_DEPTH = 32  # most terms one resolution computes before it is truncated
 
 
 class Family:
@@ -148,7 +150,7 @@ class Family:
         return tuple(tuple(len(row.get(j, ())) for j in range(n)) for row in map(dict, self.hom_rows()))
 
 
-def builtin_family(poset: Poset, name: str, cap: int = 100_000) -> Family:
+def builtin_family(poset: Poset, name: str, cap: int = DEFAULT_CAP) -> Family:
     """One of the named families; see BUILTIN_FAMILIES."""
     return Family(poset, enumerate_spreads(poset, name, cap))
 
@@ -228,12 +230,6 @@ def _assemble(x: Family, m: PersistenceModule, coords) -> Morphism:
     return f
 
 
-def universal_approximation(x: Family, m: PersistenceModule) -> Morphism:
-    """The epimorphism ⊕_R R^{dim Hom(R,m)} -> m collecting full Hom bases."""
-    _require_coverage(x)
-    return _assemble(x, m, _member_homs(x, m))
-
-
 def minimal_approximation(x: Family, m: PersistenceModule):
     """Multiplicity vector and morphism of the minimal right approximation.
 
@@ -308,7 +304,7 @@ def _kernel_signature(x: Family, k: PersistenceModule):
     return k.dims, {j: w.shape[1] for j, (_, w) in _member_homs(x, k).items()}
 
 
-def resolve(x: Family, m: PersistenceModule, max_depth: int = 32) -> Resolution:
+def resolve(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH) -> Resolution:
     """Resolve m by minimal approximations until the kernel dies or depth runs out."""
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
@@ -345,7 +341,7 @@ def resolve(x: Family, m: PersistenceModule, max_depth: int = 32) -> Resolution:
     )
 
 
-def x_dimension(x: Family, m: PersistenceModule, max_depth: int = 32) -> int | None:
+def x_dimension(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH) -> int | None:
     """Length of the minimal resolution, or None when truncation leaves it unknown."""
     res = resolve(x, m, max_depth)
     if res.status != "finite":

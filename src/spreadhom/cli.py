@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .approx import resolve
+from .approx import DEFAULT_MAX_DEPTH, resolve
 from .errors import (
     CapExceededError,
     FileFormatError,
@@ -24,6 +24,7 @@ from .errors import (
 from .field import DEFAULT_PRIME, PrimeField
 from .files import load_family, load_module, load_poset
 from .invariants import COMPARE_KINDS, barcode, class_route, invariant_key
+from .poset import DEFAULT_CAP
 
 INVARIANT_KINDS = COMPARE_KINDS + ("barcode", "resolve")
 FORMAT_TAG = "spreadhom.v1"
@@ -190,10 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--prime", type=int, default=DEFAULT_PRIME,
                        help=f"field characteristic (default {DEFAULT_PRIME})")
-        p.add_argument("--max-depth", type=int, default=32, dest="max_depth",
-                       help="resolution depth limit (default 32)")
-        p.add_argument("--cap", type=int, default=100_000,
-                       help="spread enumeration cap (default 100000)")
+        p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH, dest="max_depth",
+                       help=f"resolution depth limit (default {DEFAULT_MAX_DEPTH})")
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                       help=f"spread enumeration cap (default {DEFAULT_CAP})")
         p.add_argument("--jsonl", action="store_true",
                        help="emit line-delimited records instead of text")
 

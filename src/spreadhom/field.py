@@ -109,10 +109,7 @@ class PrimeField:
         return a, tuple(pivots)
 
     def rank(self, m) -> int:
-        a = np.asarray(m)
-        if a.size == 0:
-            return 0
-        return len(self.rref(a)[1])
+        return len(self.rref(m)[1])
 
     def kernel_basis(self, m) -> np.ndarray:
         """Columns form the canonical basis of {v : m v = 0}.

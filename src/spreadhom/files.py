@@ -17,7 +17,7 @@ from .approx import BUILTIN_FAMILIES, Family, builtin_family
 from .errors import CommutativityError, FileFormatError, ShapeError, SpreadHomError
 from .field import PrimeField
 from .modules import PersistenceModule
-from .poset import Poset, Spread, spread_from_antichains
+from .poset import DEFAULT_CAP, Poset, Spread, spread_from_antichains
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -194,7 +194,7 @@ def _parse_spread(path: str, item, poset: Poset) -> Spread:
     return spread_from_antichains(poset, sources, targets)
 
 
-def load_family(spec: str, poset: Poset, cap: int = 100_000) -> Family:
+def load_family(spec: str, poset: Poset, cap: int = DEFAULT_CAP) -> Family:
     """A builtin family name, or a path to a family file.
 
     A family file is `{family: <builtin name>}` or `{spreads: [...]}`; any

@@ -1,7 +1,7 @@
 """Hom spaces between persistence modules.
 
-`hom_dim` and `hom_basis` take one of three routes, chosen by the spread tags
-of the endpoints alone:
+`hom_basis` takes one of three routes, chosen by the spread tags of the
+endpoints alone, and `hom_dim` is the size of its basis:
 
 - both modules are tagged with their spread: the combinatorial route.  The
   basis is one indicator morphism per valid component of the intersection
@@ -11,16 +11,17 @@ of the endpoints alone:
   the targets of T above it, hence one of each.
 - only the source is a tagged spread module M_S: Yoneda.  M_S is a quotient
   of ⊕_{a ∈ min S} P_a and Hom(P_a, N) = N_a, so a morphism is a tuple
-  (v_a) in ⊕ N_a whose pushes N(a -> x) v_a agree at every x in S
-  (`agreement_system`) and vanish across every cover leaving S
-  (`yoneda_basis`).  Hom(M_S, N) is 0 when N is 0 at every source of S,
-  since it embeds in ⊕ N_a.
+  (v_a) in ⊕ N_a whose pushes N(a -> x) v_a agree on S
+  (`agreement_system`) and vanish off S (`yoneda_basis`).  Each equation is
+  written once, at the minimal elements where it starts.  Hom(M_S, N) is 0
+  when N is 0 at every source of S, since it embeds in ⊕ N_a.
 - an untagged source: `naturality_basis`, one linear system over all covers.
   It solves any pair, and the tests hold the other two routes against it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -112,65 +113,46 @@ def stacked_offsets(mask: int, n: PersistenceModule) -> tuple[dict[int, int], in
 def agreement_system(s: Spread, n: PersistenceModule) -> tuple[np.ndarray, dict[int, int]]:
     """Equations on (v_a)_{a in sources(s)}, stacked in ⊕ n_a; returns (system, offsets).
 
-    Each x in S has N(a0 -> x) v_a0 = N(a -> x) v_a for its least source a0
-    and every other source a below it.  The kernel is the limit of n over S,
-    read off at the sources.
+    Each pair of sources a, b writes N(a -> x) v_a = N(b -> x) v_b once, at
+    each minimal x of S ∩ up(a) ∩ up(b).  At any higher x' of that set the
+    equation is this one pushed along N(x -> x'), so the kernel is the same
+    as with every pair at every x: the limit of n over S, read off at the
+    sources.
     """
     p = s.poset
     offsets, total = stacked_offsets(s.sources, n)
     rows = [np.zeros((0, total), dtype=np.int64)]
     if not total or not s.sources & (s.sources - 1):  # no unknowns, or one source
         return rows[0], offsets
-    for x in iter_mask(s.support):
-        below = s.sources & p.down_mask(x)
-        if not n.dims[x] or not below & (below - 1):  # fewer than two sources below x
-            continue
-        a0 = (below & -below).bit_length() - 1
-        for a in iter_mask(below & ~(1 << a0)):
-            r = np.zeros((n.dims[x], total), dtype=np.int64)
-            r[:, offsets[a0]:offsets[a0] + n.dims[a0]] = n.map_along(a0, x)
-            r[:, offsets[a]:offsets[a] + n.dims[a]] = n.field.neg(n.map_along(a, x))
-            rows.append(r)
-    return np.concatenate(rows), offsets
-
-
-def _yoneda_system(s: Spread, n: PersistenceModule) -> tuple[np.ndarray, dict[int, int]]:
-    """The agreement system, plus N(a0 -> y) v_a0 = 0 for each cover x -> y leaving S.
-
-    With one source a there is nothing to agree on, and the system is the
-    stack of N(a -> y) over the y that a cover leaves S for; row order and
-    repeats do not change its kernel.
-    """
-    p = s.poset
-    if not s.sources & (s.sources - 1):
-        a = s.sources.bit_length() - 1
-        exits = 0
-        for x in iter_mask(s.support):
-            for y in p.children(x):
-                exits |= 1 << y
-        rows = [n.map_along(a, y) for y in iter_mask(exits & ~s.support) if n.dims[y]]
-        return np.concatenate(rows) if rows else np.zeros((0, n.dims[a]), dtype=np.int64), {a: 0}
-    agree, offsets = agreement_system(s, n)
-    total = agree.shape[1]
-    if not total:  # n vanishes at every source of s, so Hom(M_s, n) is 0
-        return agree, offsets
-    rows = [agree]
-    exits = set()
-    for x in iter_mask(s.support):
-        a0 = _least_source_below(s, x)
-        for y in p.children(x):
-            if not (s.support >> y & 1) and n.dims[y] and (a0, y) not in exits:
-                exits.add((a0, y))
-                r = np.zeros((n.dims[y], total), dtype=np.int64)
-                r[:, offsets[a0]:offsets[a0] + n.dims[a0]] = n.map_along(a0, y)
+    for a, b in combinations(iter_mask(s.sources), 2):
+        for x in iter_mask(p.minimal_elements(s.support & p.up_mask(a) & p.up_mask(b))):
+            if n.dims[x]:
+                r = np.zeros((n.dims[x], total), dtype=np.int64)
+                r[:, offsets[a]:offsets[a] + n.dims[a]] = n.map_along(a, x)
+                r[:, offsets[b]:offsets[b] + n.dims[b]] = n.field.neg(n.map_along(b, x))
                 rows.append(r)
     return np.concatenate(rows), offsets
 
 
 def yoneda_basis(s: Spread, n: PersistenceModule) -> tuple[dict[int, int], np.ndarray]:
-    """Hom(M_s, n) in source coordinates: (row offset of each source in ⊕ n_a, basis columns)."""
-    system, offsets = _yoneda_system(s, n)
-    return offsets, n.field.kernel_basis(system)
+    """Hom(M_s, n) in source coordinates: (row offset of each source in ⊕ n_a, basis columns).
+
+    The system is the agreement system plus N(a -> y) v_a = 0 for each source
+    a and each minimal y of up(a) outside S.  A morphism vanishes off S, so
+    these rows hold on Hom; the vanishing at any other y ≥ a outside S is one
+    of them pushed along N(y' -> y), for a minimal y' ≤ y.  So the solution
+    space is Hom(M_s, n) itself.
+    """
+    p = s.poset
+    agree, offsets = agreement_system(s, n)
+    rows = [agree]
+    for a in iter_mask(s.sources):
+        for y in iter_mask(p.minimal_elements(p.up_mask(a) & ~s.support)):
+            if n.dims[y]:
+                r = np.zeros((n.dims[y], agree.shape[1]), dtype=np.int64)
+                r[:, offsets[a]:offsets[a] + n.dims[a]] = n.map_along(a, y)
+                rows.append(r)
+    return offsets, n.field.kernel_basis(np.concatenate(rows))
 
 
 def yoneda_values(s: Spread, n: PersistenceModule, offsets, w: np.ndarray, x: int) -> np.ndarray:
@@ -227,15 +209,8 @@ def hom_basis(m: PersistenceModule, n: PersistenceModule) -> HomBasis:
 
 
 def hom_dim(m: PersistenceModule, n: PersistenceModule) -> int:
-    """dim Hom(m, n), by the same routes as `hom_basis`."""
-    _check_endpoints(m, n)
-    if m.spread is None:
-        system = _naturality_system(m, n)
-    elif n.spread is not None:
-        return spread_hom_dim(m.spread, n.spread)
-    else:
-        system, _ = _yoneda_system(m.spread, n)
-    return system.shape[1] - m.field.rank(system)
+    """dim Hom(m, n): the size of `hom_basis`."""
+    return hom_basis(m, n).dim
 
 
 def spread_hom_components(s: Spread, t: Spread) -> tuple[int, ...]:

@@ -9,10 +9,11 @@ order, the type-A barcode, and comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .approx import Family, _member_homs, builtin_family, check_family, resolve
+from .approx import DEFAULT_MAX_DEPTH, Family, _member_homs, builtin_family, check_family, resolve
 from .errors import (
     DuplicateSpreadError,
     HomMatrixSingularError,
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .hom import agreement_system, hom_dim, stacked_offsets
 from .modules import PersistenceModule, hook_module
-from .poset import Poset, Spread, iter_mask
+from .poset import DEFAULT_CAP, Poset, Spread, iter_mask
 
 COMPARE_KINDS = ("dimvec", "rank", "class", "dimhom", "genrank", "diagram")
 
@@ -81,7 +82,7 @@ def dim_hom_vector(x: Family, m: PersistenceModule) -> tuple[int, ...]:
     return tuple(homs[j][1].shape[1] if j in homs else 0 for j in range(len(x)))
 
 
-def class_via_resolution(x: Family, m: PersistenceModule, max_depth: int = 32) -> GrothClass:
+def class_via_resolution(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH) -> GrothClass:
     """Alternating sum of the terms of the minimal resolution."""
     res = resolve(x, m, max_depth)
     if res.status != "finite":
@@ -182,10 +183,13 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
     """Rank of the canonical map from the limit to the colimit of m over the spread.
 
     The limit is the kernel of the agreement system in ⊕_{a ∈ min S} m_a.  The
-    colimit is ⊕_{b ∈ max S} m_b modulo m(x -> b0) w - m(x -> b) w, for each
-    x in S, its least target b0 above x and each other target b above x.
-    The canonical map pushes the limit's value at a source to a target above
-    that source (any pair will do, by connectedness).
+    colimit is ⊕_{b ∈ max S} m_b modulo m(x -> b) w - m(x -> c) w, written
+    once for each pair of targets b, c and each maximal x of
+    S ∩ down(b) ∩ down(c).  At any lower x' of that set the relation is this
+    one pulled back along m(x' -> x), so the relations span the same
+    subspace as with every pair at every x.  The canonical map pushes the
+    limit's value at a source to a target above that source (any pair will
+    do, by connectedness).
     """
     if s.poset is not m.poset and s.poset != m.poset:
         raise PosetMismatchError("the spread and the module live over different posets")
@@ -198,18 +202,15 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
     tgt, total = stacked_offsets(s.targets, m)
     if lim.shape[1] == 0 or total == 0:
         return 0
-    cols = []
-    for x in iter_mask(s.support):
-        if not m.dims[x]:
-            continue
-        above = s.targets & p.up_mask(x)
-        b0 = next(iter_mask(above))
-        for b in iter_mask(above & ~(1 << b0)):
-            col = np.zeros((total, m.dims[x]), dtype=np.int64)
-            col[tgt[b0]:tgt[b0] + m.dims[b0], :] = m.map_along(x, b0)
-            col[tgt[b]:tgt[b] + m.dims[b], :] = field.neg(m.map_along(x, b))
-            cols.append(col)
-    rel = np.concatenate(cols, axis=1) if cols else np.zeros((total, 0), dtype=np.int64)
+    cols = [np.zeros((total, 0), dtype=np.int64)]
+    for b, c in combinations(iter_mask(s.targets), 2):
+        for x in iter_mask(p.maximal_elements(s.support & p.down_mask(b) & p.down_mask(c))):
+            if m.dims[x]:
+                col = np.zeros((total, m.dims[x]), dtype=np.int64)
+                col[tgt[b]:tgt[b] + m.dims[b], :] = m.map_along(x, b)
+                col[tgt[c]:tgt[c] + m.dims[c], :] = field.neg(m.map_along(x, c))
+                cols.append(col)
+    rel = np.concatenate(cols, axis=1)
     a = next(iter_mask(s.sources))
     b = next(iter_mask(s.targets & p.up_mask(a)))
     image = np.zeros((total, lim.shape[1]), dtype=np.int64)
@@ -255,7 +256,7 @@ def signed_diagram(m: PersistenceModule, collection) -> SignedDiagram:
     return SignedDiagram(collection, coeffs)
 
 
-def barcode(m: PersistenceModule, cap: int = 100_000) -> GrothClass:
+def barcode(m: PersistenceModule, cap: int = DEFAULT_CAP) -> GrothClass:
     """Interval multiplicities over a path-shaped poset, as a class.
 
     The class relative to all connected spread modules, read by `invariant_key`
@@ -268,7 +269,7 @@ def barcode(m: PersistenceModule, cap: int = 100_000) -> GrothClass:
 
 
 def invariant_key(kind: str, m: PersistenceModule, *, family: Family | None = None,
-                  collection=None, max_depth: int = 32):
+                  collection=None, max_depth: int = DEFAULT_MAX_DEPTH):
     """The value of the named invariant of m that `compare` tests for equality.
 
     kind: dimvec | rank | class | dimhom | genrank | diagram.  class and

@@ -21,6 +21,8 @@ from .errors import (
     RedundantCoverError,
 )
 
+DEFAULT_CAP = 100_000  # most spreads one enumeration may produce
+
 BUILTIN_FAMILIES = (
     "projectives",
     "hooks",
@@ -463,7 +465,7 @@ def _antichain_masks(p: Poset, ground: int) -> Iterator[int]:
         stack.append((i + 1, cur))
 
 
-def enumerate_spreads(p: Poset, kind: str, cap: int = 100_000) -> list[Spread]:
+def enumerate_spreads(p: Poset, kind: str, cap: int = DEFAULT_CAP) -> list[Spread]:
     """Enumerate the spreads of one of the BUILTIN_FAMILIES, sorted by support bitmask.
 
     projectives (the principal up-sets), hooks (including the one-endpoint

@@ -4,17 +4,19 @@ The poset oracles are deliberately independent of the library internals:
 they work on explicit pair sets computed by graph search over cover lists,
 never on the bitmask machinery they are checking.  The module fixtures
 (inclusions of summands, zero morphisms) and the up-set predicate are used
-by tests only.  The approximation oracle at the end is the earlier
-production route, kept to hold its replacement to the same bytes.
+by tests only.  The limit and colimit oracle writes every equation out, at
+every element of the spread.  The approximation oracle at the end is the
+earlier production route, kept to hold its replacement to the same bytes.
 """
 
 import itertools
 
 import numpy as np
 
-from spreadhom import Morphism, Poset
+from spreadhom import Morphism, Poset, enumerate_spreads
 from spreadhom.approx import _assemble, _member_homs
-from spreadhom.hom import yoneda_values
+from spreadhom.gallery import atilde5, crown, funnel, grid
+from spreadhom.hom import stacked_offsets, yoneda_values
 from spreadhom.poset import elements_of, iter_mask
 
 
@@ -148,6 +150,47 @@ def summand_inclusions(total, summands):
 def zero_morphism(source, target):
     comps = [source.field.zeros(target.dims[a], source.dims[a]) for a in range(source.poset.n)]
     return Morphism(source, target, comps, validate=False)
+
+
+# posets with multi-source and multi-target spreads, for the spread-system oracles
+ORACLE_POSETS = {"grid3x3": grid(3, 3), "funnel": funnel(), "crown2": crown(2), "atilde5": atilde5()}
+ORACLE_SPREADS = {k: enumerate_spreads(p, "connected_spreads") for k, p in ORACLE_POSETS.items()}
+
+
+def unreduced_limit_colimit(m, s):
+    """The limit of m over s and the rank of the canonical map to the colimit.
+
+    Every equation is written at every x in s: the limit is cut out of
+    ⊕ m_a over the sources a by m(a -> x) v_a = m(b -> x) v_b for every pair
+    of sources a, b below x, and the colimit is ⊕ m_b over the targets b
+    modulo m(x -> b) w - m(x -> c) w for every pair of targets b, c above x.
+    The canonical map pushes the limit from the last source to the last
+    target above it.  Returns (the canonical basis of the limit, the rank).
+    """
+    p, field = m.poset, m.field
+    sources, targets = elements_of(s.sources), elements_of(s.targets)
+    src, n_src = stacked_offsets(s.sources, m)
+    tgt, n_tgt = stacked_offsets(s.targets, m)
+    equations = [np.zeros((0, n_src), dtype=np.int64)]
+    relations = [np.zeros((n_tgt, 0), dtype=np.int64)]
+    for x in elements_of(s.support):
+        for a, b in itertools.combinations([a for a in sources if p.leq(a, x)], 2):
+            row = np.zeros((m.dims[x], n_src), dtype=np.int64)
+            row[:, src[a]:src[a] + m.dims[a]] = m.map_along(a, x)
+            row[:, src[b]:src[b] + m.dims[b]] = field.neg(m.map_along(b, x))
+            equations.append(row)
+        for b, c in itertools.combinations([b for b in targets if p.leq(x, b)], 2):
+            col = np.zeros((n_tgt, m.dims[x]), dtype=np.int64)
+            col[tgt[b]:tgt[b] + m.dims[b]] = m.map_along(x, b)
+            col[tgt[c]:tgt[c] + m.dims[c]] = field.neg(m.map_along(x, c))
+            relations.append(col)
+    limit = field.kernel_basis(np.concatenate(equations))
+    rel = np.concatenate(relations, axis=1)
+    a = sources[-1]
+    b = [b for b in targets if p.leq(a, b)][-1]
+    image = np.zeros((n_tgt, limit.shape[1]), dtype=np.int64)
+    image[tgt[b]:tgt[b] + m.dims[b]] = field.matmul(m.map_along(a, b), limit[src[a]:src[a] + m.dims[a]])
+    return limit, field.rank(np.concatenate([rel, image], axis=1)) - field.rank(rel)
 
 
 def full_row_minimal_approximation(x, m):

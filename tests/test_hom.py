@@ -34,7 +34,7 @@ from spreadhom.gallery import (
 from spreadhom.hom import _submodule, yoneda_basis
 from spreadhom.randmod import random_module
 
-from helpers import zero_morphism
+from helpers import ORACLE_POSETS, ORACLE_SPREADS, zero_morphism
 
 
 def test_grid5x3_pair_has_one_dim_hom(field):
@@ -105,6 +105,24 @@ def test_yoneda_route_matches_solver(name, seed):
         assert field.rank(got.matrix()) == field.rank(both) == want.dim, s.render()
         for f in got.basis:
             Morphism(m, n, f.components)  # full naturality validation
+
+
+@given(st.sampled_from(sorted(ORACLE_POSETS)), st.integers(0, 10_000))
+def test_yoneda_basis_is_the_canonical_basis_of_the_solver_span(name, seed):
+    # every column pinned: the solver's basis, read at the sources, spans
+    # Hom(M_s, n) in ⊕ n_a, and the kernel of the kernel of its transpose is
+    # the canonical basis of that span
+    field = PrimeField()
+    n = random_module(ORACLE_POSETS[name], field, random.Random(seed))
+    for s in ORACLE_SPREADS[name]:
+        offsets, w = yoneda_basis(s, n)
+        assert list(offsets) == list(s.source_elements())
+        basis = naturality_basis(spread_module(s, field), n).basis
+        v = np.zeros((sum(n.dims[a] for a in offsets), len(basis)), dtype=np.int64)
+        for j, f in enumerate(basis):
+            v[:, j] = np.concatenate([f.components[a][:, 0] for a in offsets])
+        want = field.kernel_basis(field.kernel_basis(v.T).T)
+        assert np.array_equal(w, want), s.render()
 
 
 def test_hom_basis_methods(field):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from spreadhom import (
     HomMatrixSingularError,
     NotConnectedError,
     NotTypeAError,
+    PersistenceModule,
+    Poset,
     PosetMismatchError,
     PrimeField,
     ResolutionTruncatedError,
@@ -28,9 +31,11 @@ from spreadhom import (
     enumerate_spreads,
     generalized_rank,
     generalized_rank_vector,
+    hom_basis,
     hom_dim,
     interval_module,
     invariant_key,
+    kernel_module,
     rank_invariant,
     rank_via_hooks,
     signed_diagram,
@@ -53,11 +58,12 @@ from spreadhom.gallery import (
     rank_blind_pair,
     equal_rank_pair,
 )
+from spreadhom.hom import agreement_system
 from spreadhom.invariants import COMPARE_KINDS
 from spreadhom.poset import elements_of, mask_of
 from spreadhom.randmod import base_change, random_module, random_spread_sum
 
-from helpers import principal_upsets_totally_ordered
+from helpers import ORACLE_POSETS, ORACLE_SPREADS, principal_upsets_totally_ordered, unreduced_limit_colimit
 
 
 # -- dim-hom vectors ----------------------------------------------------------
@@ -259,6 +265,37 @@ def test_generalized_rank_counts_summands_containing_the_spread(name, prime, see
     for s in spreads:
         want = sum(s.support & ~t.support == 0 for t in picks)
         assert generalized_rank(m, s) == want, (s.render(), [t.render() for t in picks])
+
+
+@given(st.sampled_from(sorted(ORACLE_POSETS)), st.integers(0, 10_000))
+def test_generalized_rank_matches_the_unreduced_oracle(name, seed):
+    # every limit equation and colimit relation written at every element of
+    # the spread: the same limit basis and the same rank, on a random module
+    # and on the kernel of a random morphism out of it
+    field = PrimeField()
+    rng = random.Random(seed)
+    p = ORACLE_POSETS[name]
+    m, n = random_module(p, field, rng), random_module(p, field, rng)
+    hb = hom_basis(m, n)
+    kernel, _ = kernel_module(hb.linear_combination([rng.randrange(field.p) for _ in hb.basis]))
+    for mod in (m, kernel):
+        for s in ORACLE_SPREADS[name]:
+            limit, want = unreduced_limit_colimit(mod, s)
+            assert np.array_equal(field.kernel_basis(agreement_system(s, mod)[0]), limit), s.render()
+            assert generalized_rank(mod, s) == want, s.render()
+
+
+def test_generalized_rank_relations_start_at_the_largest_common_lower_bound(field):
+    # x0 < x1 < b, c: the relation at x1 kills the image of the limit, while
+    # its pullback to x0 alone would leave rank 1
+    p = Poset(4, [(0, 1), (1, 2), (1, 3)], ["x0", "x1", "b", "c"])
+    m = PersistenceModule(p, field, (1, 2, 1, 1), {
+        (0, 1): field.arr([[1], [0]]),
+        (1, 2): field.arr([[1, 1]]),
+        (1, 3): field.arr([[1, 0]]),
+    })
+    s = spread_from_convex(p, ["x0", "x1", "b", "c"])
+    assert generalized_rank(m, s) == unreduced_limit_colimit(m, s)[1] == 0
 
 
 def test_generalized_rank_additive(field, rng):
