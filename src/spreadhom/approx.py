@@ -258,9 +258,17 @@ def minimal_approximation(x: Family, m: PersistenceModule):
     multiplicities = [0] * len(members)
     chosen = {}  # i -> (offsets, the picked columns of the basis)
     for i, (offsets, w) in homs.items():
-        blocks = []
-        for j, sources in generators[i]:
-            if j in homs:
+        radical = [(j, sources) for j, sources in generators[i] if j in homs]
+        if not radical:  # w is a basis: every column is a pivot
+            multiplicities[i] = w.shape[1]
+            chosen[i] = (offsets, w)
+            continue
+        if len(offsets) == 1:  # the one source of R_i lies in every component
+            (a,) = offsets
+            blocks = [value_at(j, a) for j, _ in radical]
+        else:
+            blocks = []
+            for j, sources in radical:
                 block = field.zeros(w.shape[0], homs[j][1].shape[1])
                 for a in iter_mask(sources):
                     block[offsets[a]:offsets[a] + m.dims[a]] = value_at(j, a)

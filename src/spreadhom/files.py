@@ -136,6 +136,7 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
         raise FileFormatError(f"{path}: 'maps' must map 'a->b' keys to matrices")
     maps = {}
     keys = {}
+    covers = set(poset.covers)
     for key, value in raw_maps.items():
         key = _as_label(path, key)
         if "->" not in key:
@@ -145,7 +146,7 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
             a, b = poset.element(left), poset.element(right)
         except KeyError as e:
             raise FileFormatError(f"{path}: map key {key!r}: {e.args[0]}") from None
-        if (a, b) not in set(poset.covers):
+        if (a, b) not in covers:
             raise FileFormatError(f"{path}: map key {key!r} is not a cover of the poset")
         if (a, b) in keys:
             raise FileFormatError(f"{path}: map keys {keys[(a, b)]!r} and {key!r} name the same cover")

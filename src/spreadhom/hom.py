@@ -141,7 +141,8 @@ def yoneda_basis(s: Spread, n: PersistenceModule) -> tuple[dict[int, int], np.nd
     a and each minimal y of up(a) outside S.  A morphism vanishes off S, so
     these rows hold on Hom; the vanishing at any other y ≥ a outside S is one
     of them pushed along N(y' -> y), for a minimal y' ≤ y.  So the solution
-    space is Hom(M_s, n) itself.
+    space is Hom(M_s, n) itself.  A system with no rows needs no elimination:
+    its canonical kernel basis is the identity.
     """
     p = s.poset
     agree, offsets = agreement_system(s, n)
@@ -152,7 +153,10 @@ def yoneda_basis(s: Spread, n: PersistenceModule) -> tuple[dict[int, int], np.nd
                 r = np.zeros((n.dims[y], agree.shape[1]), dtype=np.int64)
                 r[:, offsets[a]:offsets[a] + n.dims[a]] = n.map_along(a, y)
                 rows.append(r)
-    return offsets, n.field.kernel_basis(np.concatenate(rows))
+    system = np.concatenate(rows)
+    if not system.shape[0]:
+        return offsets, n.field.eye(system.shape[1])
+    return offsets, n.field.kernel_basis(system)
 
 
 def yoneda_values(s: Spread, n: PersistenceModule, offsets, w: np.ndarray, x: int) -> np.ndarray:

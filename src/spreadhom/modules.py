@@ -52,15 +52,20 @@ class PersistenceModule:
     def _validate_commutativity(self):
         # Every cover-path into c agrees with the map_along composite; by
         # induction on path length this makes all parallel composites equal.
+        # map_along(a, c) goes through the first parent of c above a, so only
+        # the other parents can disagree with it, and an element with one
+        # parent has nothing to check.
+        joins = [c for c in self.poset.topo_order if len(self.poset.parents(c)) > 1]
         for a in range(self.poset.n):
             up = self.poset.up_mask(a)
-            for c in self.poset.topo_order:
+            for c in joins:
                 if c == a or not (up >> c & 1):
                     continue
+                others = [p for p in self.poset.parents(c) if up >> p & 1][1:]
+                if not others:
+                    continue
                 along = self.map_along(a, c)
-                for p in self.poset.parents(c):
-                    if not (up >> p & 1):
-                        continue
+                for p in others:
                     via = self.field.matmul(self.maps[(p, c)], self.map_along(a, p))
                     if not np.array_equal(via, along):
                         raise CommutativityError(
@@ -88,20 +93,25 @@ class PersistenceModule:
 
     def map_along(self, a: int, b: int) -> np.ndarray:
         """The structure map M(a -> b) for any comparable pair a <= b."""
-        key = (a, b)
-        cached = self._along.get(key)
+        cached = self._along.get((a, b))
         if cached is not None:
             return cached
         if not self.poset.leq(a, b):
             raise NotComparableError(
                 f"{self.poset.label(a)} <= {self.poset.label(b)} fails"
             )
-        if a == b:
-            out = self.field.eye(self.dims[a])
-        else:
+        # Down the first parent above a to a cached map (or a itself), then
+        # back up, caching each step: a loop, however long the chain.
+        path = []
+        while b != a and (a, b) not in self._along:
             p = next(q for q in self.poset.parents(b) if self.poset.leq(a, q))
-            out = self.field.matmul(self.maps[(p, b)], self.map_along(a, p))
-        self._along[key] = out
+            path.append((p, b))
+            b = p
+        out = self._along.get((a, b))
+        if out is None:
+            out = self._along[(a, a)] = self.field.eye(self.dims[a])
+        for p, c in reversed(path):
+            out = self._along[(a, c)] = self.field.matmul(self.maps[(p, c)], out)
         return out
 
     def restrict(self, mask: int):

@@ -6,9 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spreadhom import PrimeField
+from spreadhom.field import _rref_small, _rref_wide
 
-matrices = st.integers(1, 5).flatmap(
-    lambda r: st.integers(1, 5).flatmap(
+# up to 12 x 12, past SMALL_RREF_CELLS, so both rref loops run
+matrices = st.integers(1, 12).flatmap(
+    lambda r: st.integers(1, 12).flatmap(
         lambda c: st.lists(
             st.lists(st.integers(-50, 50), min_size=c, max_size=c),
             min_size=r,
@@ -106,7 +108,7 @@ def test_kernel_basis_is_the_identity_on_free_rows(data):
     assert np.array_equal(f.kernel_of_rref(red, pivots), k)
 
 
-@given(matrices, st.lists(st.integers(0, 30), min_size=5, max_size=5))
+@given(matrices, st.lists(st.integers(0, 30), min_size=12, max_size=12))
 def test_solve_consistent_system(data, xs):
     f = PrimeField(31)
     a = f.arr(data)
@@ -146,9 +148,43 @@ def test_matrices_with_a_zero_dimension(field, shape):
 
 
 def test_rref_leaves_its_input_alone(field):
-    m = field.arr([[2, 4], [1, 3]])
-    field.rref(m)
-    assert m.tolist() == [[2, 4], [1, 3]]
+    for rows, cols in [(2, 2), (9, 9)]:  # one for each rref loop
+        m = field.arr(np.arange(3, 3 + rows * cols).reshape(rows, cols) ** 2)
+        before = m.copy()
+        field.rref(m)
+        assert np.array_equal(m, before)
+
+
+@st.composite
+def prime_matrices(draw):
+    """(p, matrix) with 0-12 rows and columns, sparse or dense, entries in [0, p)."""
+    p = draw(st.sampled_from([2, 31, 32003, 1048573]))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entry = st.integers(1, p - 1)
+    if draw(st.booleans()):  # sparse: mostly zeros
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+    cells = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return p, np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+
+@given(prime_matrices())
+def test_the_two_rref_loops_agree(pm):
+    p, m = pm
+    f = PrimeField(p)
+    red, pivots = f.rref(m)
+    if not m.size:  # the shared early return: neither loop runs
+        assert red.shape == m.shape and pivots == ()
+        return
+    small, small_pivots = _rref_small(m.tolist(), p)
+    small = np.array(small, dtype=np.int64)
+    wide, wide_pivots = _rref_wide(m.copy(), p)
+    assert small_pivots == wide_pivots == pivots
+    assert small.dtype == wide.dtype == red.dtype
+    assert small.shape == wide.shape == m.shape
+    assert small.tobytes() == wide.tobytes() == red.tobytes()
+    kernel = f.kernel_of_rref(small, small_pivots)
+    assert kernel.tobytes() == f.kernel_of_rref(wide, wide_pivots).tobytes()
+    assert not np.mod(m @ kernel, p).any()
 
 
 def test_matmul_matches_integer_arithmetic():

@@ -28,8 +28,10 @@ from spreadhom.files import (
     load_module,
     load_poset,
 )
-from spreadhom.gallery import atilde5
+from spreadhom.gallery import atilde5, chain
 from spreadhom.invariants import COMPARE_KINDS, class_route
+from spreadhom.modules import PersistenceModule
+from spreadhom.poset import Poset
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -79,6 +81,24 @@ def test_identity_shorthand(tmp_path, field):
     )
     m, _, _ = load_module(str(tmp_path / "m.yaml"), field)
     assert np.array_equal(m.maps[(0, 1)], field.eye(2))
+
+
+def test_chain_file_loads_with_one_look_at_the_covers(tmp_path, field, monkeypatch):
+    # the cover check of each map key must not rebuild the cover set
+    reads = collections.Counter()
+    covers = Poset.covers
+    monkeypatch.setattr(Poset, "covers", property(lambda p: reads.update([p.n]) or covers.fget(p)))
+
+    def reads_to_load_chain(n):
+        p = chain(n)
+        m = PersistenceModule(p, field, [1] * n, {c: [[c[0] % 7 + 1]] for c in p.covers})
+        (tmp_path / f"chain{n}.yaml").write_text(dump_poset(p))
+        (tmp_path / f"m{n}.yaml").write_text(dump_module(m, f"chain{n}.yaml"))
+        reads.clear()
+        assert load_module(str(tmp_path / f"m{n}.yaml"), field)[0] == m
+        return reads[n]
+
+    assert reads_to_load_chain(2000) == reads_to_load_chain(100)
 
 
 def test_identity_shorthand_needs_equal_dims(tmp_path, field):

@@ -20,7 +20,7 @@ from spreadhom import (
     zero_module,
 )
 from spreadhom.gallery import chain, funnel, grid
-from spreadhom.poset import elements_of
+from spreadhom.poset import Poset, elements_of
 from spreadhom.randmod import random_module
 
 from helpers import mask_to_set, summand_inclusions, zero_morphism
@@ -60,6 +60,59 @@ def test_commutativity_enforced(field):
         PersistenceModule(p, field, [1, 1, 1, 1], maps)
     maps[(e["10"], e["11"])] = [[1]]
     PersistenceModule(p, field, [1, 1, 1, 1], maps)  # now fine
+
+
+def _every_parent_failure(m):
+    """The first failure of checking every comparable a < c against every parent of c above a."""
+    p, f = m.poset, m.field
+    for a in range(p.n):
+        for c in p.topo_order:
+            if c != a and p.leq(a, c):
+                for q in p.parents(c):
+                    if p.leq(a, q) and not np.array_equal(
+                            f.matmul(m.maps[(q, c)], m.map_along(a, q)), m.map_along(a, c)):
+                        return a, c, q
+    return None
+
+
+CUBE = Poset(8, [(i, i | 1 << k) for i in range(8) for k in range(3) if not i >> k & 1],
+             [format(i, "03b") for i in range(8)])
+
+
+@pytest.mark.parametrize("p", [grid(3, 3), grid(2, 4), CUBE], ids=["grid3x3", "grid2x4", "cube"])
+def test_validation_reports_the_first_failure_of_the_full_check(field, rng, p):
+    for _ in range(20):
+        m = random_module(p, field, rng)
+        maps = {k: v.copy() for k, v in m.maps.items()}
+        nonempty = [c for c in p.covers if maps[c].size]
+        for cover in rng.sample(nonempty, min(len(nonempty), rng.randint(1, 2))):
+            maps[cover][0, 0] = (maps[cover][0, 0] + 1) % field.p
+        want = _every_parent_failure(PersistenceModule(p, field, m.dims, maps, validate=False))
+        if want is None:
+            PersistenceModule(p, field, m.dims, maps)
+            continue
+        a, c, q = (p.label(x) for x in want)
+        with pytest.raises(CommutativityError, match=f"^paths {a} -> {c} disagree \\(one through {q}\\)$"):
+            PersistenceModule(p, field, m.dims, maps)
+
+
+def test_validating_a_chain_composes_nothing(field, monkeypatch):
+    # every element of a chain has one parent, so no two paths can disagree
+    calls = []
+    along = PersistenceModule.map_along
+    monkeypatch.setattr(PersistenceModule, "map_along",
+                        lambda self, a, b: calls.append((a, b)) or along(self, a, b))
+    p = chain(2000)
+    PersistenceModule(p, field, [1] * p.n, {c: [[2]] for c in p.covers})
+    assert calls == []
+
+
+def test_map_along_a_long_chain(field):
+    # far past the interpreter's recursion limit
+    p = chain(3000)
+    m = PersistenceModule(p, field, [1] * p.n, {c: [[2]] for c in p.covers}, validate=False)
+    assert m.map_along(0, p.n - 1).tolist() == [[pow(2, p.n - 1, field.p)]]
+    assert m.map_along(1, p.n - 1).tolist() == [[pow(2, p.n - 2, field.p)]]
 
 
 def test_map_along_is_path_product(field, rng):
