@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .errors import (
     DuplicateMemberError,
     MissingProjectivesError,
@@ -38,7 +36,7 @@ from .errors import (
     PosetMismatchError,
     SpreadHomError,
 )
-from .field import PrimeField
+from .field import Matrix, PrimeField, hstack
 from .hom import kernel_module, spread_hom_components, yoneda_basis, yoneda_values
 from .modules import (
     Morphism,
@@ -205,7 +203,7 @@ def _require_coverage(x: Family):
         )
 
 
-def _member_homs(x: Family, m: PersistenceModule) -> dict[int, tuple[dict[int, int], np.ndarray]]:
+def _member_homs(x: Family, m: PersistenceModule) -> dict[int, tuple[dict[int, int], Matrix]]:
     """{j: (offsets, basis)}: Hom(member_j, m) in source coordinates, for each j where it is nonzero."""
     # Hom(R_j, m) embeds in ⊕ m_a over the sources of R_j, so it is 0 unless one lies in supp m
     supp = m.support_mask()
@@ -222,7 +220,7 @@ def _assemble(x: Family, m: PersistenceModule, coords) -> Morphism:
     for a in range(m.poset.n):
         blocks = [yoneda_values(x.members[j], m, offsets, w, a)
                   for j, (offsets, w) in coords.items() if x.members[j].support >> a & 1]
-        comps.append(np.concatenate(blocks, axis=1) if blocks else field.zeros(m.dims[a], 0))
+        comps.append(hstack(blocks) if blocks else field.zeros(m.dims[a], 0))
     f = Morphism(dom, m, comps, validate=False)
     for a, (_, pivots) in enumerate(f.reduced()):
         if len(pivots) != m.dims[a]:
@@ -269,18 +267,19 @@ def minimal_approximation(x: Family, m: PersistenceModule):
         else:
             blocks = []
             for j, sources in radical:
-                block = field.zeros(w.shape[0], homs[j][1].shape[1])
+                width = homs[j][1].shape[1]
+                rows = [[0] * width for _ in range(w.shape[0])]
                 for a in iter_mask(sources):
-                    block[offsets[a]:offsets[a] + m.dims[a]] = value_at(j, a)
-                blocks.append(block)
+                    rows[offsets[a]:offsets[a] + m.dims[a]] = value_at(j, a).rows
+                blocks.append(Matrix(rows, width))
         blocks.append(w)
-        stacked = np.concatenate(blocks, axis=1)
+        stacked = hstack(blocks)
         start = stacked.shape[1] - w.shape[1]
         _, pivots = field.rref(stacked)
         cols = [c - start for c in pivots if c >= start]
         multiplicities[i] = len(cols)
         if cols:
-            chosen[i] = (offsets, w[:, cols])
+            chosen[i] = (offsets, w.columns(cols))
     return tuple(multiplicities), _assemble(x, m, chosen)
 
 

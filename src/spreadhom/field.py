@@ -1,29 +1,24 @@
 """Exact linear algebra over a prime field F_p.
 
-Matrices are int64 numpy arrays with entries reduced into [0, p).  All
-eliminations use Gauss-Jordan with first-nonzero pivoting, so every basis
-this module hands out is deterministic for a given input.
-
-`PrimeField.rref` runs one of two inner loops on the same pivot rule: a
-matrix of at most SMALL_RREF_CELLS cells is eliminated on Python ints,
-where numpy's per-call overhead would cost more than the arithmetic, and a
-larger one by numpy row operations.  The reduced row echelon form of a
-matrix is unique, so the two return the same bytes.
+Matrices are `Matrix` values: rows of Python ints reduced into [0, p), and
+the shape, so that a matrix with no rows still knows its columns.  Every
+matrix the library meets is small (at most a few hundred cells), where a
+loop over Python ints costs less than an array library's per-call overhead
+and needs no import.  All eliminations use Gauss-Jordan with first-nonzero
+pivoting, so every basis this module hands out is deterministic for a given
+input.
 """
 from __future__ import annotations
 
-import numpy as np
+from itertools import chain
+from operator import mul
 
 DEFAULT_PRIME = 32003
 
-# products must stay below 2**63 in int64 intermediates, with headroom for
-# accumulation inside matmul
+# The documented bound on p.  Python ints are exact at any size; the bound
+# keeps each product of two entries below 2**40, the int64 margin that the
+# refusal message names.
 _MAX_PRIME = 1 << 20
-
-# Crossover of the two rref loops, per call on a 2-core x86-64 host: a dense
-# 3x3 takes 15 µs on Python ints against 50 µs in numpy, a dense 8x8 87
-# against 97 µs, a dense 6x27 187 against 79 µs, and a 60x80 27 ms against 3 ms.
-SMALL_RREF_CELLS = 64
 
 
 def _is_prime(p: int) -> bool:
@@ -43,57 +38,41 @@ def free_columns(cols: int, pivots) -> list[int]:
     return [c for c in range(cols) if c not in taken]
 
 
-def _rref_small(a: list[list[int]], p: int) -> tuple[list[list[int]], tuple[int, ...]]:
-    """`PrimeField.rref` of a nonempty matrix of reduced Python ints, in place."""
-    rows, cols = len(a), len(a[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        i = next((i for i in range(r, rows) if a[i][c]), None)
-        if i is None:
-            continue
-        a[r], a[i] = a[i], a[r]
-        inv = pow(a[r][c], -1, p)
-        row = a[r] = [x * inv % p for x in a[r]]
-        for k in range(rows):
-            f = a[k][c]
-            if f and k != r:
-                a[k] = [(x - f * y) % p for x, y in zip(a[k], row)]
-        pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
+class Matrix:
+    """A matrix over F_p: `rows`, lists of ints in [0, p), and its `shape`.
+
+    A Matrix is not changed once made: every operation returns a new one,
+    and two matrices may share rows.
+    """
+
+    __slots__ = ("rows", "shape")
+
+    def __init__(self, rows: list[list[int]], cols: int):
+        self.rows = rows
+        self.shape = (len(rows), cols)
+
+    def __eq__(self, other):
+        return isinstance(other, Matrix) and self.shape == other.shape and self.rows == other.rows
+
+    def __repr__(self):
+        return f"Matrix({self.rows!r}, cols={self.shape[1]})"
+
+    def tolist(self) -> list[list[int]]:
+        return [list(row) for row in self.rows]
+
+    def columns(self, idx) -> Matrix:
+        """The columns idx, in that order."""
+        return Matrix([[row[c] for c in idx] for row in self.rows], len(idx))
 
 
-def _rref_wide(a: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """`PrimeField.rref` of a nonempty reduced int64 matrix, in place."""
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        elim = np.nonzero(col)[0]
-        if elim.size:
-            a[elim] = (a[elim] - np.outer(col[elim], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, tuple(pivots)
+def hstack(blocks) -> Matrix:
+    """The blocks side by side; all have the same number of rows."""
+    rows = [list(chain.from_iterable(parts)) for parts in zip(*(b.rows for b in blocks), strict=True)]
+    return Matrix(rows, sum(b.shape[1] for b in blocks))
 
 
 class PrimeField:
-    """F_p arithmetic on numpy int64 matrices."""
+    """F_p arithmetic on `Matrix` values."""
 
     def __init__(self, p: int = DEFAULT_PRIME):
         # the bound first: trial division up to sqrt(p) is slow for large p
@@ -114,50 +93,80 @@ class PrimeField:
 
     # -- construction -----------------------------------------------------
 
-    def arr(self, data) -> np.ndarray:
-        """Coerce to an int64 array with entries reduced mod p."""
-        a = np.asarray(data, dtype=np.int64)
-        return np.mod(a, self.p)
+    def arr(self, data) -> Matrix:
+        """A new Matrix with entries int(x) % p, from a Matrix or any nested sequence of rows.
 
-    def zeros(self, rows: int, cols: int) -> np.ndarray:
-        return np.zeros((rows, cols), dtype=np.int64)
+        A sequence with no rows takes its column count from a 2-d `shape`
+        (an array object has one), else 0.
+        """
+        p = self.p
+        if isinstance(data, Matrix):
+            return Matrix([[int(x) % p for x in row] for row in data.rows], data.shape[1])
+        rows = [[int(x) % p for x in row] for row in data]
+        if not rows:
+            shape = getattr(data, "shape", ())
+            return Matrix(rows, shape[1] if len(shape) == 2 else 0)
+        cols = len(rows[0])
+        if any(len(row) != cols for row in rows):
+            raise ValueError("rows of unequal length")
+        return Matrix(rows, cols)
 
-    def eye(self, n: int) -> np.ndarray:
-        return np.eye(n, dtype=np.int64)
+    def zeros(self, rows: int, cols: int) -> Matrix:
+        return Matrix([[0] * cols for _ in range(rows)], cols)
 
-    def matmul(self, a, b) -> np.ndarray:
-        return np.mod(a @ b, self.p)
+    def eye(self, n: int) -> Matrix:
+        return Matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
 
-    def neg(self, a) -> np.ndarray:
-        return np.mod(-np.asarray(a, dtype=np.int64), self.p)
+    def matmul(self, a: Matrix, b: Matrix) -> Matrix:
+        if a.shape[1] != b.shape[0]:
+            raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
+        if not b.rows:
+            return self.zeros(a.shape[0], b.shape[1])
+        p = self.p
+        cols = list(zip(*b.rows))
+        return Matrix([[sum(map(mul, row, col)) % p for col in cols] for row in a.rows], b.shape[1])
 
-    def inv_scalar(self, x: int) -> int:
-        return pow(int(x) % self.p, -1, self.p)
+    def neg(self, a: Matrix) -> Matrix:
+        p = self.p
+        return Matrix([[-x % p for x in row] for row in a.rows], a.shape[1])
 
     # -- elimination --------------------------------------------------------
 
-    def rref(self, m) -> tuple[np.ndarray, tuple[int, ...]]:
+    def rref(self, m) -> tuple[Matrix, tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns.
 
         Pivot choice: scan columns left to right, take the first row with a
-        nonzero entry at or below the working row.  An empty matrix returns
-        at once; one of at most SMALL_RREF_CELLS cells is eliminated on
-        Python ints, a larger one with numpy.  Both loops follow this rule,
-        and the reduced form is unique, so they agree byte for byte.
+        nonzero entry at or below the working row.  The input is left alone.
         """
-        a = self.arr(m)  # a fresh array: np.mod allocates its result
-        rows, cols = a.shape
+        out = self.arr(m)  # fresh rows, eliminated in place
+        rows, cols = out.shape
         if not rows or not cols:
-            return a, ()
-        if rows * cols <= SMALL_RREF_CELLS:
-            red, pivots = _rref_small(a.tolist(), self.p)
-            return np.array(red, dtype=np.int64), pivots
-        return _rref_wide(a, self.p)
+            return out, ()
+        p = self.p
+        a = out.rows
+        pivots = []
+        r = 0
+        for c in range(cols):
+            if r == rows:
+                break
+            i = next((i for i in range(r, rows) if a[i][c]), None)
+            if i is None:
+                continue
+            a[r], a[i] = a[i], a[r]
+            inv = pow(a[r][c], -1, p)
+            row = a[r] = [x * inv % p for x in a[r]]
+            for k in range(rows):
+                f = a[k][c]
+                if f and k != r:
+                    a[k] = [(x - f * y) % p for x, y in zip(a[k], row)]
+            pivots.append(c)
+            r += 1
+        return out, tuple(pivots)
 
     def rank(self, m) -> int:
         return len(self.rref(m)[1])
 
-    def kernel_basis(self, m) -> np.ndarray:
+    def kernel_basis(self, m) -> Matrix:
         """Columns form the canonical basis of {v : m v = 0}.
 
         Free variables are set to 1 one at a time, ordered by column index.
@@ -165,42 +174,40 @@ class PrimeField:
         """
         return self.kernel_of_rref(*self.rref(m))
 
-    def kernel_of_rref(self, red, pivots) -> np.ndarray:
+    def kernel_of_rref(self, red: Matrix, pivots) -> Matrix:
         """`kernel_basis` of a matrix, read off its (rref, pivots) without eliminating again.
 
         The basis is the identity on the free rows (the non-pivot columns).
         """
+        p = self.p
         cols = red.shape[1]
         free = free_columns(cols, pivots)
-        basis = np.zeros((cols, len(free)), dtype=np.int64)
+        basis = [[0] * len(free) for _ in range(cols)]
         for k, fc in enumerate(free):
-            basis[fc, k] = 1
-            for i, pc in enumerate(pivots):
-                basis[pc, k] = (-red[i, fc]) % self.p
-        return basis
+            basis[fc][k] = 1
+        for row, pc in zip(red.rows, pivots):
+            basis[pc] = [-row[fc] % p for fc in free]
+        return Matrix(basis, len(free))
 
-    def solve(self, a, b):
-        """A particular solution of a x = b, or None if inconsistent.
+    def solve(self, a, b) -> Matrix | None:
+        """A particular solution x of a x = b (b: stacked right-hand sides), or None if inconsistent.
 
-        b may be a vector or a matrix of stacked right-hand sides; free
-        variables are set to 0.
+        Free variables are set to 0.
         """
         a = self.arr(a)
         b = self.arr(b)
         rows, cols = a.shape
-        vector_rhs = b.ndim == 1
-        rhs = b.reshape(rows, -1) if vector_rhs else b
-        if rhs.shape[0] != rows:
-            raise ValueError(f"rhs has {rhs.shape[0]} rows, matrix has {rows}")
-        red, pivots = self.rref(np.hstack([a, rhs]))
+        if b.shape[0] != rows:
+            raise ValueError(f"rhs has {b.shape[0]} rows, matrix has {rows}")
+        red, pivots = self.rref(hstack([a, b]))
         if any(pc >= cols for pc in pivots):
             return None
-        x = np.zeros((cols, rhs.shape[1]), dtype=np.int64)
-        for i, pc in enumerate(pivots):
-            x[pc] = red[i, cols:]
-        return x[:, 0] if vector_rhs else x
+        x = [[0] * b.shape[1] for _ in range(cols)]
+        for row, pc in zip(red.rows, pivots):
+            x[pc] = row[cols:]
+        return Matrix(x, b.shape[1])
 
-    def column_space_basis(self, m) -> np.ndarray:
+    def column_space_basis(self, m) -> Matrix:
         """The pivot columns of m, in order (a deterministic image basis)."""
         a = self.arr(m)
-        return a[:, list(self.rref(a)[1])]
+        return a.columns(self.rref(a)[1])

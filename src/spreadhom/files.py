@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 import os
 
-import numpy as np
 import yaml
 
 from .approx import BUILTIN_FAMILIES, Family, builtin_family
 from .errors import CommutativityError, FileFormatError, ShapeError, SpreadHomError
-from .field import PrimeField
+from .field import Matrix, PrimeField
 from .modules import PersistenceModule
 from .poset import DEFAULT_CAP, Poset, Spread, spread_from_antichains
 
@@ -169,9 +168,7 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
             shape = (len(value), len(value[0]) if value else 0)
             if shape != (dims[b], dims[a]):
                 raise ShapeError(f"{path}: map {key!r} has shape {shape}, expected {(dims[b], dims[a])}")
-            # reduce before numpy sees them: exact also beyond int64
-            maps[(a, b)] = np.array([[x % field.p for x in row] for row in value],
-                                    dtype=np.int64).reshape(shape)
+            maps[(a, b)] = Matrix([[x % field.p for x in row] for row in value], shape[1])
     try:
         module = PersistenceModule(poset, field, dims, maps)
     except CommutativityError as e:
@@ -230,7 +227,7 @@ def dump_poset(p: Poset) -> str:
 
 
 def _is_identity(mat, field: PrimeField) -> bool:
-    return mat.shape[0] == mat.shape[1] and bool(np.array_equal(mat, field.eye(mat.shape[0])))
+    return mat.shape[0] == mat.shape[1] and mat == field.eye(mat.shape[0])
 
 
 def dump_module(m: PersistenceModule, poset_ref: str) -> str:
@@ -239,13 +236,13 @@ def dump_module(m: PersistenceModule, poset_ref: str) -> str:
     entries = []
     for a, b in m.poset.covers:
         mat = m.maps[(a, b)]
-        if mat.size == 0 or not mat.any():
+        if not any(map(any, mat.rows)):
             continue
         key = json.dumps(f"{m.poset.label(a)}->{m.poset.label(b)}")
         if _is_identity(mat, m.field):
             entries.append(f"  {key}: id")
         else:
-            entries.append(f"  {key}: {json.dumps([[int(x) for x in row] for row in mat])}")
+            entries.append(f"  {key}: {json.dumps(mat.rows)}")
     if entries:
         lines.append("maps:")
         lines.extend(entries)

@@ -21,12 +21,11 @@ endpoints alone, and `hom_dim` is the size of its basis:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-
-import numpy as np
+from itertools import accumulate, combinations
+from operator import mul
 
 from .errors import PosetMismatchError
-from .field import free_columns
+from .field import Matrix, free_columns
 from .modules import Morphism, PersistenceModule, morphism_from_vec
 from .poset import Spread, iter_mask
 
@@ -41,51 +40,45 @@ class HomBasis:
     def dim(self) -> int:
         return len(self.basis)
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> Matrix:
         """Basis vectors as columns (vec layout of Morphism.vec)."""
-        u = sum(self.source.dims[a] * self.target.dims[a] for a in range(self.source.poset.n))
         if not self.basis:
-            return np.zeros((u, 0), dtype=np.int64)
-        return np.stack([f.vec() for f in self.basis], axis=1)
+            u = sum(self.source.dims[a] * self.target.dims[a] for a in range(self.source.poset.n))
+            return Matrix([[] for _ in range(u)], 0)
+        return Matrix([list(row) for row in zip(*(f.vec() for f in self.basis))], len(self.basis))
 
     def linear_combination(self, coeffs) -> Morphism:
-        field = self.source.field
-        coeffs = field.arr(coeffs).reshape(-1)
-        if coeffs.shape[0] != len(self.basis):
-            raise ValueError(f"{coeffs.shape[0]} coefficients for {len(self.basis)} basis morphisms")
-        v = (self.matrix() @ coeffs) % field.p
+        p = self.source.field.p
+        coeffs = [int(c) % p for c in coeffs]
+        if len(coeffs) != len(self.basis):
+            raise ValueError(f"{len(coeffs)} coefficients for {len(self.basis)} basis morphisms")
+        v = [sum(map(mul, row, coeffs)) % p for row in self.matrix().rows]
         return morphism_from_vec(self.source, self.target, v)
 
 
-def _naturality_system(m: PersistenceModule, n: PersistenceModule) -> np.ndarray:
+def _naturality_system(m: PersistenceModule, n: PersistenceModule) -> Matrix:
     """Rows: one equation block per cover; columns: unknown entries of all f_a.
 
     Unknowns are ordered element-major, each component column-major, matching
     Morphism.vec.  For a cover (a, b) the equation f_b M_ab - N_ab f_a = 0
-    vectorizes to kron(M_ab^T, I) vec(f_b) - kron(I, N_ab) vec(f_a) = 0.
+    vectorizes to kron(M_ab^T, I) vec(f_b) - kron(I, N_ab) vec(f_a) = 0: the
+    row of entry (i, j) is sum_k M_ab[k][j] f_b[i][k] - sum_l N_ab[i][l] f_a[l][j].
     """
-    p = m.poset
-    field = m.field
-    sizes = [m.dims[a] * n.dims[a] for a in range(p.n)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
+    p = n.field.p
+    offsets = list(accumulate((m.dims[a] * n.dims[a] for a in range(m.poset.n)), initial=0))
     rows = []
-    for a, b in p.covers:
-        neq = n.dims[b] * m.dims[a]
-        if neq == 0:
-            continue
-        block = np.zeros((neq, total), dtype=np.int64)
-        if sizes[b]:
-            block[:, offsets[b]:offsets[b + 1]] = np.kron(m.maps[(a, b)].T, np.eye(n.dims[b], dtype=np.int64))
-        if sizes[a]:
-            block[:, offsets[a]:offsets[a + 1]] = (
-                block[:, offsets[a]:offsets[a + 1]]
-                - np.kron(np.eye(m.dims[a], dtype=np.int64), n.maps[(a, b)])
-            )
-        rows.append(block % field.p)
-    if not rows:
-        return np.zeros((0, total), dtype=np.int64)
-    return np.concatenate(rows, axis=0)
+    for a, b in m.poset.covers:
+        mab, nab = m.maps[(a, b)].rows, n.maps[(a, b)].rows
+        na, nb = n.dims[a], n.dims[b]
+        for j in range(m.dims[a]):
+            for i in range(nb):
+                row = [0] * offsets[-1]
+                for k, mrow in enumerate(mab):
+                    row[offsets[b] + k * nb + i] = mrow[j]
+                for l, x in enumerate(nab[i]):
+                    row[offsets[a] + j * na + l] = -x % p
+                rows.append(row)
+    return Matrix(rows, offsets[-1])
 
 
 def _check_endpoints(m: PersistenceModule, n: PersistenceModule):
@@ -110,7 +103,18 @@ def stacked_offsets(mask: int, n: PersistenceModule) -> tuple[dict[int, int], in
     return offsets, total
 
 
-def agreement_system(s: Spread, n: PersistenceModule) -> tuple[np.ndarray, dict[int, int]]:
+def _placed(total: int, blocks) -> list[list[int]]:
+    """Rows of width total, zero but for each (column offset, matrix) block; the blocks share a height."""
+    out = []
+    for i in range(blocks[0][1].shape[0]):
+        row = [0] * total
+        for off, blk in blocks:
+            row[off:off + blk.shape[1]] = blk.rows[i]
+        out.append(row)
+    return out
+
+
+def agreement_system(s: Spread, n: PersistenceModule) -> tuple[Matrix, dict[int, int]]:
     """Equations on (v_a)_{a in sources(s)}, stacked in ⊕ n_a; returns (system, offsets).
 
     Each pair of sources a, b writes N(a -> x) v_a = N(b -> x) v_b once, at
@@ -121,20 +125,18 @@ def agreement_system(s: Spread, n: PersistenceModule) -> tuple[np.ndarray, dict[
     """
     p = s.poset
     offsets, total = stacked_offsets(s.sources, n)
-    rows = [np.zeros((0, total), dtype=np.int64)]
+    rows = []
     if not total or not s.sources & (s.sources - 1):  # no unknowns, or one source
-        return rows[0], offsets
+        return Matrix(rows, total), offsets
     for a, b in combinations(iter_mask(s.sources), 2):
         for x in iter_mask(p.minimal_elements(s.support & p.up_mask(a) & p.up_mask(b))):
             if n.dims[x]:
-                r = np.zeros((n.dims[x], total), dtype=np.int64)
-                r[:, offsets[a]:offsets[a] + n.dims[a]] = n.map_along(a, x)
-                r[:, offsets[b]:offsets[b] + n.dims[b]] = n.field.neg(n.map_along(b, x))
-                rows.append(r)
-    return np.concatenate(rows), offsets
+                rows += _placed(total, [(offsets[a], n.map_along(a, x)),
+                                        (offsets[b], n.field.neg(n.map_along(b, x)))])
+    return Matrix(rows, total), offsets
 
 
-def yoneda_basis(s: Spread, n: PersistenceModule) -> tuple[dict[int, int], np.ndarray]:
+def yoneda_basis(s: Spread, n: PersistenceModule) -> tuple[dict[int, int], Matrix]:
     """Hom(M_s, n) in source coordinates: (row offset of each source in ⊕ n_a, basis columns).
 
     The system is the agreement system plus N(a -> y) v_a = 0 for each source
@@ -146,29 +148,27 @@ def yoneda_basis(s: Spread, n: PersistenceModule) -> tuple[dict[int, int], np.nd
     """
     p = s.poset
     agree, offsets = agreement_system(s, n)
-    rows = [agree]
+    total = agree.shape[1]
+    rows = list(agree.rows)
     for a in iter_mask(s.sources):
         for y in iter_mask(p.minimal_elements(p.up_mask(a) & ~s.support)):
             if n.dims[y]:
-                r = np.zeros((n.dims[y], agree.shape[1]), dtype=np.int64)
-                r[:, offsets[a]:offsets[a] + n.dims[a]] = n.map_along(a, y)
-                rows.append(r)
-    system = np.concatenate(rows)
-    if not system.shape[0]:
-        return offsets, n.field.eye(system.shape[1])
-    return offsets, n.field.kernel_basis(system)
+                rows += _placed(total, [(offsets[a], n.map_along(a, y))])
+    if not rows:
+        return offsets, n.field.eye(total)
+    return offsets, n.field.kernel_basis(Matrix(rows, total))
 
 
-def yoneda_values(s: Spread, n: PersistenceModule, offsets, w: np.ndarray, x: int) -> np.ndarray:
+def yoneda_values(s: Spread, n: PersistenceModule, offsets, w: Matrix, x: int) -> Matrix:
     """Components at x in supp(s) of the morphisms with source coordinates w (columns)."""
     a = _least_source_below(s, x)
-    return n.field.matmul(n.map_along(a, x), w[offsets[a]:offsets[a] + n.dims[a]])
+    return n.field.matmul(n.map_along(a, x), Matrix(w.rows[offsets[a]:offsets[a] + n.dims[a]], w.shape[1]))
 
 
 def yoneda_morphism(m: PersistenceModule, n: PersistenceModule, offsets, v) -> Morphism:
     """The morphism from the spread module m with source coordinates v."""
     s = m.spread
-    w = np.asarray(v, dtype=np.int64).reshape(-1, 1)
+    w = Matrix([[x] for x in v], 1)
     comps = [
         yoneda_values(s, n, offsets, w, x) if s.support >> x & 1 else n.field.zeros(n.dims[x], 0)
         for x in range(s.poset.n)
@@ -190,8 +190,7 @@ def naturality_basis(m: PersistenceModule, n: PersistenceModule) -> HomBasis:
     _check_endpoints(m, n)
     kernel = m.field.kernel_basis(_naturality_system(m, n))
     return HomBasis(m, n, tuple(
-        morphism_from_vec(m, n, kernel[:, j], validate=False)
-        for j in range(kernel.shape[1])
+        morphism_from_vec(m, n, col, validate=False) for col in zip(*kernel.rows)
     ))
 
 
@@ -207,9 +206,7 @@ def hom_basis(m: PersistenceModule, n: PersistenceModule) -> HomBasis:
         comps = spread_hom_components(m.spread, n.spread)
         return HomBasis(m, n, tuple(_indicator(m, n, c) for c in comps))
     offsets, w = yoneda_basis(m.spread, n)
-    return HomBasis(m, n, tuple(
-        yoneda_morphism(m, n, offsets, w[:, j]) for j in range(w.shape[1])
-    ))
+    return HomBasis(m, n, tuple(yoneda_morphism(m, n, offsets, col) for col in zip(*w.rows)))
 
 
 def hom_dim(m: PersistenceModule, n: PersistenceModule) -> int:
@@ -286,8 +283,8 @@ def kernel_module(f: Morphism):
     free = [free_columns(red.shape[1], pivots) for red, pivots in f.reduced()]
 
     def coords(b, v):
-        x = v[free[b]]
-        return x if np.array_equal(field.matmul(bases[b], x), v) else None
+        x = Matrix([v.rows[i] for i in free[b]], v.shape[1])
+        return x if field.matmul(bases[b], x) == v else None
 
     return _subfunctor(f.source, bases, coords, "kernel")
 

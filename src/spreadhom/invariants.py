@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .approx import DEFAULT_MAX_DEPTH, Family, _member_homs, builtin_family, check_family, resolve
 from .errors import (
     DuplicateSpreadError,
@@ -24,6 +22,7 @@ from .errors import (
     SpreadHomError,
     UnknownInvariantError,
 )
+from .field import Matrix, hstack
 from .hom import agreement_system, hom_dim, stacked_offsets
 from .modules import PersistenceModule, hook_module
 from .poset import DEFAULT_CAP, Poset, Spread, iter_mask
@@ -202,20 +201,21 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
     tgt, total = stacked_offsets(s.targets, m)
     if lim.shape[1] == 0 or total == 0:
         return 0
-    cols = [np.zeros((total, 0), dtype=np.int64)]
+    cols = [field.zeros(total, 0)]
     for b, c in combinations(iter_mask(s.targets), 2):
         for x in iter_mask(p.maximal_elements(s.support & p.down_mask(b) & p.down_mask(c))):
             if m.dims[x]:
-                col = np.zeros((total, m.dims[x]), dtype=np.int64)
-                col[tgt[b]:tgt[b] + m.dims[b], :] = m.map_along(x, b)
-                col[tgt[c]:tgt[c] + m.dims[c], :] = field.neg(m.map_along(x, c))
-                cols.append(col)
-    rel = np.concatenate(cols, axis=1)
+                col = field.zeros(total, m.dims[x]).rows
+                col[tgt[b]:tgt[b] + m.dims[b]] = m.map_along(x, b).rows
+                col[tgt[c]:tgt[c] + m.dims[c]] = field.neg(m.map_along(x, c)).rows
+                cols.append(Matrix(col, m.dims[x]))
+    rel = hstack(cols)
     a = next(iter_mask(s.sources))
     b = next(iter_mask(s.targets & p.up_mask(a)))
-    image = np.zeros((total, lim.shape[1]), dtype=np.int64)
-    image[tgt[b]:tgt[b] + m.dims[b], :] = field.matmul(m.map_along(a, b), lim[src[a]:src[a] + m.dims[a], :])
-    return field.rank(np.concatenate([rel, image], axis=1)) - field.rank(rel)
+    image = field.zeros(total, lim.shape[1]).rows
+    image[tgt[b]:tgt[b] + m.dims[b]] = field.matmul(
+        m.map_along(a, b), Matrix(lim.rows[src[a]:src[a] + m.dims[a]], lim.shape[1])).rows
+    return field.rank(hstack([rel, Matrix(image, lim.shape[1])])) - field.rank(rel)
 
 
 @dataclass

@@ -6,15 +6,13 @@ column vectors: the map along a cover (a, b) has shape (dim_b, dim_a).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import (
     CommutativityError,
     NotComparableError,
     PosetMismatchError,
     ShapeError,
 )
-from .field import PrimeField
+from .field import Matrix, PrimeField
 from .poset import Poset, Spread, spread_from_convex
 
 
@@ -45,7 +43,7 @@ class PersistenceModule:
         if maps:
             raise ShapeError(f"maps given for non-cover pairs: {sorted(maps)}")
         self.spread = spread  # optional provenance tag, ignored by equality
-        self._along: dict[tuple[int, int], np.ndarray] = {}
+        self._along: dict[tuple[int, int], Matrix] = {}
         if validate:
             self._validate_commutativity()
 
@@ -67,7 +65,7 @@ class PersistenceModule:
                 along = self.map_along(a, c)
                 for p in others:
                     via = self.field.matmul(self.maps[(p, c)], self.map_along(a, p))
-                    if not np.array_equal(via, along):
+                    if via != along:
                         raise CommutativityError(
                             f"paths {self.poset.label(a)} -> {self.poset.label(c)} "
                             f"disagree (one through {self.poset.label(p)})"
@@ -91,7 +89,7 @@ class PersistenceModule:
                 m |= 1 << a
         return m
 
-    def map_along(self, a: int, b: int) -> np.ndarray:
+    def map_along(self, a: int, b: int) -> Matrix:
         """The structure map M(a -> b) for any comparable pair a <= b."""
         cached = self._along.get((a, b))
         if cached is not None:
@@ -130,7 +128,7 @@ class PersistenceModule:
             and self.poset == other.poset
             and self.field == other.field
             and self.dims == other.dims
-            and all(np.array_equal(self.maps[k], other.maps[k]) for k in self.maps)
+            and all(self.maps[k] == other.maps[k] for k in self.maps)
         )
 
     def __repr__(self):
@@ -168,13 +166,13 @@ class Morphism:
         for a, b in self.source.poset.covers:
             left = f.matmul(self.components[b], self.source.maps[(a, b)])
             right = f.matmul(self.target.maps[(a, b)], self.components[a])
-            if not np.array_equal(left, right):
+            if left != right:
                 raise CommutativityError(
                     f"naturality fails on cover "
                     f"{self.source.poset.label(a)}->{self.source.poset.label(b)}"
                 )
 
-    def reduced(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+    def reduced(self) -> tuple[tuple[Matrix, tuple[int, ...]], ...]:
         """(rref, pivot columns) of each component, by one elimination each on first use."""
         if self._reduced is None:
             self._reduced = tuple(map(self.source.field.rref, self.components))
@@ -187,20 +185,19 @@ class Morphism:
         comps = [f.matmul(self.components[a], other.components[a]) for a in range(self.source.poset.n)]
         return Morphism(other.source, self.target, comps, validate=False)
 
-    def vec(self) -> np.ndarray:
+    def vec(self) -> list[int]:
         """Flatten to one column: per element, the component in column-major order."""
-        parts = [c.T.reshape(-1) for c in self.components]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        return [x for c in self.components for col in zip(*c.rows) for x in col]
 
     def is_zero(self) -> bool:
-        return all(not c.any() for c in self.components)
+        return not any(any(row) for c in self.components for row in c.rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, Morphism)
             and self.source == other.source
             and self.target == other.target
-            and all(np.array_equal(a, b) for a, b in zip(self.components, other.components))
+            and all(a == b for a, b in zip(self.components, other.components))
         )
 
     def __repr__(self):
@@ -209,16 +206,15 @@ class Morphism:
 
 def morphism_from_vec(source: PersistenceModule, target: PersistenceModule, v, *, validate=False) -> Morphism:
     """Inverse of Morphism.vec for the same element/column-major layout."""
-    v = np.asarray(v, dtype=np.int64)
     comps = []
     off = 0
     for a in range(source.poset.n):
         rows, cols = target.dims[a], source.dims[a]
         block = v[off:off + rows * cols]
         off += rows * cols
-        comps.append(block.reshape(cols, rows).T)
-    if off != v.shape[0]:
-        raise ShapeError(f"vector of length {v.shape[0]}, expected {off}")
+        comps.append(Matrix([block[i::rows] for i in range(rows)], cols))
+    if off != len(v):
+        raise ShapeError(f"vector of length {len(v)}, expected {off}")
     return Morphism(source, target, comps, validate=validate)
 
 
@@ -280,12 +276,12 @@ def direct_sum(summands) -> PersistenceModule:
     dims = tuple(sum(m.dims[a] for m in summands) for a in range(p.n))
     maps = {}
     for a, b in p.covers:
-        blocks = [m.maps[(a, b)] for m in summands]
-        out = field.zeros(dims[b], dims[a])
-        r = c = 0
-        for blk in blocks:
-            out[r:r + blk.shape[0], c:c + blk.shape[1]] = blk
-            r += blk.shape[0]
+        rows = []
+        c = 0
+        for m in summands:
+            blk = m.maps[(a, b)]
+            left, right = [0] * c, [0] * (dims[a] - c - blk.shape[1])
+            rows.extend(left + row + right for row in blk.rows)
             c += blk.shape[1]
-        maps[(a, b)] = out
+        maps[(a, b)] = Matrix(rows, dims[a])
     return PersistenceModule(p, field, dims, maps, validate=False)

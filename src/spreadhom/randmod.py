@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
-from .field import PrimeField
+from .field import Matrix, PrimeField
 from .hom import hom_basis, kernel_module
 from .modules import PersistenceModule, direct_sum, spread_module
 from .poset import Poset, enumerate_spreads
@@ -18,7 +16,7 @@ from .poset import Poset, enumerate_spreads
 MAX_SUMMANDS = 3
 
 
-def random_invertible(field: PrimeField, rng: random.Random, d: int) -> np.ndarray:
+def random_invertible(field: PrimeField, rng: random.Random, d: int) -> Matrix:
     if d == 0:
         return field.zeros(0, 0)
     while True:
@@ -27,7 +25,7 @@ def random_invertible(field: PrimeField, rng: random.Random, d: int) -> np.ndarr
             return m
 
 
-def _invert(field: PrimeField, u: np.ndarray) -> np.ndarray:
+def _invert(field: PrimeField, u: Matrix) -> Matrix:
     sol = field.solve(u, field.eye(u.shape[0]))
     assert sol is not None
     return sol

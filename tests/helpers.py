@@ -5,8 +5,9 @@ they work on explicit pair sets computed by graph search over cover lists,
 never on the bitmask machinery they are checking.  The module fixtures
 (inclusions of summands, zero morphisms) and the up-set predicate are used
 by tests only.  The limit and colimit oracle writes every equation out, at
-every element of the spread.  The approximation oracle at the end is the
-earlier production route, kept to hold its replacement to the same bytes.
+every element of the spread.  The approximation oracle is the earlier
+production route, kept to hold its replacement to the same bytes, and the
+numpy elimination at the end is the reference for `PrimeField.rref`.
 """
 
 import itertools
@@ -132,6 +133,11 @@ def principal_upsets_totally_ordered(p):
     return True
 
 
+def to_np(mat):
+    """A Matrix as an int64 numpy array of the same shape."""
+    return np.array(mat.rows, dtype=np.int64).reshape(mat.shape)
+
+
 def summand_inclusions(total, summands):
     """Inclusions of the given summands into their direct sum (block layout)."""
     out = []
@@ -139,9 +145,9 @@ def summand_inclusions(total, summands):
     for m in summands:
         comps = []
         for a in range(total.poset.n):
-            blk = total.field.zeros(total.dims[a], m.dims[a])
-            blk[offsets[a]:offsets[a] + m.dims[a], :] = total.field.eye(m.dims[a])
-            comps.append(blk)
+            blk = np.zeros((total.dims[a], m.dims[a]), dtype=np.int64)
+            blk[offsets[a]:offsets[a] + m.dims[a], :] = np.eye(m.dims[a], dtype=np.int64)
+            comps.append(total.field.arr(blk))
             offsets[a] += m.dims[a]
         out.append(Morphism(m, total, comps, validate=False))
     return out
@@ -176,20 +182,20 @@ def unreduced_limit_colimit(m, s):
     for x in elements_of(s.support):
         for a, b in itertools.combinations([a for a in sources if p.leq(a, x)], 2):
             row = np.zeros((m.dims[x], n_src), dtype=np.int64)
-            row[:, src[a]:src[a] + m.dims[a]] = m.map_along(a, x)
-            row[:, src[b]:src[b] + m.dims[b]] = field.neg(m.map_along(b, x))
+            row[:, src[a]:src[a] + m.dims[a]] = to_np(m.map_along(a, x))
+            row[:, src[b]:src[b] + m.dims[b]] = to_np(field.neg(m.map_along(b, x)))
             equations.append(row)
         for b, c in itertools.combinations([b for b in targets if p.leq(x, b)], 2):
             col = np.zeros((n_tgt, m.dims[x]), dtype=np.int64)
-            col[tgt[b]:tgt[b] + m.dims[b]] = m.map_along(x, b)
-            col[tgt[c]:tgt[c] + m.dims[c]] = field.neg(m.map_along(x, c))
+            col[tgt[b]:tgt[b] + m.dims[b]] = to_np(m.map_along(x, b))
+            col[tgt[c]:tgt[c] + m.dims[c]] = to_np(field.neg(m.map_along(x, c)))
             relations.append(col)
     limit = field.kernel_basis(np.concatenate(equations))
     rel = np.concatenate(relations, axis=1)
     a = sources[-1]
     b = [b for b in targets if p.leq(a, b)][-1]
     image = np.zeros((n_tgt, limit.shape[1]), dtype=np.int64)
-    image[tgt[b]:tgt[b] + m.dims[b]] = field.matmul(m.map_along(a, b), limit[src[a]:src[a] + m.dims[a]])
+    image[tgt[b]:tgt[b] + m.dims[b]] = to_np(field.matmul(m.map_along(a, b), field.arr(to_np(limit)[src[a]:src[a] + m.dims[a]])))
     return limit, field.rank(np.concatenate([rel, image], axis=1)) - field.rank(rel)
 
 
@@ -209,15 +215,44 @@ def full_row_minimal_approximation(x, m):
             if j == i or j not in homs:
                 continue
             for comp in comps:
-                block = field.zeros(w.shape[0], homs[j][1].shape[1])
+                block = np.zeros((w.shape[0], homs[j][1].shape[1]), dtype=np.int64)
                 for a in iter_mask(x.members[i].sources & comp):
-                    block[offsets[a]:offsets[a] + m.dims[a]] = yoneda_values(x.members[j], m, *homs[j], a)
+                    block[offsets[a]:offsets[a] + m.dims[a]] = to_np(yoneda_values(x.members[j], m, *homs[j], a))
                 blocks.append(block)
-        blocks.append(w)
+        blocks.append(to_np(w))
         stacked = np.concatenate(blocks, axis=1)
         start = stacked.shape[1] - w.shape[1]
         cols = [c - start for c in field.rref(stacked)[1] if c >= start]
         multiplicities[i] = len(cols)
         if cols:
-            chosen[i] = (offsets, w[:, cols])
+            chosen[i] = (offsets, w.columns(cols))
     return tuple(multiplicities), _assemble(x, m, chosen)
+
+
+def numpy_rref(a, p):
+    """The reference elimination: `PrimeField.rref` of a nonempty int64 array reduced mod p, in place.
+
+    The same pivot rule with numpy row operations; returns (array, pivots).
+    """
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = (a[r] * inv) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        elim = np.nonzero(col)[0]
+        if elim.size:
+            a[elim] = (a[elim] - np.outer(col[elim], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, tuple(pivots)

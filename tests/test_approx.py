@@ -212,7 +212,7 @@ def _approximation_spans(x, picked, m):
             for h in hom_basis(mods[j], mods[i]).basis:
                 cols.append((g @ h).vec())
         if cols:
-            reached = field.rank(np.stack(cols, axis=1))
+            reached = field.rank(np.array(cols).T)
         else:
             reached = 0
         out.append((full.dim, reached))
@@ -261,7 +261,7 @@ def _summand_maps(x, f, counts):
         for _ in range(counts[i]):
             comps = []
             for a in range(p.n):
-                comps.append(f.components[a][:, col[a]:col[a] + r.dims[a]])
+                comps.append(f.components[a].columns(range(col[a], col[a] + r.dims[a])))
                 col[a] += r.dims[a]
             out.append((i, Morphism(r, f.target, comps)))  # validates naturality
     assert col == [f.source.dims[a] for a in range(p.n)]
@@ -341,7 +341,7 @@ def _assert_matches_full_row_oracle(x, m, depth=3):
         assert mult == want_mult
         assert f.source == want.source
         for got_c, want_c in zip(f.components, want.components):
-            assert (got_c.dtype, got_c.shape, got_c.tobytes()) == (want_c.dtype, want_c.shape, want_c.tobytes())
+            assert (got_c.shape, got_c.rows) == (want_c.shape, want_c.rows)
         m, _ = kernel_module(f)
 
 

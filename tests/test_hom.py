@@ -34,7 +34,7 @@ from spreadhom.gallery import (
 from spreadhom.hom import _submodule, yoneda_basis
 from spreadhom.randmod import random_module
 
-from helpers import ORACLE_POSETS, ORACLE_SPREADS, zero_morphism
+from helpers import ORACLE_POSETS, ORACLE_SPREADS, to_np, zero_morphism
 
 
 def test_grid5x3_pair_has_one_dim_hom(field):
@@ -64,7 +64,7 @@ def test_indicator_basis_is_the_solver_basis(field):
             for mt in mods:
                 got = hom_basis(ms, mt).matrix()
                 want = naturality_basis(ms, mt).matrix()
-                assert np.array_equal(got, want), (name, ms, mt)
+                assert got == want, (name, ms, mt)
 
 
 YONEDA_POSETS = {"grid2x2": grid(2, 2), "grid3x3": grid(3, 3), "funnel": funnel()}
@@ -101,7 +101,7 @@ def test_yoneda_route_matches_solver(name, seed):
         got = hom_basis(m, n)
         want = naturality_basis(m, n)
         assert got.dim == want.dim == hom_dim(m, n), s.render()
-        both = np.concatenate([got.matrix(), want.matrix()], axis=1)
+        both = np.concatenate([to_np(got.matrix()), to_np(want.matrix())], axis=1)
         assert field.rank(got.matrix()) == field.rank(both) == want.dim, s.render()
         for f in got.basis:
             Morphism(m, n, f.components)  # full naturality validation
@@ -120,9 +120,9 @@ def test_yoneda_basis_is_the_canonical_basis_of_the_solver_span(name, seed):
         basis = naturality_basis(spread_module(s, field), n).basis
         v = np.zeros((sum(n.dims[a] for a in offsets), len(basis)), dtype=np.int64)
         for j, f in enumerate(basis):
-            v[:, j] = np.concatenate([f.components[a][:, 0] for a in offsets])
-        want = field.kernel_basis(field.kernel_basis(v.T).T)
-        assert np.array_equal(w, want), s.render()
+            v[:, j] = np.concatenate([to_np(f.components[a])[:, 0] for a in offsets])
+        want = field.kernel_basis(to_np(field.kernel_basis(v.T)).T)
+        assert w == want, s.render()
 
 
 def test_hom_basis_methods(field):
@@ -260,9 +260,9 @@ def test_kernel_module_matches_the_solve_route(name, seed):
     want, want_inc = _submodule(m, [field.kernel_basis(c) for c in f.components], "kernel")
     assert ker.dims == want.dims
     for key, mat in want.maps.items():
-        assert (ker.maps[key].dtype, ker.maps[key].shape, ker.maps[key].tobytes()) == (mat.dtype, mat.shape, mat.tobytes())
+        assert (ker.maps[key].shape, ker.maps[key].rows) == (mat.shape, mat.rows)
     for got_c, want_c in zip(inc.components, want_inc.components):
-        assert (got_c.dtype, got_c.shape, got_c.tobytes()) == (want_c.dtype, want_c.shape, want_c.tobytes())
+        assert (got_c.shape, got_c.rows) == (want_c.shape, want_c.rows)
 
 
 def test_kernel_module_refuses_a_morphism_that_is_not_natural(field):

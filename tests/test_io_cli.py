@@ -80,7 +80,7 @@ def test_identity_shorthand(tmp_path, field):
         'poset: "p.yaml"\ndims: {"a": 2, "b": 2}\nmaps:\n  "a->b": id\n'
     )
     m, _, _ = load_module(str(tmp_path / "m.yaml"), field)
-    assert np.array_equal(m.maps[(0, 1)], field.eye(2))
+    assert m.maps[(0, 1)] == field.eye(2)
 
 
 def test_chain_file_loads_with_one_look_at_the_covers(tmp_path, field, monkeypatch):
@@ -751,12 +751,12 @@ def test_cli_jsonl_resolve_payload(capsys):
     assert body["periodicity"] is not None
 
 
-def _run_entry_point(*args, timeout=None):
-    """`python -m spreadhom *args` in a child that imports the same spreadhom, installed or not."""
+def _run_python(*args, timeout=None):
+    """`python *args` in a child that imports the same spreadhom, installed or not."""
     home = str(Path(spreadhom.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "spreadhom", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -764,10 +764,65 @@ def _run_entry_point(*args, timeout=None):
     )
 
 
+def _run_entry_point(*args, timeout=None):
+    """`python -m spreadhom *args` in a child."""
+    return _run_python("-m", "spreadhom", *args, timeout=timeout)
+
+
 def test_cli_entry_point_runs():
     proc = _run_entry_point("invariant", "dimvec", str(DATA / "diagram_x.yaml"))
     assert proc.returncode == 0
     assert "dimension vector" in proc.stdout
+
+
+# the CLI with an import hook that refuses numpy and its submodules
+CLI_WITHOUT_NUMPY = """\
+import sys
+
+
+class RefuseNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "numpy":
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, RefuseNumpy())
+from spreadhom.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    proc = _run_python("-c", "import sys, spreadhom, spreadhom.cli; "
+                             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_the_cli_runs_without_numpy(tmp_path):
+    # validate every poset with its modules, and compare --batch the modules
+    # of each poset that has several, as a normal run and with numpy refused
+    groups = collections.defaultdict(list)
+    for path in sorted(DATA.glob("*.yaml")):
+        data = yaml.safe_load(path.read_text())
+        if "poset" in data:
+            groups[data["poset"]].append(path)
+    runs = []
+    for poset, mods in groups.items():
+        runs.append(["validate", str(DATA / poset), *map(str, mods)])
+        if len(mods) > 1:
+            batch = tmp_path / Path(poset).stem
+            batch.mkdir()
+            for m in mods:
+                (batch / m.name).write_text(m.read_text().replace(f'poset: "{poset}"', f'poset: "../{poset}"'))
+            shutil.copy(DATA / poset, tmp_path / poset)
+            runs.append(["compare", "class", "--batch", str(batch), "--family", "single_source"])
+    assert sum(argv[0] == "compare" for argv in runs) >= 2
+    for argv in runs:
+        want = _run_entry_point(*argv)
+        got = _run_python("-c", CLI_WITHOUT_NUMPY, *argv)
+        assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, ""), argv
+        assert want.returncode == 0 and want.stdout, argv
 
 
 def test_cli_custom_prime(capsys):
