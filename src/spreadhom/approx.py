@@ -32,7 +32,6 @@ from .errors import (
     DuplicateMemberError,
     MissingProjectivesError,
     NotConnectedError,
-    OutOfRangeError,
     PosetMismatchError,
     SpreadHomError,
 )
@@ -300,12 +299,6 @@ class Resolution:
     def depth(self) -> int:
         return len(self.terms)
 
-    def connecting(self, k: int) -> Morphism:
-        """The chain map R_k -> R_{k-1} (k >= 1) through the kernel inclusion."""
-        if not 1 <= k < len(self.terms):
-            raise OutOfRangeError(f"no connecting map at degree {k}")
-        return self.kernel_inclusions[k - 1] @ self.approximations[k]
-
 
 def _kernel_signature(x: Family, k: PersistenceModule):
     return k.dims, {j: w.shape[1] for j, (_, w) in _member_homs(x, k).items()}
@@ -355,15 +348,3 @@ def x_dimension(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DE
         return None
     return max(len(res.terms) - 1, 0)
 
-
-def betti(res: Resolution, k: int) -> tuple[int, ...]:
-    """Multiplicity vector of resolution term k; zero beyond a finite resolution."""
-    if k < 0:
-        raise OutOfRangeError("negative degree")
-    if k < len(res.terms):
-        return res.terms[k]
-    if res.status == "finite":
-        return (0,) * len(res.family.members)
-    raise OutOfRangeError(
-        f"resolution truncated at depth {res.depth}; degree {k} is undetermined"
-    )

@@ -74,10 +74,6 @@ class DuplicateMemberError(SpreadHomError):
     """Family members must have pairwise distinct supports."""
 
 
-class OutOfRangeError(SpreadHomError):
-    """Index beyond the computed part of a truncated resolution."""
-
-
 # --- invariants ----------------------------------------------------------
 
 

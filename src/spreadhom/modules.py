@@ -6,6 +6,8 @@ column vectors: the map along a cover (a, b) has shape (dim_b, dim_a).
 """
 from __future__ import annotations
 
+from itertools import combinations
+
 from .errors import (
     CommutativityError,
     NotComparableError,
@@ -13,7 +15,7 @@ from .errors import (
     ShapeError,
 )
 from .field import Matrix, PrimeField
-from .poset import Poset, Spread, spread_from_convex
+from .poset import Poset, Spread, iter_mask, spread_from_convex
 
 
 class PersistenceModule:
@@ -48,27 +50,18 @@ class PersistenceModule:
             self._validate_commutativity()
 
     def _validate_commutativity(self):
-        # Every cover-path into c agrees with the map_along composite; by
-        # induction on path length this makes all parallel composites equal.
-        # map_along(a, c) goes through the first parent of c above a, so only
-        # the other parents can disagree with it, and an element with one
-        # parent has nothing to check.
-        joins = [c for c in self.poset.topo_order if len(self.poset.parents(c)) > 1]
-        for a in range(self.poset.n):
-            up = self.poset.up_mask(a)
-            for c in joins:
-                if c == a or not (up >> c & 1):
-                    continue
-                others = [p for p in self.poset.parents(c) if up >> p & 1][1:]
-                if not others:
-                    continue
-                along = self.map_along(a, c)
-                for p in others:
-                    via = self.field.matmul(self.maps[(p, c)], self.map_along(a, p))
-                    if via != along:
+        # Two cover-paths into c through parents q and r start at a common
+        # lower bound of q and r, which lies below a maximal one a.  With c
+        # visited in topological order every square below c already holds, so
+        # the two paths agree exactly when M(q->c)M(a->q) = M(r->c)M(a->r).
+        p, f = self.poset, self.field
+        for c in p.topo_order:
+            for q, r in combinations(p.parents(c), 2):
+                for a in iter_mask(p.maximal_elements(p.down_mask(q) & p.down_mask(r))):
+                    if (f.matmul(self.maps[(q, c)], self.map_along(a, q))
+                            != f.matmul(self.maps[(r, c)], self.map_along(a, r))):
                         raise CommutativityError(
-                            f"paths {self.poset.label(a)} -> {self.poset.label(c)} "
-                            f"disagree (one through {self.poset.label(p)})"
+                            f"paths {p.label(a)} -> {p.label(c)} disagree (one through {p.label(r)})"
                         )
 
     # -- queries --------------------------------------------------------------

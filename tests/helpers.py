@@ -3,11 +3,14 @@
 The poset oracles are deliberately independent of the library internals:
 they work on explicit pair sets computed by graph search over cover lists,
 never on the bitmask machinery they are checking.  The module fixtures
-(inclusions of summands, zero morphisms) and the up-set predicate are used
-by tests only.  The limit and colimit oracle writes every equation out, at
-every element of the spread.  The approximation oracle is the earlier
-production route, kept to hold its replacement to the same bytes, and the
-numpy elimination at the end is the reference for `PrimeField.rref`.
+(inclusions of summands, zero morphisms), the connecting maps of a
+resolution and the up-set predicate are used by tests only.  The
+commutativity oracle checks every parent of c above a, for every a < c,
+where the validator checks one square per pair of parents of a join.  The
+limit and colimit oracle writes every equation out, at every
+element of the spread.  The approximation oracle is the earlier production
+route, kept to hold its replacement to the same bytes, and the numpy
+elimination at the end is the reference for `PrimeField.rref`.
 """
 
 import itertools
@@ -156,6 +159,23 @@ def summand_inclusions(total, summands):
 def zero_morphism(source, target):
     comps = [source.field.zeros(target.dims[a], source.dims[a]) for a in range(source.poset.n)]
     return Morphism(source, target, comps, validate=False)
+
+
+def every_parent_failure(m):
+    """The first failure of checking every comparable a < c against every parent of c above a."""
+    p, f = m.poset, m.field
+    for a in range(p.n):
+        for c in p.topo_order:
+            if c != a and p.leq(a, c):
+                for q in p.parents(c):
+                    if p.leq(a, q) and f.matmul(m.maps[(q, c)], m.map_along(a, q)) != m.map_along(a, c):
+                        return a, c, q
+    return None
+
+
+def connecting(res, k):
+    """The chain map R_k -> R_{k-1} (k >= 1) of a resolution, through the kernel inclusion."""
+    return res.kernel_inclusions[k - 1] @ res.approximations[k]
 
 
 # posets with multi-source and multi-target spreads, for the spread-system oracles

@@ -11,10 +11,8 @@ from spreadhom import (
     MissingProjectivesError,
     Morphism,
     NotConnectedError,
-    OutOfRangeError,
     PrimeField,
     Spread,
-    betti,
     builtin_family,
     check_family,
     direct_sum,
@@ -45,7 +43,7 @@ from spreadhom.hom import spread_hom_components
 from spreadhom.poset import iter_mask, kahn_order, mask_of
 from spreadhom.randmod import random_module
 
-from helpers import full_row_minimal_approximation
+from helpers import connecting, full_row_minimal_approximation
 
 
 # -- family construction and diagnostics -------------------------------------
@@ -465,9 +463,9 @@ def test_resolution_is_exact(field, rng):
                 assert field.rank(f.components[a]) == f.target.dim(a)
         # consecutive connecting maps compose to zero, with matching ranks
         for k in range(1, len(res.terms)):
-            q = res.connecting(k)
+            q = connecting(res, k)
             if k >= 2:
-                assert (res.connecting(k - 1) @ q).is_zero()
+                assert (connecting(res, k - 1) @ q).is_zero()
             # image of connecting = kernel of previous stage, pointwise
             ker, _ = kernel_module(res.approximations[k - 1])
             for a in range(p.n):
@@ -503,23 +501,3 @@ def test_truncation_and_periodicity(field):
     assert x_dimension(x, m, max_depth=6) is None
     assert x_dimension(x, m, max_depth=12) is None
 
-
-def test_betti_numbers(field):
-    p = grid(2, 2)
-    x = builtin_family(p, "single_source")
-    _, _, mprime = equal_rank_pair(field)
-    res = resolve(x, mprime)
-    assert res.status == "finite"
-    assert betti(res, 0) == res.terms[0]
-    # beyond a finite resolution everything vanishes
-    assert betti(res, len(res.terms)) == (0,) * len(x)
-    assert betti(res, len(res.terms) + 5) == (0,) * len(x)
-    with pytest.raises(OutOfRangeError):
-        betti(res, -1)
-    # past a truncation the numbers are unknown, not zero
-    pa, xa = atilde5_family()
-    mt = spread_module(spread_from_antichains(pa, ["1"], ["6"]), field)
-    rt = resolve(xa, mt, max_depth=4)
-    assert betti(rt, 3) == rt.terms[3]
-    with pytest.raises(OutOfRangeError):
-        betti(rt, 4)

@@ -1,4 +1,8 @@
-"""Every name a library module imports is read, there or by a module that imports it from there."""
+"""Every name a library module imports is read, there or by a module that imports it from there.
+
+The package exports exactly what it imports, and every error class it
+declares is raised somewhere in it.
+"""
 
 import ast
 from pathlib import Path
@@ -54,6 +58,18 @@ def export_mismatch(init=SRC / "__init__.py"):
     return sorted(set(_imports(tree)) ^ set(listed)) + sorted({n for n in listed if listed.count(n) > 1})
 
 
+def unraised_errors(src=SRC):
+    """Exception classes declared in errors.py that no `raise` in the package names."""
+    declared = [n.name for n in ast.parse((src / "errors.py").read_text()).body if isinstance(n, ast.ClassDef)]
+    raised = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    return [name for name in declared if name not in raised]
+
+
 def test_library_modules_read_every_name_they_import():
     assert unused_imports() == []
 
@@ -75,3 +91,14 @@ def test_the_export_check_sees_a_name_left_behind(tmp_path):
     init.write_text('from . import errors\nfrom .a import x, y\n__all__ = ["errors", "x", "z", "x"]\n')
     # y is imported but not listed, z listed but not imported, x listed twice
     assert export_mismatch(init) == ["y", "z", "x"]
+
+
+def test_every_declared_error_is_raised():
+    assert unraised_errors() == []
+
+
+def test_the_raise_check_sees_a_dead_error(tmp_path):
+    (tmp_path / "errors.py").write_text("class A(Exception):\n    pass\n\n\nclass B(A):\n    pass\n\n\nclass C(A):\n    pass\n")
+    (tmp_path / "a.py").write_text("from .errors import A, B, C\nraise A\n\n\ndef f():\n    raise B('x') from None\n")
+    # C is imported but never raised
+    assert unraised_errors(tmp_path) == ["C"]

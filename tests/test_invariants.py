@@ -38,6 +38,7 @@ from spreadhom import (
     kernel_module,
     rank_invariant,
     rank_via_hooks,
+    resolve,
     signed_diagram,
     simple_module,
     spread_from_antichains,
@@ -47,6 +48,7 @@ from spreadhom import (
 )
 from spreadhom import approx, invariants
 from spreadhom.gallery import (
+    atilde5_family,
     branching_vertex,
     chain,
     fan,
@@ -160,8 +162,6 @@ def test_class_render(field):
 
 
 def test_class_via_hom_matrix_raises_on_cycle(field):
-    from spreadhom.gallery import atilde5_family
-
     p, x = atilde5_family()
     m = spread_module(spread_from_antichains(p, ["1"], ["6"]), field)
     with pytest.raises(HomMatrixSingularError):
@@ -171,6 +171,41 @@ def test_class_via_hom_matrix_raises_on_cycle(field):
     assert exc.value.depth == 6
     assert len(exc.value.terms) == 6
 
+
+# Over the cyclic atilde5 family, H c = b (H_ij = dim Hom(R_i, R_j), b_i =
+# dim Hom(R_i, M)) has an integral solution for these two modules, yet their
+# resolutions are periodic, so neither has a class.  A route that took an
+# exactly checking integral solution for the class would print one where the
+# truncated resolution refuses (exit 2 in the CLI).  Drawn by `random_module`
+# over the connected spreads with random.Random(1), draws 6 and 63.
+PERIODIC_WITH_INTEGRAL_SOLUTION = {
+    "draw6": ((1, 1, 2, 1, 2, 0),
+              {"1->4": [[27496]], "2->4": [[12890]], "2->5": [[0], [0]],
+               "3->5": [[30210, 3708], [4075, 25253]]},
+              (0, 0, 0, 0, 0, -1, 0, 1, 1)),
+    "draw63": ((1, 2, 2, 2, 1, 1),
+               {"1->4": [[2743], [12791]], "1->6": [[24120]], "2->4": [[4095, 25721], [12313, 16529]],
+                "2->5": [[0, 0]], "3->5": [[3220, 29459]], "3->6": [[6964, 25124]]},
+               (0, 0, 1, 0, -1, -1, 1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC_WITH_INTEGRAL_SOLUTION))
+def test_an_integral_hom_matrix_solution_is_not_a_class(field, name):
+    dims, maps, solution = PERIODIC_WITH_INTEGRAL_SOLUTION[name]
+    p, x = atilde5_family()
+    m = PersistenceModule(p, field, dims, {tuple(map(p.element, k.split("->"))): v for k, v in maps.items()})
+    h = np.zeros((len(x), len(x)), dtype=np.int64)
+    for i, row in enumerate(x.hom_rows()):
+        for j, comps in row:
+            h[i, j] = len(comps)
+    # H is invertible over Q, so the solution is the rational one, and it is integral
+    assert np.linalg.matrix_rank(h) == len(x) == 9
+    assert (h @ np.array(solution) == np.array(dim_hom_vector(x, m))).all()
+    res = resolve(x, m, max_depth=40)
+    assert (res.status, res.depth, res.periodicity) == ("truncated", 40, (1, 4))
+    with pytest.raises(ResolutionTruncatedError):
+        invariant_key("class", m, family=x)
 
 # -- rank invariants -------------------------------------------------------
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from spreadhom import (
     PosetMismatchError,
     ShapeError,
     direct_sum,
+    enumerate_spreads,
     hook_module,
     interval_module,
     morphism_from_vec,
@@ -20,11 +23,18 @@ from spreadhom import (
     zero_module,
 )
 from spreadhom.field import hstack
-from spreadhom.gallery import chain, funnel, grid
+from spreadhom.gallery import chain, funnel, generator_posets, grid
 from spreadhom.poset import Poset, elements_of
 from spreadhom.randmod import random_module
 
-from helpers import mask_to_set, summand_inclusions, zero_morphism
+from helpers import (
+    ORACLE_POSETS,
+    closure_pairs,
+    every_parent_failure,
+    mask_to_set,
+    summand_inclusions,
+    zero_morphism,
+)
 
 
 def test_missing_maps_filled_with_zeros(field):
@@ -63,50 +73,116 @@ def test_commutativity_enforced(field):
     PersistenceModule(p, field, [1, 1, 1, 1], maps)  # now fine
 
 
-def _every_parent_failure(m):
-    """The first failure of checking every comparable a < c against every parent of c above a."""
+CUBE = Poset(8, [(i, i | 1 << k) for i in range(8) for k in range(3) if not i >> k & 1],
+             [format(i, "03b") for i in range(8)])
+# the parents q, r of the top have two maximal common lower bounds
+BOWTIE = Poset(5, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4)], ["a", "b", "q", "r", "c"])
+
+
+def _perturbed(m, rng):
+    """m with one entry changed in one or two nonempty cover maps, not validated."""
+    field = m.field
+    maps = dict(m.maps)
+    nonempty = [c for c in m.poset.covers if all(maps[c].shape)]
+    for cover in rng.sample(nonempty, min(len(nonempty), rng.randint(1, 2))):
+        rows = maps[cover].tolist()
+        rows[0][0] = (rows[0][0] + 1) % field.p
+        maps[cover] = field.arr(rows)
+    return PersistenceModule(m.poset, field, m.dims, maps, validate=False)
+
+
+def _square_fails(m, a, c, r):
+    """Some path a -> c through a parent other than r disagrees with the one through r."""
     p, f = m.poset, m.field
-    for a in range(p.n):
-        for c in p.topo_order:
-            if c != a and p.leq(a, c):
-                for q in p.parents(c):
-                    if p.leq(a, q) and f.matmul(m.maps[(q, c)], m.map_along(a, q)) != m.map_along(a, c):
-                        return a, c, q
+    through_r = f.matmul(m.maps[(r, c)], m.map_along(a, r))
+    return any(f.matmul(m.maps[(q, c)], m.map_along(a, q)) != through_r
+               for q in p.parents(c) if q != r and p.leq(a, q))
+
+
+def _first_failing_square(m):
+    """(a, c, r) of the full check, in its order.
+
+    Joins c in topological order, then pairs of parents q < r of c, then the
+    maximal common lower bounds a of q and r, least first; the square fails
+    when the paths a -> q -> c and a -> r -> c disagree.  The order relation
+    comes from the cover list, not from the poset's masks.
+    """
+    p, f = m.poset, m.field
+    leq = closure_pairs(p.n, p.covers)
+    for c in p.topo_order:
+        for q, r in itertools.combinations(p.parents(c), 2):
+            lower = [a for a in range(p.n) if (a, q) in leq and (a, r) in leq]
+            for a in lower:
+                if any(b != a and (a, b) in leq for b in lower):
+                    continue
+                if f.matmul(m.maps[(q, c)], m.map_along(a, q)) != f.matmul(m.maps[(r, c)], m.map_along(a, r)):
+                    return a, c, r
     return None
 
 
-CUBE = Poset(8, [(i, i | 1 << k) for i in range(8) for k in range(3) if not i >> k & 1],
-             [format(i, "03b") for i in range(8)])
-
-
-@pytest.mark.parametrize("p", [grid(3, 3), grid(2, 4), CUBE], ids=["grid3x3", "grid2x4", "cube"])
+@pytest.mark.parametrize("p", [grid(3, 3), grid(2, 4), CUBE, BOWTIE], ids=["grid3x3", "grid2x4", "cube", "bowtie"])
 def test_validation_reports_the_first_failure_of_the_full_check(field, rng, p):
     for _ in range(20):
-        m = random_module(p, field, rng)
-        maps = dict(m.maps)
-        nonempty = [c for c in p.covers if all(maps[c].shape)]
-        for cover in rng.sample(nonempty, min(len(nonempty), rng.randint(1, 2))):
-            rows = maps[cover].tolist()
-            rows[0][0] = (rows[0][0] + 1) % field.p
-            maps[cover] = field.arr(rows)
-        want = _every_parent_failure(PersistenceModule(p, field, m.dims, maps, validate=False))
+        m = _perturbed(random_module(p, field, rng), rng)
+        want = _first_failing_square(m)
+        assert (want is None) == (every_parent_failure(m) is None)
         if want is None:
-            PersistenceModule(p, field, m.dims, maps)
+            PersistenceModule(p, field, m.dims, m.maps)
             continue
-        a, c, q = (p.label(x) for x in want)
-        with pytest.raises(CommutativityError, match=f"^paths {a} -> {c} disagree \\(one through {q}\\)$"):
-            PersistenceModule(p, field, m.dims, maps)
+        assert _square_fails(m, *want)
+        a, c, r = (p.label(x) for x in want)
+        with pytest.raises(CommutativityError, match=f"^paths {a} -> {c} disagree \\(one through {r}\\)$"):
+            PersistenceModule(p, field, m.dims, m.maps)
 
 
-def test_validating_a_chain_composes_nothing(field, monkeypatch):
-    # every element of a chain has one parent, so no two paths can disagree
+VALIDATION_POSETS = dict(generator_posets(5)) | ORACLE_POSETS | {"cube": CUBE, "grid2x4": grid(2, 4), "bowtie": BOWTIE}
+
+
+def test_validation_refuses_exactly_what_every_parent_check_refuses(field, rng):
+    refused = total = 0
+    for name, p in sorted(VALIDATION_POSETS.items()):
+        spreads = enumerate_spreads(p, "connected_spreads")
+        for _ in range(30):
+            m = _perturbed(random_module(p, field, rng, spreads), rng)
+            try:
+                PersistenceModule(p, field, m.dims, m.maps)
+            except CommutativityError:
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == (every_parent_failure(m) is None), name
+            refused += not accepted
+            total += 1
+    assert 0 < refused < total
+
+
+@pytest.fixture
+def map_along_calls(monkeypatch):
+    """The (a, b) of every `map_along` call while the test runs."""
     calls = []
     along = PersistenceModule.map_along
     monkeypatch.setattr(PersistenceModule, "map_along",
                         lambda self, a, b: calls.append((a, b)) or along(self, a, b))
+    return calls
+
+
+def test_validating_a_chain_composes_nothing(field, map_along_calls):
+    # every element of a chain has one parent, so no two paths can disagree
     p = chain(2000)
     PersistenceModule(p, field, [1] * p.n, {c: [[2]] for c in p.covers})
-    assert calls == []
+    assert map_along_calls == []
+
+
+def test_validating_a_chain_topped_by_a_diamond_composes_only_at_the_diamond(field, map_along_calls):
+    # the join's two parents have one maximal common lower bound: the top of the chain
+    counts = []
+    for n in (1000, 3000):
+        map_along_calls.clear()
+        covers = [(i, i + 1) for i in range(n - 1)] + [(n - 1, n), (n - 1, n + 1), (n, n + 2), (n + 1, n + 2)]
+        p = Poset(n + 3, covers)
+        PersistenceModule(p, field, [1] * p.n, {c: [[2]] for c in p.covers})
+        counts.append(len(map_along_calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_map_along_a_long_chain(field):
