@@ -220,7 +220,7 @@ def _assemble(x: Family, m: PersistenceModule, coords) -> Morphism:
         blocks = [yoneda_values(x.members[j], m, offsets, w, a)
                   for j, (offsets, w) in coords.items() if x.members[j].support >> a & 1]
         comps.append(hstack(blocks) if blocks else field.zeros(m.dims[a], 0))
-    f = Morphism(dom, m, comps, validate=False)
+    f = Morphism._build(dom, m, comps)
     for a, (_, pivots) in enumerate(f.reduced()):
         if len(pivots) != m.dims[a]:
             raise SpreadHomError(f"approximation fails to be onto at {m.poset.label(a)}")

@@ -14,9 +14,13 @@ import yaml
 
 from .approx import BUILTIN_FAMILIES, Family, builtin_family
 from .errors import CommutativityError, FileFormatError, ShapeError, SpreadHomError
-from .field import Matrix, PrimeField
+from .field import PrimeField
 from .modules import PersistenceModule
 from .poset import DEFAULT_CAP, Poset, Spread, spread_from_antichains
+
+# Most dense matrix cells a module file may ask for, before any is built: a
+# d_b x d_a map per cover a -> b and a d_a x d_a identity per element a.
+MAX_DENSE_CELLS = 10 ** 7
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -130,6 +134,9 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
         if not _is_int(d) or d < 0:
             raise FileFormatError(f"{path}: dims[{lbl!r}] must be a non-negative integer, got {d!r}")
         dims[a] = d
+    cells = sum(dims[a] * dims[b] for a, b in poset.covers) + sum(d * d for d in dims)
+    if cells > MAX_DENSE_CELLS:
+        raise FileFormatError(f"{path}: dims need {cells} dense matrix cells, more than {MAX_DENSE_CELLS}")
     raw_maps = data.get("maps") or {}
     if not isinstance(raw_maps, dict):
         raise FileFormatError(f"{path}: 'maps' must map 'a->b' keys to matrices")
@@ -168,7 +175,7 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
             shape = (len(value), len(value[0]) if value else 0)
             if shape != (dims[b], dims[a]):
                 raise ShapeError(f"{path}: map {key!r} has shape {shape}, expected {(dims[b], dims[a])}")
-            maps[(a, b)] = Matrix([[x % field.p for x in row] for row in value], shape[1])
+            maps[(a, b)] = value
     try:
         module = PersistenceModule(poset, field, dims, maps)
     except CommutativityError as e:

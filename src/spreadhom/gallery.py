@@ -1,6 +1,7 @@
 """Named posets and ready-made modules used across tests and scripts."""
 from __future__ import annotations
 
+from .approx import Family
 from .errors import SpreadHomError
 from .field import PrimeField
 from .modules import PersistenceModule, direct_sum, interval_module, spread_module
@@ -70,8 +71,6 @@ def atilde5() -> Poset:
 
 def atilde5_family():
     """The 9-member family: all projectives plus the three doubled spreads."""
-    from .approx import Family
-
     p = atilde5()
     members = [
         spread_from_antichains(p, ["1"], ["4", "6"]),

@@ -173,7 +173,7 @@ def yoneda_morphism(m: PersistenceModule, n: PersistenceModule, offsets, v) -> M
         yoneda_values(s, n, offsets, w, x) if s.support >> x & 1 else n.field.zeros(n.dims[x], 0)
         for x in range(s.poset.n)
     ]
-    return Morphism(m, n, comps, validate=False)
+    return Morphism._build(m, n, comps)
 
 
 def _indicator(m: PersistenceModule, n: PersistenceModule, comp: int) -> Morphism:
@@ -182,16 +182,14 @@ def _indicator(m: PersistenceModule, n: PersistenceModule, comp: int) -> Morphis
         field.eye(1) if comp >> x & 1 else field.zeros(n.dims[x], m.dims[x])
         for x in range(m.poset.n)
     ]
-    return Morphism(m, n, comps, validate=False)
+    return Morphism._build(m, n, comps)
 
 
 def naturality_basis(m: PersistenceModule, n: PersistenceModule) -> HomBasis:
     """A basis of Hom(m, n) from the naturality system, for any pair of endpoints."""
     _check_endpoints(m, n)
     kernel = m.field.kernel_basis(_naturality_system(m, n))
-    return HomBasis(m, n, tuple(
-        morphism_from_vec(m, n, col, validate=False) for col in zip(*kernel.rows)
-    ))
+    return HomBasis(m, n, tuple(morphism_from_vec(m, n, col) for col in zip(*kernel.rows)))
 
 
 def hom_basis(m: PersistenceModule, n: PersistenceModule) -> HomBasis:
@@ -262,8 +260,8 @@ def _subfunctor(m: PersistenceModule, bases, coords, what: str):
         if x is None:  # naturality guarantees the span is preserved
             raise AssertionError(f"{what} is not preserved by a structure map")
         maps[(a, b)] = x
-    sub = PersistenceModule(m.poset, field, tuple(b.shape[1] for b in bases), maps, validate=False)
-    return sub, Morphism(sub, m, bases, validate=False)
+    sub = PersistenceModule._build(m.poset, field, tuple(b.shape[1] for b in bases), maps)
+    return sub, Morphism._build(sub, m, bases)
 
 
 def _submodule(m: PersistenceModule, bases, what: str):

@@ -10,6 +10,7 @@ from itertools import combinations
 
 from .errors import (
     CommutativityError,
+    HookOrderError,
     NotComparableError,
     PosetMismatchError,
     ShapeError,
@@ -19,35 +20,43 @@ from .poset import Poset, Spread, iter_mask, spread_from_convex
 
 
 class PersistenceModule:
-    def __init__(self, poset: Poset, field: PrimeField, dims, maps=None, *, validate=True, spread=None):
-        self.poset = poset
-        self.field = field
+    """A vector space per element and a matrix per cover, every diamond commuting.
+
+    The constructor reduces each map mod p, checks the dimensions, each map's
+    shape and that its key is a cover (a missing cover is the zero map), and
+    validates commutativity.  The library's own constructions go through
+    `_build`, which checks nothing; only `spread_module` passes it the
+    spread tag that picks the Hom route (ignored by equality).
+    """
+
+    def __init__(self, poset: Poset, field: PrimeField, dims, maps=None):
         dims = tuple(int(d) for d in dims)
         if len(dims) != poset.n:
             raise ShapeError(f"{len(dims)} dimensions for {poset.n} elements")
         if any(d < 0 for d in dims):
             raise ShapeError("negative dimension")
-        self.dims = dims
         maps = dict(maps or {})
         self.maps = {}
         for a, b in poset.covers:
             m = maps.pop((a, b), None)
-            if m is None:
-                m = field.zeros(dims[b], dims[a])
-            else:
-                m = field.arr(m)
-                if m.shape != (dims[b], dims[a]):
-                    raise ShapeError(
-                        f"map {poset.label(a)}->{poset.label(b)} has shape {m.shape}, "
-                        f"expected {(dims[b], dims[a])}"
-                    )
-            self.maps[(a, b)] = m
+            m = self.maps[(a, b)] = field.zeros(dims[b], dims[a]) if m is None else field.arr(m)
+            if m.shape != (dims[b], dims[a]):
+                raise ShapeError(
+                    f"map {poset.label(a)}->{poset.label(b)} has shape {m.shape}, "
+                    f"expected {(dims[b], dims[a])}"
+                )
         if maps:
             raise ShapeError(f"maps given for non-cover pairs: {sorted(maps)}")
-        self.spread = spread  # optional provenance tag, ignored by equality
-        self._along: dict[tuple[int, int], Matrix] = {}
-        if validate:
-            self._validate_commutativity()
+        self.poset, self.field, self.dims, self.spread, self._along = poset, field, dims, None, {}
+        self._validate_commutativity()
+
+    @classmethod
+    def _build(cls, poset: Poset, field: PrimeField, dims: tuple[int, ...], maps, spread: Spread | None = None):
+        """Reduced maps of the right shapes (a missing cover is 0), unchecked; `spread` tags M_S."""
+        out = cls.__new__(cls)
+        out.poset, out.field, out.dims, out.spread, out._along = poset, field, dims, spread, {}
+        out.maps = {(a, b): maps.get((a, b)) or field.zeros(dims[b], dims[a]) for a, b in poset.covers}
+        return out
 
     def _validate_commutativity(self):
         # Two cover-paths into c through parents q and r start at a common
@@ -109,11 +118,8 @@ class PersistenceModule:
         """Restriction to an induced subposet; returns (module, SubPoset)."""
         sub = self.poset.subposet(mask)
         dims = tuple(self.dims[sub.to_parent(i)] for i in range(sub.poset.n))
-        maps = {}
-        for i, j in sub.poset.covers:
-            maps[(i, j)] = self.map_along(sub.to_parent(i), sub.to_parent(j))
-        m = PersistenceModule(sub.poset, self.field, dims, maps, validate=False)
-        return m, sub
+        maps = {(i, j): self.map_along(sub.to_parent(i), sub.to_parent(j)) for i, j in sub.poset.covers}
+        return PersistenceModule._build(sub.poset, self.field, dims, maps), sub
 
     def __eq__(self, other):
         return (
@@ -130,15 +136,18 @@ class PersistenceModule:
 
 
 class Morphism:
-    """A natural transformation f: M -> N given by one matrix per element."""
+    """A natural transformation f: M -> N given by one matrix per element.
 
-    def __init__(self, source: PersistenceModule, target: PersistenceModule, components, *, validate=True):
+    The constructor checks that the endpoints share poset and prime, reduces
+    each component mod p, checks its shape, and validates naturality on every
+    cover.  The library's own constructions go through `_build`, which checks nothing.
+    """
+
+    def __init__(self, source: PersistenceModule, target: PersistenceModule, components):
         if source.poset != target.poset:
             raise PosetMismatchError("morphism endpoints live over different posets")
         if source.field != target.field:
             raise PosetMismatchError("morphism endpoints use different primes")
-        self.source = source
-        self.target = target
         field = source.field
         comps = []
         for a in range(source.poset.n):
@@ -149,10 +158,15 @@ class Morphism:
                     f"expected {(target.dims[a], source.dims[a])}"
                 )
             comps.append(c)
-        self.components = tuple(comps)
-        self._reduced = None
-        if validate:
-            self._validate_naturality()
+        self.source, self.target, self.components, self._reduced = source, target, tuple(comps), None
+        self._validate_naturality()
+
+    @classmethod
+    def _build(cls, source: PersistenceModule, target: PersistenceModule, components):
+        """Reduced components of the right shapes, unchecked."""
+        out = cls.__new__(cls)
+        out.source, out.target, out.components, out._reduced = source, target, tuple(components), None
+        return out
 
     def _validate_naturality(self):
         f = self.source.field
@@ -176,7 +190,7 @@ class Morphism:
             raise PosetMismatchError("composition endpoints do not match")
         f = self.source.field
         comps = [f.matmul(self.components[a], other.components[a]) for a in range(self.source.poset.n)]
-        return Morphism(other.source, self.target, comps, validate=False)
+        return Morphism._build(other.source, self.target, comps)
 
     def vec(self) -> list[int]:
         """Flatten to one column: per element, the component in column-major order."""
@@ -197,8 +211,8 @@ class Morphism:
         return f"Morphism({self.source!r} -> {self.target!r})"
 
 
-def morphism_from_vec(source: PersistenceModule, target: PersistenceModule, v, *, validate=False) -> Morphism:
-    """Inverse of Morphism.vec for the same element/column-major layout."""
+def morphism_from_vec(source: PersistenceModule, target: PersistenceModule, v) -> Morphism:
+    """Inverse of Morphism.vec for the same element/column-major layout, checked like any `Morphism`."""
     comps = []
     off = 0
     for a in range(source.poset.n):
@@ -208,14 +222,14 @@ def morphism_from_vec(source: PersistenceModule, target: PersistenceModule, v, *
         comps.append(Matrix([block[i::rows] for i in range(rows)], cols))
     if off != len(v):
         raise ShapeError(f"vector of length {len(v)}, expected {off}")
-    return Morphism(source, target, comps, validate=validate)
+    return Morphism(source, target, comps)
 
 
 # -- constructors --------------------------------------------------------------
 
 
 def zero_module(poset: Poset, field: PrimeField) -> PersistenceModule:
-    return PersistenceModule(poset, field, (0,) * poset.n, {}, validate=False)
+    return PersistenceModule._build(poset, field, (0,) * poset.n, {})
 
 
 def spread_module(spr: Spread, field: PrimeField) -> PersistenceModule:
@@ -223,11 +237,11 @@ def spread_module(spr: Spread, field: PrimeField) -> PersistenceModule:
     p = spr.poset
     dims = tuple(1 if spr.support >> a & 1 else 0 for a in range(p.n))
     maps = {}
-    one = field.arr([[1]])
+    one = Matrix([[1]], 1)
     for a, b in p.covers:
         if spr.support >> a & 1 and spr.support >> b & 1:
             maps[(a, b)] = one
-    return PersistenceModule(p, field, dims, maps, validate=False, spread=spr)
+    return PersistenceModule._build(p, field, dims, maps, spr)
 
 
 def interval_module(p: Poset, field: PrimeField, a: int, b: int) -> PersistenceModule:
@@ -247,8 +261,6 @@ def hook_module(p: Poset, field: PrimeField, a: int, b: int | None = None) -> Pe
 
     With b omitted this is the full principal up-set at a (the projective).
     """
-    from .errors import HookOrderError
-
     if b is None:
         return projective_module(p, field, a)
     if not p.lt(a, b):
@@ -277,4 +289,4 @@ def direct_sum(summands) -> PersistenceModule:
             rows.extend(left + row + right for row in blk.rows)
             c += blk.shape[1]
         maps[(a, b)] = Matrix(rows, dims[a])
-    return PersistenceModule(p, field, dims, maps, validate=False)
+    return PersistenceModule._build(p, field, dims, maps)

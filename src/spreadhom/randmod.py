@@ -1,8 +1,7 @@
 """Random persistence modules for property tests and surveys.
 
 Modules are produced as base-changed sums of spread modules, or as kernels of
-random morphisms between such sums, so every draw is a genuine module (the
-commutativity validator stays on while we build them).
+random morphisms between such sums, so every draw is a genuine module.
 """
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ def base_change(m: PersistenceModule, rng: random.Random) -> PersistenceModule:
         (a, b): field.matmul(us[b], field.matmul(m.maps[(a, b)], inv[a]))
         for a, b in m.poset.covers
     }
-    return PersistenceModule(m.poset, field, m.dims, maps, validate=False)
+    return PersistenceModule._build(m.poset, field, m.dims, maps)
 
 
 def random_spread_sum(p: Poset, field: PrimeField, rng: random.Random,

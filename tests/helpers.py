@@ -152,13 +152,13 @@ def summand_inclusions(total, summands):
             blk[offsets[a]:offsets[a] + m.dims[a], :] = np.eye(m.dims[a], dtype=np.int64)
             comps.append(total.field.arr(blk))
             offsets[a] += m.dims[a]
-        out.append(Morphism(m, total, comps, validate=False))
+        out.append(Morphism(m, total, comps))
     return out
 
 
 def zero_morphism(source, target):
     comps = [source.field.zeros(target.dims[a], source.dims[a]) for a in range(source.poset.n)]
-    return Morphism(source, target, comps, validate=False)
+    return Morphism(source, target, comps)
 
 
 def every_parent_failure(m):

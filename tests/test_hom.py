@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spreadhom import (
     Morphism,
+    PersistenceModule,
     PosetMismatchError,
     PrimeField,
     direct_sum,
@@ -35,6 +36,20 @@ from spreadhom.hom import _submodule, yoneda_basis
 from spreadhom.randmod import random_module
 
 from helpers import ORACLE_POSETS, ORACLE_SPREADS, to_np, zero_morphism
+
+
+def test_only_spread_module_tags_a_spread(field):
+    # S_1 + S_2 on a 2-chain has the support of the interval [1, 2]; were it
+    # tagged as that spread, the Yoneda route would read Hom(M, S_2) as 0
+    p = chain(2)
+    s = spread_from_antichains(p, ["1"], ["2"])
+    with pytest.raises(TypeError):
+        PersistenceModule(p, field, [1, 1], {}, spread=s)
+    m = PersistenceModule(p, field, [1, 1])
+    top = simple_module(p, field, 1)
+    assert m.spread is None
+    assert hom_dim(m, top) == naturality_basis(m, top).dim == 1
+    assert hom_dim(spread_module(s, field), top) == 0
 
 
 def test_grid5x3_pair_has_one_dim_hom(field):
@@ -271,7 +286,7 @@ def test_kernel_module_refuses_a_morphism_that_is_not_natural(field):
     from spreadhom import interval_module
 
     m = interval_module(chain(2), field, 0, 1)
-    f = Morphism(m, m, [field.zeros(1, 1), field.eye(1)], validate=False)
+    f = Morphism._build(m, m, [field.zeros(1, 1), field.eye(1)])
     with pytest.raises(AssertionError, match="kernel is not preserved"):
         kernel_module(f)
 

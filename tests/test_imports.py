@@ -1,7 +1,7 @@
 """Every name a library module imports is read, there or by a module that imports it from there.
 
-The package exports exactly what it imports, and every error class it
-declares is raised somewhere in it.
+The package exports exactly what it imports, imports only at module level,
+and raises every error class it declares.
 """
 
 import ast
@@ -58,6 +58,17 @@ def export_mismatch(init=SRC / "__init__.py"):
     return sorted(set(_imports(tree)) ^ set(listed)) + sorted({n for n in listed if listed.count(n) > 1})
 
 
+def nested_imports(src=SRC):
+    """Import statements inside a function body, as "file.py:line"."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{n.lineno}" for n in ast.walk(node)
+                          if isinstance(n, (ast.Import, ast.ImportFrom))]
+    return sorted(set(found))
+
+
 def unraised_errors(src=SRC):
     """Exception classes declared in errors.py that no `raise` in the package names."""
     declared = [n.name for n in ast.parse((src / "errors.py").read_text()).body if isinstance(n, ast.ClassDef)]
@@ -102,3 +113,16 @@ def test_the_raise_check_sees_a_dead_error(tmp_path):
     (tmp_path / "a.py").write_text("from .errors import A, B, C\nraise A\n\n\ndef f():\n    raise B('x') from None\n")
     # C is imported but never raised
     assert unraised_errors(tmp_path) == ["C"]
+
+
+def test_library_modules_import_only_at_module_level():
+    assert nested_imports() == []
+
+
+def test_the_nested_import_check_sees_an_import_in_a_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import os\n\n\nclass A:\n    def f(self):\n        def g():\n            from .b import x\n"
+        "        import json\n"
+    )
+    # the module-level import is fine; both in the method are found, the nested one once
+    assert nested_imports(tmp_path) == ["a.py:7", "a.py:8"]

@@ -598,6 +598,30 @@ def test_files_parse_with_libyaml_when_present(capsys, tmp_path):
         assert out == ""
 
 
+def test_cli_refuses_a_module_too_large_to_build(capsys, tmp_path):
+    # an identity at 00 alone would have 10**22 cells: refused before any matrix is built
+    shutil.copy(DATA / "grid2x2.yaml", tmp_path / "grid2x2.yaml")
+    path = tmp_path / "m.yaml"
+    for dims, maps in [('{"00": 100000000000}', "{}"),
+                       ('{"00": 100000000000, "01": 100000000000}', '{"00->01": id}')]:
+        path.write_text(f'poset: "grid2x2.yaml"\ndims: {dims}\nmaps: {maps}\n')
+        code, out, err = run_cli(capsys, "invariant", "dimvec", str(path))
+        _one_line_error(code, err, "m.yaml", "dense matrix cells", str(files.MAX_DENSE_CELLS))
+        assert out == ""
+
+
+def test_the_size_bound_counts_each_cover_and_element(capsys, tmp_path, monkeypatch):
+    # dims 2 at 00 and 3 at 01: 2*3 for the cover 00->01, and 2*2 + 3*3 for the elements
+    shutil.copy(DATA / "grid2x2.yaml", tmp_path / "grid2x2.yaml")
+    path = tmp_path / "m.yaml"
+    path.write_text('poset: "grid2x2.yaml"\ndims: {"00": 2, "01": 3}\n')
+    monkeypatch.setattr(files, "MAX_DENSE_CELLS", 19)
+    assert run_cli(capsys, "invariant", "dimvec", str(path))[0] == 0
+    monkeypatch.setattr(files, "MAX_DENSE_CELLS", 18)
+    code, out, err = run_cli(capsys, "invariant", "dimvec", str(path))
+    _one_line_error(code, err, "m.yaml", "19 dense matrix cells, more than 18")
+
+
 def test_cli_rejects_wrong_shape_matrix(capsys, tmp_path):
     path = _grid2x3_variant(tmp_path, '"11->12": [[1], [1]]', '"11->12": []')
     code, out, err = run_cli(capsys, "invariant", "dimvec", path)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -10,13 +11,18 @@ from spreadhom import (
     NotComparableError,
     PersistenceModule,
     PosetMismatchError,
+    PrimeField,
     ShapeError,
+    builtin_family,
     direct_sum,
     enumerate_spreads,
+    hom_basis,
     hook_module,
+    image_module,
     interval_module,
     morphism_from_vec,
     projective_module,
+    resolve,
     simple_module,
     spread_from_antichains,
     spread_module,
@@ -25,7 +31,7 @@ from spreadhom import (
 from spreadhom.field import hstack
 from spreadhom.gallery import chain, funnel, generator_posets, grid
 from spreadhom.poset import Poset, elements_of
-from spreadhom.randmod import random_module
+from spreadhom.randmod import base_change, random_module
 
 from helpers import (
     ORACLE_POSETS,
@@ -58,6 +64,14 @@ def test_shape_validation(field):
         PersistenceModule(p, field, [1, 1], {(1, 0): [[1]]})
 
 
+def test_the_constructors_reduce_a_matrix_of_another_prime():
+    six = PrimeField(7).arr([[6]])
+    f5 = PrimeField(5)
+    m = PersistenceModule(chain(2), f5, [1, 1], {(0, 1): six})
+    assert m.maps[(0, 1)].rows == [[1]]
+    assert Morphism(m, m, [six, six]).components == (f5.eye(1), f5.eye(1))
+
+
 def test_commutativity_enforced(field):
     p = grid(2, 2)
     e = {lbl: p.element(lbl) for lbl in p.names}
@@ -88,7 +102,7 @@ def _perturbed(m, rng):
         rows = maps[cover].tolist()
         rows[0][0] = (rows[0][0] + 1) % field.p
         maps[cover] = field.arr(rows)
-    return PersistenceModule(m.poset, field, m.dims, maps, validate=False)
+    return PersistenceModule._build(m.poset, field, m.dims, maps)
 
 
 def _square_fails(m, a, c, r):
@@ -188,7 +202,7 @@ def test_validating_a_chain_topped_by_a_diamond_composes_only_at_the_diamond(fie
 def test_map_along_a_long_chain(field):
     # far past the interpreter's recursion limit
     p = chain(3000)
-    m = PersistenceModule(p, field, [1] * p.n, {c: [[2]] for c in p.covers}, validate=False)
+    m = PersistenceModule(p, field, [1] * p.n, {c: [[2]] for c in p.covers})  # a chain validates without composing
     assert m.map_along(0, p.n - 1).tolist() == [[pow(2, p.n - 1, field.p)]]
     assert m.map_along(1, p.n - 1).tolist() == [[pow(2, p.n - 2, field.p)]]
 
@@ -334,7 +348,7 @@ def test_vec_round_trip(field, rng):
     assert morphism_from_vec(m, n, v) == f
     # a nonzero natural map: scalar multiple of identity on m
     g = Morphism(m, m, [field.arr(2 * np.eye(m.dim(a), dtype=np.int64)) for a in range(p.n)])
-    assert morphism_from_vec(m, m, g.vec(), validate=True) == g
+    assert morphism_from_vec(m, m, g.vec()) == g
 
 
 def test_identity_is_neutral(field, rng):
@@ -342,3 +356,32 @@ def test_identity_is_neutral(field, rng):
     m = random_module(p, field, rng)
     i = Morphism(m, m, [field.eye(d) for d in m.dims])
     assert i @ i == i
+
+
+def _checked(x):
+    """A module or morphism rebuilt through the public constructor, which checks everything."""
+    if isinstance(x, Morphism):
+        return Morphism(_checked(x.source), _checked(x.target), x.components)
+    return PersistenceModule(x.poset, x.field, x.dims, x.maps)
+
+
+def test_what_the_library_builds_unchecked_passes_the_public_checks(field, rng):
+    built = collections.defaultdict(list)
+    for _, p in generator_posets(5):
+        spreads = enumerate_spreads(p, "connected_spreads")
+        x = builtin_family(p, "connected_spreads")
+        for _ in range(4):
+            m, n = random_module(p, field, rng, spreads), random_module(p, field, rng, spreads)
+            s, t = (spread_module(rng.choice(spreads), field) for _ in range(2))
+            res = resolve(x, m, 3)
+            built["modules"] += [m, n, s, t, direct_sum([m, n, s]), base_change(m, rng),
+                                 m.restrict(rng.randrange(1, 1 << p.n))[0], *res.kernels]
+            built["resolution maps"] += [*res.approximations, *res.kernel_inclusions]
+            # the three Hom routes: spread -> spread, spread -> module, module -> module
+            into_m, m_to_n = hom_basis(s, m).basis, hom_basis(m, n).basis
+            built["hom bases"] += [*hom_basis(s, t).basis, *into_m, *m_to_n]
+            built["composites"] += [g @ f for f in into_m for g in m_to_n]
+            built["image inclusions"] += [image_module(g)[1] for g in m_to_n]
+    assert min(map(len, built.values())) > 20, {k: len(v) for k, v in built.items()}
+    for y in itertools.chain(*built.values()):
+        assert _checked(y) == y
