@@ -23,8 +23,8 @@ from spreadhom import (
     compare,
     direct_sum,
     enumerate_spreads,
+    hom_basis,
     hom_dim,
-    naturality_basis,
     rank_invariant,
     resolve,
     signed_diagram,
@@ -65,7 +65,7 @@ def main():
     print(f"  T = {t.render()}")
     print(f"  counted components: dim Hom = {spread_hom_dim(s, t)}")
     ms, mt = spread_module(s, FIELD), spread_module(t, FIELD)
-    print(f"  naturality solver:  dim Hom = {naturality_basis(ms, mt).dim}")
+    print(f"  naturality solver:  dim Hom = {hom_basis(ms, mt).dim}")
 
     heading("Equal ranks, different classes (2x2 grid)")
     p, m, mprime = equal_rank_pair(FIELD)

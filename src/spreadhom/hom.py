@@ -1,22 +1,21 @@
-"""Hom spaces between persistence modules.
+"""Hom spaces between persistence modules, at two levels.
 
-`hom_basis` takes one of three routes, chosen by the spread tags of the
-endpoints alone, and `hom_dim` is the size of its basis:
-
-- both modules are tagged with their spread: the combinatorial route.  The
-  basis is one indicator morphism per valid component of the intersection
-  of the supports (`spread_hom_components`), and `spread_hom_dim` counts
-  them.  Hom(M_S, M_T) is 0 unless a source of S lies in T and a target of
-  T lies in S: a valid component contains the sources of S below it and
-  the targets of T above it, hence one of each.
-- only the source is a tagged spread module M_S: Yoneda.  M_S is a quotient
-  of ⊕_{a ∈ min S} P_a and Hom(P_a, N) = N_a, so a morphism is a tuple
-  (v_a) in ⊕ N_a whose pushes N(a -> x) v_a agree on S
-  (`agreement_system`) and vanish off S (`yoneda_basis`).  Each equation is
-  written once, at the minimal elements where it starts.  Hom(M_S, N) is 0
-  when N is 0 at every source of S, since it embeds in ⊕ N_a.
-- an untagged source: `naturality_basis`, one linear system over all covers.
-  It solves any pair, and the tests hold the other two routes against it.
+- Modules: `hom_basis` is the canonical kernel of one linear system over
+  all covers (`_naturality_system`), so the basis depends only on the values
+  of the endpoints; `hom_dim` is its size.  It solves any pair, and the
+  tests hold the spread-level routes against it.
+- Spreads, for a module M_S known by its spread S:
+  - into M_T: one indicator morphism per valid component of the
+    intersection of the supports (`spread_hom_components`), and
+    `spread_hom_dim` counts them.  Hom(M_S, M_T) is 0 unless a source of S
+    lies in T and a target of T lies in S: a valid component contains the
+    sources of S below it and the targets of T above it, hence one of each.
+  - into any N: Yoneda.  M_S is a quotient of ⊕_{a ∈ min S} P_a and
+    Hom(P_a, N) = N_a, so a morphism is a tuple (v_a) in ⊕ N_a whose pushes
+    N(a -> x) v_a agree on S (`agreement_system`) and vanish off S
+    (`yoneda_basis`, read back by `yoneda_values`).  Each equation is
+    written once, at the minimal elements where it starts.  Hom(M_S, N) is
+    0 when N is 0 at every source of S, since it embeds in ⊕ N_a.
 """
 from __future__ import annotations
 
@@ -165,46 +164,14 @@ def yoneda_values(s: Spread, n: PersistenceModule, offsets, w: Matrix, x: int) -
     return n.field.matmul(n.map_along(a, x), Matrix(w.rows[offsets[a]:offsets[a] + n.dims[a]], w.shape[1]))
 
 
-def yoneda_morphism(m: PersistenceModule, n: PersistenceModule, offsets, v) -> Morphism:
-    """The morphism from the spread module m with source coordinates v."""
-    s = m.spread
-    w = Matrix([[x] for x in v], 1)
-    comps = [
-        yoneda_values(s, n, offsets, w, x) if s.support >> x & 1 else n.field.zeros(n.dims[x], 0)
-        for x in range(s.poset.n)
-    ]
-    return Morphism._build(m, n, comps)
+def hom_basis(m: PersistenceModule, n: PersistenceModule) -> HomBasis:
+    """A basis of the space of morphisms m -> n: the canonical kernel of the naturality system.
 
-
-def _indicator(m: PersistenceModule, n: PersistenceModule, comp: int) -> Morphism:
-    field = m.field
-    comps = [
-        field.eye(1) if comp >> x & 1 else field.zeros(n.dims[x], m.dims[x])
-        for x in range(m.poset.n)
-    ]
-    return Morphism._build(m, n, comps)
-
-
-def naturality_basis(m: PersistenceModule, n: PersistenceModule) -> HomBasis:
-    """A basis of Hom(m, n) from the naturality system, for any pair of endpoints."""
+    It depends only on the values of m and n, never on how they were built.
+    """
     _check_endpoints(m, n)
     kernel = m.field.kernel_basis(_naturality_system(m, n))
     return HomBasis(m, n, tuple(morphism_from_vec(m, n, col) for col in zip(*kernel.rows)))
-
-
-def hom_basis(m: PersistenceModule, n: PersistenceModule) -> HomBasis:
-    """A basis of the space of morphisms m -> n, deterministic for fixed input.
-
-    The route follows the spread tags (see the module docstring).
-    """
-    if m.spread is None:
-        return naturality_basis(m, n)
-    _check_endpoints(m, n)
-    if n.spread is not None:
-        comps = spread_hom_components(m.spread, n.spread)
-        return HomBasis(m, n, tuple(_indicator(m, n, c) for c in comps))
-    offsets, w = yoneda_basis(m.spread, n)
-    return HomBasis(m, n, tuple(yoneda_morphism(m, n, offsets, col) for col in zip(*w.rows)))
 
 
 def hom_dim(m: PersistenceModule, n: PersistenceModule) -> int:

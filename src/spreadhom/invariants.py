@@ -142,13 +142,6 @@ class RankInvariant:
     poset: Poset
     entries: dict[tuple[int, int], int]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RankInvariant)
-            and self.poset == other.poset
-            and self.entries == other.entries
-        )
-
     def table(self) -> str:
         lines = []
         for (a, b), r in sorted(self.entries.items()):

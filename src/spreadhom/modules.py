@@ -25,8 +25,7 @@ class PersistenceModule:
     The constructor reduces each map mod p, checks the dimensions, each map's
     shape and that its key is a cover (a missing cover is the zero map), and
     validates commutativity.  The library's own constructions go through
-    `_build`, which checks nothing; only `spread_module` passes it the
-    spread tag that picks the Hom route (ignored by equality).
+    `_build`, which checks nothing.
     """
 
     def __init__(self, poset: Poset, field: PrimeField, dims, maps=None):
@@ -47,14 +46,14 @@ class PersistenceModule:
                 )
         if maps:
             raise ShapeError(f"maps given for non-cover pairs: {sorted(maps)}")
-        self.poset, self.field, self.dims, self.spread, self._along = poset, field, dims, None, {}
+        self.poset, self.field, self.dims, self._along = poset, field, dims, {}
         self._validate_commutativity()
 
     @classmethod
-    def _build(cls, poset: Poset, field: PrimeField, dims: tuple[int, ...], maps, spread: Spread | None = None):
-        """Reduced maps of the right shapes (a missing cover is 0), unchecked; `spread` tags M_S."""
+    def _build(cls, poset: Poset, field: PrimeField, dims: tuple[int, ...], maps):
+        """Reduced maps of the right shapes (a missing cover is 0), unchecked."""
         out = cls.__new__(cls)
-        out.poset, out.field, out.dims, out.spread, out._along = poset, field, dims, spread, {}
+        out.poset, out.field, out.dims, out._along = poset, field, dims, {}
         out.maps = {(a, b): maps.get((a, b)) or field.zeros(dims[b], dims[a]) for a, b in poset.covers}
         return out
 
@@ -131,8 +130,7 @@ class PersistenceModule:
         )
 
     def __repr__(self):
-        tag = f" {self.spread.render()}" if self.spread is not None else ""
-        return f"PersistenceModule{tag}(dims={self.dims})"
+        return f"PersistenceModule(dims={self.dims})"
 
 
 class Morphism:
@@ -241,7 +239,7 @@ def spread_module(spr: Spread, field: PrimeField) -> PersistenceModule:
     for a, b in p.covers:
         if spr.support >> a & 1 and spr.support >> b & 1:
             maps[(a, b)] = one
-    return PersistenceModule._build(p, field, dims, maps, spr)
+    return PersistenceModule._build(p, field, dims, maps)
 
 
 def interval_module(p: Poset, field: PrimeField, a: int, b: int) -> PersistenceModule:

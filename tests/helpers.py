@@ -4,10 +4,11 @@ The poset oracles are deliberately independent of the library internals:
 they work on explicit pair sets computed by graph search over cover lists,
 never on the bitmask machinery they are checking.  The module fixtures
 (inclusions of summands, zero morphisms), the connecting maps of a
-resolution and the up-set predicate are used by tests only.  The
-commutativity oracle checks every parent of c above a, for every a < c,
-where the validator checks one square per pair of parents of a join.  The
-limit and colimit oracle writes every equation out, at every
+resolution, the up-set predicate and the morphisms read back from the
+spread-level Hom routes (held against `hom_basis`) are used by tests only.
+The commutativity oracle checks every parent of c above a, for every
+a < c, where the validator checks one square per pair of parents of a
+join.  The limit and colimit oracle writes every equation out, at every
 element of the spread.  The approximation oracle is the earlier production
 route, kept to hold its replacement to the same bytes, and the numpy
 elimination at the end is the reference for `PrimeField.rref`.
@@ -17,10 +18,11 @@ import itertools
 
 import numpy as np
 
-from spreadhom import Morphism, Poset, enumerate_spreads
+from spreadhom import Morphism, Poset, enumerate_spreads, spread_module
 from spreadhom.approx import _assemble, _member_homs
 from spreadhom.gallery import atilde5, crown, funnel, grid
-from spreadhom.hom import stacked_offsets, yoneda_values
+from spreadhom.field import Matrix
+from spreadhom.hom import spread_hom_components, stacked_offsets, yoneda_basis, yoneda_values
 from spreadhom.poset import elements_of, iter_mask
 
 
@@ -159,6 +161,28 @@ def summand_inclusions(total, summands):
 def zero_morphism(source, target):
     comps = [source.field.zeros(target.dims[a], source.dims[a]) for a in range(source.poset.n)]
     return Morphism(source, target, comps)
+
+
+def indicator_morphisms(s, t, field):
+    """Hom(M_s, M_t) from `spread_hom_components`: per component, 1 on it and 0 elsewhere, checked."""
+    ms, mt = spread_module(s, field), spread_module(t, field)
+    return [
+        Morphism(ms, mt, [field.eye(1) if comp >> x & 1 else field.zeros(mt.dims[x], ms.dims[x])
+                          for x in range(s.poset.n)])
+        for comp in spread_hom_components(s, t)
+    ]
+
+
+def yoneda_morphisms(s, n):
+    """Hom(M_s, n) from the `yoneda_basis` columns, read back at each x of s by `yoneda_values`, checked."""
+    field = n.field
+    m = spread_module(s, field)
+    offsets, w = yoneda_basis(s, n)
+    return [
+        Morphism(m, n, [yoneda_values(s, n, offsets, Matrix([[v] for v in col], 1), x)
+                        if s.support >> x & 1 else field.zeros(n.dims[x], 0) for x in range(s.poset.n)])
+        for col in zip(*w.rows)
+    ]
 
 
 def every_parent_failure(m):

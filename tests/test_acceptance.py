@@ -23,8 +23,8 @@ from spreadhom import (
     direct_sum,
     enumerate_spreads,
     generalized_rank,
+    hom_basis,
     hom_dim,
-    naturality_basis,
     rank_invariant,
     rank_via_hooks,
     resolve,
@@ -65,7 +65,7 @@ def test_criterion_01_grid5x3_hom_pair(capsys):
     t0 = time.perf_counter()
     _, s, t = grid53_hom_pair()
     counted = spread_hom_dim(s, t)
-    solved = naturality_basis(spread_module(s, FIELD), spread_module(t, FIELD)).dim
+    solved = hom_basis(spread_module(s, FIELD), spread_module(t, FIELD)).dim
     ok = counted == 1 and solved == 1
     report(
         capsys, 1, 1.0, t0, ok,
@@ -84,7 +84,7 @@ def test_criterion_02_spread_hom_oracle(capsys):
             for t, mt in zip(spreads, mods):
                 pairs += 1
                 a = spread_hom_dim(s, t)
-                b = naturality_basis(ms, mt).dim
+                b = hom_basis(ms, mt).dim
                 if a != b:
                     mismatches.append((name, s.render(), t.render(), a, b))
     report(

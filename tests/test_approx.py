@@ -21,7 +21,6 @@ from spreadhom import (
     hom_dim,
     kernel_module,
     minimal_approximation,
-    naturality_basis,
     resolve,
     simple_module,
     spread_from_antichains,
@@ -93,7 +92,7 @@ def test_hom_matrix_diagonal_is_one(field):
     mods = x.member_modules(field)
     for i in (0, 3, 7):
         for j in (1, 5, 9):
-            assert h[i][j] == naturality_basis(mods[i], mods[j]).dim
+            assert h[i][j] == hom_basis(mods[i], mods[j]).dim
 
 
 def test_doubled_source_trio_has_hom_cycle():
@@ -270,7 +269,7 @@ def test_minimal_approximation_factors_everything(field, rng):
     p = grid(2, 2)
     x = builtin_family(p, "single_source")
     targets = [random_module(p, field, rng) for _ in range(4)]
-    # a tagged spread module: its Hom basis comes in Yoneda coordinates here
+    # a spread module as a target too, next to the random ones
     targets.append(spread_module(spread_from_antichains(p, ["00"], ["01", "10"]), field))
     for m in targets:
         mult, f = minimal_approximation(x, m)

@@ -6,18 +6,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spreadhom import (
+    HomBasis,
     Morphism,
     PersistenceModule,
     PosetMismatchError,
     PrimeField,
+    builtin_family,
+    dim_hom_vector,
     direct_sum,
     enumerate_spreads,
     hom_basis,
     hom_dim,
     image_module,
     kernel_module,
-    naturality_basis,
     projective_module,
+    rank_invariant,
+    rank_via_hooks,
     simple_module,
     spread_from_antichains,
     spread_hom_dim,
@@ -35,27 +39,26 @@ from spreadhom.gallery import (
 from spreadhom.hom import _submodule, yoneda_basis
 from spreadhom.randmod import random_module
 
-from helpers import ORACLE_POSETS, ORACLE_SPREADS, to_np, zero_morphism
+from helpers import ORACLE_POSETS, ORACLE_SPREADS, indicator_morphisms, to_np, yoneda_morphisms, zero_morphism
 
 
 def test_only_spread_module_tags_a_spread(field):
-    # S_1 + S_2 on a 2-chain has the support of the interval [1, 2]; were it
-    # tagged as that spread, the Yoneda route would read Hom(M, S_2) as 0
+    # S_1 + S_2 on a 2-chain has the support of the interval [1, 2] but not
+    # its Hom into S_2, and no constructor takes a spread to say otherwise
     p = chain(2)
     s = spread_from_antichains(p, ["1"], ["2"])
     with pytest.raises(TypeError):
         PersistenceModule(p, field, [1, 1], {}, spread=s)
     m = PersistenceModule(p, field, [1, 1])
     top = simple_module(p, field, 1)
-    assert m.spread is None
-    assert hom_dim(m, top) == naturality_basis(m, top).dim == 1
+    assert hom_dim(m, top) == 1
     assert hom_dim(spread_module(s, field), top) == 0
 
 
 def test_grid5x3_pair_has_one_dim_hom(field):
     p, s, t = grid53_hom_pair()
     assert spread_hom_dim(s, t) == 1
-    assert naturality_basis(spread_module(s, field), spread_module(t, field)).dim == 1
+    assert hom_basis(spread_module(s, field), spread_module(t, field)).dim == 1
 
 
 def test_spread_route_matches_solver_on_small_posets(field):
@@ -66,20 +69,56 @@ def test_spread_route_matches_solver_on_small_posets(field):
         for s, ms in zip(spreads, mods):
             for t, mt in zip(spreads, mods):
                 combinatorial = spread_hom_dim(s, t)
-                solved = naturality_basis(ms, mt).dim
+                solved = hom_basis(ms, mt).dim
                 assert combinatorial == solved, (name, s.render(), t.render())
 
 
 def test_indicator_basis_is_the_solver_basis(field):
-    # spread -> spread bases are the component indicators, ordered by largest
-    # element id, which is exactly the solver's canonical kernel basis
+    # the component indicators of spread_hom_components, ordered by largest
+    # element id, are exactly the solver's canonical kernel basis
     for name, p in generator_posets(max_n=5):
-        mods = [spread_module(s, field) for s in enumerate_spreads(p, "connected_spreads")]
-        for ms in mods:
-            for mt in mods:
-                got = hom_basis(ms, mt).matrix()
-                want = naturality_basis(ms, mt).matrix()
-                assert got == want, (name, ms, mt)
+        spreads = enumerate_spreads(p, "connected_spreads")
+        mods = [spread_module(s, field) for s in spreads]
+        for s, ms in zip(spreads, mods):
+            for t, mt in zip(spreads, mods):
+                got = [f.vec() for f in indicator_morphisms(s, t, field)]
+                want = [f.vec() for f in hom_basis(ms, mt).basis]
+                assert got == want, (name, s.render(), t.render())
+
+
+def test_equal_modules_get_equal_bases(field):
+    # the basis is a function of the values of the endpoints: a spread module
+    # and its copy through the public constructor give the same bytes
+    for name, p in generator_posets(max_n=5):
+        n = random_module(p, field, random.Random(1))
+        for s in enumerate_spreads(p, "connected_spreads"):
+            m = spread_module(s, field)
+            copy = PersistenceModule(p, field, m.dims, m.maps)
+            assert copy == m
+            assert hom_basis(m, n).matrix() == hom_basis(copy, n).matrix(), (name, s.render())
+
+
+def test_hom_basis_never_reaches_spread_level(field, rng, monkeypatch):
+    # hom_basis is the oracle of the spread-level routes, so with them all
+    # refusing it still gives the Yoneda widths, the hook-counted ranks and
+    # the counted components
+    cases = []
+    for _, p in generator_posets(max_n=4):
+        x = builtin_family(p, "connected_spreads")
+        m = random_module(p, field, rng)
+        counts = [[spread_hom_dim(s, t) for t in x.members] for s in x.members]
+        cases.append((x, m, dim_hom_vector(x, m), counts))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("hom_basis reached spread level")
+
+    for name in ("yoneda_basis", "agreement_system", "spread_hom_components"):
+        monkeypatch.setattr(f"spreadhom.hom.{name}", refuse)
+    for x, m, widths, counts in cases:
+        mods = x.member_modules(field)
+        assert tuple(hom_dim(r, m) for r in mods) == widths
+        assert rank_via_hooks(m) == rank_invariant(m)
+        assert [[hom_basis(r, q).dim for q in mods] for r in mods] == counts
 
 
 YONEDA_POSETS = {"grid2x2": grid(2, 2), "grid3x3": grid(3, 3), "funnel": funnel()}
@@ -96,30 +135,28 @@ def test_yoneda_basis_is_empty_when_the_target_vanishes_at_the_sources(name, see
         offsets, w = yoneda_basis(s, n)
         assert sorted(offsets) == list(s.source_elements())
         m = spread_module(s, field)
-        want = naturality_basis(m, n).dim
+        want = hom_dim(m, n)
         if any(n.dims[a] for a in offsets):
             assert w.shape == (sum(n.dims[a] for a in offsets), want), s.render()
         else:
-            assert w.shape == (0, 0) and want == hom_dim(m, n) == 0, s.render()
+            assert w.shape == (0, 0) and want == 0, s.render()
 
 
 @given(st.sampled_from(sorted(YONEDA_POSETS)), st.integers(0, 10_000))
 def test_yoneda_route_matches_solver(name, seed):
     # Hom out of every connected spread, multi-source ones included, into a
-    # random module: same dimension, same span, and natural basis morphisms
+    # random module: the Yoneda columns read back as natural morphisms (the
+    # helper checks each) that span the solver's basis, of its dimension
     field = PrimeField()
     p = YONEDA_POSETS[name]
     n = random_module(p, field, random.Random(seed))
-    assert n.spread is None
     for s in YONEDA_SPREADS[name]:
         m = spread_module(s, field)
-        got = hom_basis(m, n)
-        want = naturality_basis(m, n)
-        assert got.dim == want.dim == hom_dim(m, n), s.render()
+        got = HomBasis(m, n, tuple(yoneda_morphisms(s, n)))
+        want = hom_basis(m, n)
+        assert got.dim == want.dim, s.render()
         both = np.concatenate([to_np(got.matrix()), to_np(want.matrix())], axis=1)
         assert field.rank(got.matrix()) == field.rank(both) == want.dim, s.render()
-        for f in got.basis:
-            Morphism(m, n, f.components)  # full naturality validation
 
 
 @given(st.sampled_from(sorted(ORACLE_POSETS)), st.integers(0, 10_000))
@@ -132,7 +169,7 @@ def test_yoneda_basis_is_the_canonical_basis_of_the_solver_span(name, seed):
     for s in ORACLE_SPREADS[name]:
         offsets, w = yoneda_basis(s, n)
         assert list(offsets) == list(s.source_elements())
-        basis = naturality_basis(spread_module(s, field), n).basis
+        basis = hom_basis(spread_module(s, field), n).basis
         v = np.zeros((sum(n.dims[a] for a in offsets), len(basis)), dtype=np.int64)
         for j, f in enumerate(basis):
             v[:, j] = np.concatenate([to_np(f.components[a])[:, 0] for a in offsets])
@@ -141,11 +178,10 @@ def test_yoneda_basis_is_the_canonical_basis_of_the_solver_span(name, seed):
 
 
 def test_hom_basis_methods(field):
-    # the spread tags alone pick the route; it gives the solver's basis size,
-    # and the removed method= option is refused
+    # one route, with no option to pick another: the removed method= is refused
     s = spread_from_antichains(grid(2, 2), ["00"], ["11"])
     ms = spread_module(s, field)
-    assert naturality_basis(ms, ms).dim == hom_basis(ms, ms).dim == hom_dim(ms, ms) == 1
+    assert hom_basis(ms, ms).dim == hom_dim(ms, ms) == 1
     with pytest.raises(TypeError):
         hom_basis(ms, ms, method="spread")
 
@@ -155,9 +191,7 @@ def test_hom_dim_methods_agree(field):
     s = spread_from_antichains(p, ["00"], ["01", "10"])
     t = spread_from_antichains(p, ["00"], ["11"])
     ms, mt = spread_module(s, field), spread_module(t, field)
-    d = hom_dim(ms, mt)
-    assert d == naturality_basis(ms, mt).dim
-    assert d == hom_basis(ms, mt).dim == spread_hom_dim(s, t)
+    assert hom_dim(ms, mt) == hom_basis(ms, mt).dim == spread_hom_dim(s, t)
     with pytest.raises(TypeError):
         hom_dim(ms, mt, method="magic")
 
@@ -167,7 +201,7 @@ def test_hom_endpoints_must_share_poset_and_prime():
     m2, m3 = spread_module(s, PrimeField(2)), spread_module(s, PrimeField(3))
     other = spread_module(spread_from_antichains(chain(4), ["1"], ["4"]), PrimeField(2))
     for target in (m3, other, random_module(grid(2, 2), PrimeField(3), random.Random(0))):
-        for fn in (hom_dim, hom_basis, naturality_basis):
+        for fn in (hom_dim, hom_basis):
             with pytest.raises(PosetMismatchError):
                 fn(m2, target)
 
@@ -357,4 +391,4 @@ def test_spread_hom_dim_is_symmetric_under_field_choice(seed):
     d = spread_hom_dim(s, t)
     for prime in (2, 3, 32003):
         f = PrimeField(prime)
-        assert naturality_basis(spread_module(s, f), spread_module(t, f)).dim == d
+        assert hom_basis(spread_module(s, f), spread_module(t, f)).dim == d

@@ -98,7 +98,7 @@ DIMHOM_FAMILIES = {
 @given(st.sampled_from(sorted(DIMHOM_FAMILIES)), st.sampled_from(["random", "spread", "zero"]),
        st.integers(0, 10_000))
 def test_dim_hom_vector_matches_hom_dim_over_member_modules(key, target, seed):
-    # the Yoneda widths against the routed hom_dim of each built member module
+    # the Yoneda widths against the naturality solver on each built member module
     field = PrimeField()
     rng = random.Random(seed)
     x = DIMHOM_FAMILIES[key]

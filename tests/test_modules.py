@@ -240,7 +240,6 @@ def test_spread_module_shape(field):
     m = spread_module(s, field)
     assert m.dimension_vector() == (1, 1, 1, 0)
     assert m.map_along(p.element("00"), p.element("01")).tolist() == [[1]]
-    assert m.spread == s
     assert mask_to_set(m.support_mask()) == set(elements_of(s.support))
 
 
@@ -377,7 +376,7 @@ def test_what_the_library_builds_unchecked_passes_the_public_checks(field, rng):
             built["modules"] += [m, n, s, t, direct_sum([m, n, s]), base_change(m, rng),
                                  m.restrict(rng.randrange(1, 1 << p.n))[0], *res.kernels]
             built["resolution maps"] += [*res.approximations, *res.kernel_inclusions]
-            # the three Hom routes: spread -> spread, spread -> module, module -> module
+            # Hom bases spread -> spread, spread -> module and module -> module
             into_m, m_to_n = hom_basis(s, m).basis, hom_basis(m, n).basis
             built["hom bases"] += [*hom_basis(s, t).basis, *into_m, *m_to_n]
             built["composites"] += [g @ f for f in into_m for g in m_to_n]
