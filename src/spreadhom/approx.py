@@ -202,8 +202,14 @@ def _require_coverage(x: Family):
         )
 
 
+def _require_same_poset(x: Family, m: PersistenceModule):
+    if m.poset is not x.poset and m.poset != x.poset:  # identity first: this runs per kernel
+        raise PosetMismatchError("the module and the family live over different posets")
+
+
 def _member_homs(x: Family, m: PersistenceModule) -> dict[int, tuple[dict[int, int], Matrix]]:
     """{j: (offsets, basis)}: Hom(member_j, m) in source coordinates, for each j where it is nonzero."""
+    _require_same_poset(x, m)
     # Hom(R_j, m) embeds in ⊕ m_a over the sources of R_j, so it is 0 unless one lies in supp m
     supp = m.support_mask()
     homs = {j: yoneda_basis(s, m) for j, s in enumerate(x.members) if s.sources & supp}
@@ -308,6 +314,7 @@ def resolve(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH)
     """Resolve m by minimal approximations until the kernel dies or depth runs out."""
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
+    _require_same_poset(x, m)
     terms = []
     approxs = []
     kernels = []

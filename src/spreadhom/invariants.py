@@ -30,49 +30,35 @@ from .poset import DEFAULT_CAP, Poset, Spread, iter_mask
 COMPARE_KINDS = ("dimvec", "rank", "class", "dimhom", "genrank", "diagram")
 
 
-def _render_signed(spreads, coeffs) -> str:
-    """"+[a,b] -2*[c,d] ..." over the nonzero coefficients, or "0"."""
-    parts = []
-    for s, c in zip(spreads, coeffs):
-        if c == 0:
-            continue
-        sign = "+" if c > 0 else "-"
-        mag = "" if abs(c) == 1 else f"{abs(c)}*"
-        parts.append(f"{sign}{mag}{s.render()}")
-    return " ".join(parts) if parts else "0"
-
-
 @dataclass
 class GrothClass:
-    """An integer combination of family members."""
+    """An integer combination of spreads: a class relative to a family, a barcode or a signed diagram."""
 
-    family: Family
+    spreads: tuple[Spread, ...]
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.coeffs) != len(self.family.members):
-            raise ValueError("one coefficient per family member expected")
+        if len(self.coeffs) != len(self.spreads):
+            raise ValueError("one coefficient per spread expected")
 
     def __add__(self, other: "GrothClass") -> "GrothClass":
-        if other.family is not self.family and other.family.members != self.family.members:
-            raise ValueError("classes relative to different families")
-        return GrothClass(self.family, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GrothClass)
-            and self.family.poset == other.family.poset
-            and [s.support for s in self.family.members] == [s.support for s in other.family.members]
-            and self.coeffs == other.coeffs
-        )
+        if other.spreads != self.spreads:
+            raise ValueError("classes over different spreads")
+        return GrothClass(self.spreads, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def nonzero(self) -> dict[str, int]:
-        return {
-            s.render(): c for s, c in zip(self.family.members, self.coeffs) if c != 0
-        }
+        return {s.render(): c for s, c in zip(self.spreads, self.coeffs) if c != 0}
 
     def render(self) -> str:
-        return _render_signed(self.family.members, self.coeffs)
+        """"+[a,b] -2*[c,d] ..." over the nonzero coefficients, or "0"."""
+        parts = []
+        for s, c in zip(self.spreads, self.coeffs):
+            if c == 0:
+                continue
+            sign = "+" if c > 0 else "-"
+            mag = "" if abs(c) == 1 else f"{abs(c)}*"
+            parts.append(f"{sign}{mag}{s.render()}")
+        return " ".join(parts) if parts else "0"
 
 
 def dim_hom_vector(x: Family, m: PersistenceModule) -> tuple[int, ...]:
@@ -96,7 +82,7 @@ def class_via_resolution(x: Family, m: PersistenceModule, max_depth: int = DEFAU
         for i, c in enumerate(term):
             coeffs[i] += sign * c
         sign = -sign
-    return GrothClass(x, tuple(coeffs))
+    return GrothClass(x.members, tuple(coeffs))
 
 
 def _back_substitute(b, rows, order) -> tuple[int, ...]:
@@ -124,7 +110,7 @@ def class_via_hom_matrix(x: Family, m: PersistenceModule) -> GrothClass:
         raise HomMatrixSingularError(f"Hom digraph has a cycle: {cycle} -> ...")
     rows = [[(j, len(comps)) for j, comps in row] for row in x.hom_rows()]
     c = _back_substitute(dim_hom_vector(x, m), rows, reversed(diag.topo_order))
-    return GrothClass(x, c)
+    return GrothClass(x.members, c)
 
 
 def class_route(x: Family) -> str:
@@ -211,32 +197,11 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
     return field.rank(hstack([rel, Matrix(image, lim.shape[1])])) - field.rank(rel)
 
 
-@dataclass
-class SignedDiagram:
-    """δ over a spread collection, back-substituted from rk(X) = Σ_{Y ⊇ X} δ(Y)."""
-
-    collection: tuple[Spread, ...]
-    coeffs: tuple[int, ...]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SignedDiagram)
-            and [s.support for s in self.collection] == [s.support for s in other.collection]
-            and self.coeffs == other.coeffs
-        )
-
-    def nonzero(self) -> dict[str, int]:
-        return {s.render(): c for s, c in zip(self.collection, self.coeffs) if c != 0}
-
-    def render(self) -> str:
-        return _render_signed(self.collection, self.coeffs)
-
-
 def generalized_rank_vector(m: PersistenceModule, collection) -> tuple[int, ...]:
     return tuple(generalized_rank(m, s) for s in collection)
 
 
-def signed_diagram(m: PersistenceModule, collection) -> SignedDiagram:
+def signed_diagram(m: PersistenceModule, collection) -> GrothClass:
     """The δ with rk(m, X) = Σ_{Y ⊇ X in the collection} δ(Y), largest X first."""
     collection = tuple(collection)
     supports = [s.support for s in collection]
@@ -246,7 +211,7 @@ def signed_diagram(m: PersistenceModule, collection) -> SignedDiagram:
     rows = [[(j, 1) for j, y in enumerate(supports) if x & y == x] for x in supports]
     order = sorted(range(len(supports)), key=lambda i: -supports[i].bit_count())
     coeffs = _back_substitute(generalized_rank_vector(m, collection), rows, order)
-    return SignedDiagram(collection, coeffs)
+    return GrothClass(collection, coeffs)
 
 
 def barcode(m: PersistenceModule, cap: int = DEFAULT_CAP) -> GrothClass:

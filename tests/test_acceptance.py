@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 from spreadhom import (
+    Family,
     HomMatrixSingularError,
     PrimeField,
     builtin_family,
@@ -319,12 +320,13 @@ def test_criterion_09_zigzag_barcodes(capsys):
         rebuilt = direct_sum(
             [
                 spread_module(s, FIELD)
-                for s, c in zip(bc.family.members, bc.coeffs)
+                for s, c in zip(bc.spreads, bc.coeffs)
                 for _ in range(c)
             ]
             or [zero_module(p, FIELD)]
         )
-        if dim_hom_vector(bc.family, rebuilt) != dim_hom_vector(bc.family, m):
+        x = Family(p, bc.spreads)
+        if dim_hom_vector(x, rebuilt) != dim_hom_vector(x, m):
             bad.append((pattern, "dim-hom vector differs"))
     report(
         capsys, 9, 60.0, t0, not bad,

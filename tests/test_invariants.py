@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spreadhom import (
     DuplicateSpreadError,
+    Family,
     GrothClass,
     HomMatrixSingularError,
     NotConnectedError,
@@ -36,6 +37,7 @@ from spreadhom import (
     interval_module,
     invariant_key,
     kernel_module,
+    minimal_approximation,
     rank_invariant,
     rank_via_hooks,
     resolve,
@@ -44,6 +46,7 @@ from spreadhom import (
     spread_from_antichains,
     spread_from_convex,
     spread_module,
+    x_dimension,
     zero_module,
 )
 from spreadhom import approx, invariants
@@ -156,9 +159,49 @@ def test_class_render(field):
     ])
     cls = class_via_hom_matrix(x, m)
     assert f"2*[{x.labels()[0][1:-1]}]" in cls.render() or "2*" in cls.render()
-    z = GrothClass(x, (0,) * len(x))
+    z = GrothClass(x.members, (0,) * len(x))
     assert z.render() == "0"
     assert z.nonzero() == {}
+
+
+def test_groth_class_is_its_spreads_and_coefficients():
+    p = grid(2, 2)
+    x, y = builtin_family(p, "intervals"), builtin_family(p, "intervals")
+    assert x is not y
+    ones = (1,) * len(x)
+    # two separately built families of one poset give equal classes, which add
+    assert GrothClass(x.members, ones) == GrothClass(y.members, ones)
+    assert GrothClass(x.members, ones) + GrothClass(y.members, ones) == GrothClass(x.members, (2,) * len(x))
+    # the same coefficients over other spreads make another class
+    assert GrothClass(x.members[:2], (1, 2)) != GrothClass(x.members[1:3], (1, 2))
+    assert GrothClass(x.members[:2], (1, 2)) != GrothClass(x.members[1::-1], (1, 2))
+    with pytest.raises(ValueError):
+        GrothClass(x.members, ones[1:])
+    with pytest.raises(ValueError):
+        GrothClass(x.members[:2], (1, 2)) + GrothClass(x.members[1:3], (1, 2))
+
+
+# every public route where a module meets a family
+FAMILY_ROUTES = {
+    "minimal_approximation": minimal_approximation,
+    "resolve": resolve,
+    "resolve_zero": lambda x, m: resolve(x, zero_module(m.poset, m.field)),
+    "x_dimension": x_dimension,
+    "dim_hom_vector": dim_hom_vector,
+    "class_via_hom_matrix": class_via_hom_matrix,
+    "class_via_resolution": class_via_resolution,
+    "compare_class": lambda x, m: compare("class", m, m, family=x),
+    "compare_dimhom": lambda x, m: compare("dimhom", m, m, family=x),
+}
+
+
+@pytest.mark.parametrize("route", sorted(FAMILY_ROUTES))
+def test_a_family_over_another_poset_is_refused(field, route):
+    # the members' bitmasks would otherwise be read against the module's elements
+    x = builtin_family(grid(2, 2), "intervals")
+    m = random_module(chain(4), field, random.Random(0))
+    with pytest.raises(PosetMismatchError):
+        FAMILY_ROUTES[route](x, m)
 
 
 def test_class_via_hom_matrix_raises_on_cycle(field):
@@ -443,11 +486,11 @@ def test_barcode_zigzag(field, rng):
         bc = barcode(m)
         assert all(c >= 0 for c in bc.coeffs)
         rebuilt = direct_sum(
-            [spread_module(s, field) for s, c in zip(bc.family.members, bc.coeffs) for _ in range(c)]
+            [spread_module(s, field) for s, c in zip(bc.spreads, bc.coeffs) for _ in range(c)]
             or [zero_module(p, field)]
         )
         assert rebuilt.dimension_vector() == m.dimension_vector()
-        x = bc.family
+        x = Family(p, bc.spreads)
         assert dim_hom_vector(x, rebuilt) == dim_hom_vector(x, m)
 
 
@@ -473,7 +516,7 @@ def test_barcode_never_resolves(field, rng, monkeypatch):
     p = path_poset("udud")
     for m in (random_module(p, field, rng), zero_module(p, field)):
         bc = barcode(m)
-        assert sum(c * len(s) for s, c in zip(bc.family.members, bc.coeffs)) == sum(m.dims)
+        assert sum(c * len(s) for s, c in zip(bc.spreads, bc.coeffs)) == sum(m.dims)
 
 
 def test_barcode_rejects_branching(field):
