@@ -245,10 +245,14 @@ def minimal_approximation(x: Family, m: PersistenceModule):
     a of R in X and 0 at the others.
     """
     _require_coverage(x)
+    return _approximate(x, m, _member_homs(x, m))
+
+
+def _approximate(x: Family, m: PersistenceModule, homs):
+    """`minimal_approximation` of m, given its `_member_homs`."""
     field = m.field
     members = x.members
     generators = x.radical_generators()
-    homs = _member_homs(x, m)
     values = {}  # (j, a) -> the basis of Hom(R_j, m) evaluated at a
 
     def value_at(j, a):
@@ -290,14 +294,9 @@ def minimal_approximation(x: Family, m: PersistenceModule):
 
 @dataclass
 class Resolution:
-    """Iterated minimal approximations of successive kernels."""
+    """The terms of the minimal resolution of a module, as far as it was computed."""
 
-    family: Family
-    module: PersistenceModule
     terms: tuple[tuple[int, ...], ...]          # multiplicity vector per degree
-    approximations: tuple[Morphism, ...]        # term k onto kernel k-1 (or module)
-    kernels: tuple[PersistenceModule, ...]
-    kernel_inclusions: tuple[Morphism, ...]
     status: str                                 # "finite" | "truncated"
     periodicity: tuple[int, int] | None = None  # kernels with matching signatures
 
@@ -306,46 +305,34 @@ class Resolution:
         return len(self.terms)
 
 
-def _kernel_signature(x: Family, k: PersistenceModule):
-    return k.dims, {j: w.shape[1] for j, (_, w) in _member_homs(x, k).items()}
-
-
 def resolve(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH) -> Resolution:
-    """Resolve m by minimal approximations until the kernel dies or depth runs out."""
+    """Resolve m by minimal approximations until the kernel dies or depth runs out.
+
+    The Hom spaces from the members into each module of the sequence are
+    solved once.  They give its approximation and, for a kernel K, its
+    periodicity signature: dims(K) and the width of each nonzero Hom(R_j, K).
+    A truncated run solves them for its last kernel too, to sign it.
+    """
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     _require_same_poset(x, m)
     terms = []
-    approxs = []
-    kernels = []
-    inclusions = []
+    sigs = []  # one per kernel
     current = m
-    status = "truncated"
-    while True:
-        if current.is_zero():
-            status = "finite"
-            break
-        if len(terms) >= max_depth:
-            break
-        mult, f = minimal_approximation(x, current)
+    while not current.is_zero():
+        if not max_depth:
+            return Resolution((), "truncated")
+        homs = _member_homs(x, current)
+        if terms:
+            sigs.append((current.dims, {j: w.shape[1] for j, (_, w) in homs.items()}))
+        if len(terms) == max_depth:
+            periodicity = next(((i, j) for i, j in combinations(range(len(sigs)), 2) if sigs[i] == sigs[j]), None)
+            return Resolution(tuple(terms), "truncated", periodicity)
+        _require_coverage(x)
+        mult, f = _approximate(x, current, homs)
         terms.append(mult)
-        approxs.append(f)
-        ker, incl = kernel_module(f)
-        kernels.append(ker)
-        inclusions.append(incl)
-        current = ker
-    sigs = [_kernel_signature(x, k) for k in kernels] if status == "truncated" else []
-    periodicity = next(((i, j) for i, j in combinations(range(len(sigs)), 2) if sigs[i] == sigs[j]), None)
-    return Resolution(
-        family=x,
-        module=m,
-        terms=tuple(terms),
-        approximations=tuple(approxs),
-        kernels=tuple(kernels),
-        kernel_inclusions=tuple(inclusions),
-        status=status,
-        periodicity=periodicity,
-    )
+        current, _ = kernel_module(f)
+    return Resolution(tuple(terms), "finite")
 
 
 def x_dimension(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH) -> int | None:

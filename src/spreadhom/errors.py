@@ -83,10 +83,9 @@ class ResolutionTruncatedError(SpreadHomError):
     Carries the partial term list so callers can report what was seen.
     """
 
-    def __init__(self, message, terms=(), depth=None):
+    def __init__(self, message, terms=()):
         super().__init__(message)
         self.terms = tuple(terms)
-        self.depth = depth
 
 
 class HomMatrixSingularError(SpreadHomError):

@@ -2,9 +2,8 @@
 from __future__ import annotations
 
 from .approx import Family
-from .errors import SpreadHomError
 from .field import PrimeField
-from .modules import PersistenceModule, direct_sum, interval_module, spread_module
+from .modules import PersistenceModule, direct_sum, spread_module
 from .poset import Poset, spread_from_antichains
 
 
@@ -154,47 +153,6 @@ def grid23_diagram_modules(field: PrimeField):
         "l": l,
         "spreads": (s1, s2, s3, s4),
     }
-
-
-def branching_vertex(p: Poset) -> tuple[int, int, int] | None:
-    """First element with two distinct covers, as (a, b, c); None on chains-of-covers."""
-    for a in range(p.n):
-        ch = p.children(a)
-        if len(ch) >= 2:
-            return a, ch[0], ch[1]
-    return None
-
-
-def rank_blind_pair(p: Poset, field: PrimeField):
-    """A pair with equal rank invariants that single-source classes separate.
-
-    Built at the first branching vertex a with covers b, c:
-    interval[a,b] ⊕ interval[a,c]  versus  interval[a,a] ⊕ spread[a,{b,c}].
-    """
-    found = branching_vertex(p)
-    if found is None:
-        raise SpreadHomError("poset has no branching vertex; every up-set is a chain")
-    a, b, c = found
-    first = direct_sum([interval_module(p, field, a, b), interval_module(p, field, a, c)])
-    wide = spread_from_antichains(p, [a], [b, c])
-    second = direct_sum([
-        interval_module(p, field, a, a),
-        spread_module(wide, field),
-    ])
-    return first, second
-
-
-def nonthin_brick(field: PrimeField, lam: int) -> PersistenceModule:
-    """On the 2-crown: all four maps are 1 except one, which is lam.  For
-    lam not in {0, 1} this is thin but not isomorphic to a spread module."""
-    p = crown(2)
-    maps = {
-        (0, 2): [[1]],
-        (0, 3): [[1]],
-        (1, 2): [[1]],
-        (1, 3): [[lam]],
-    }
-    return PersistenceModule(p, field, (1, 1, 1, 1), maps)
 
 
 def generator_posets(max_n: int = 6) -> list[tuple[str, Poset]]:

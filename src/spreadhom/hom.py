@@ -123,6 +123,8 @@ def agreement_system(s: Spread, n: PersistenceModule) -> tuple[Matrix, dict[int,
     sources.
     """
     p = s.poset
+    if n.poset is not p and n.poset != p:  # identity first: this runs per member and module
+        raise PosetMismatchError("the spread and the module live over different posets")
     offsets, total = stacked_offsets(s.sources, n)
     rows = []
     if not total or not s.sources & (s.sources - 1):  # no unknowns, or one source

@@ -74,7 +74,6 @@ def class_via_resolution(x: Family, m: PersistenceModule, max_depth: int = DEFAU
         raise ResolutionTruncatedError(
             f"resolution of {m!r} did not terminate within depth {max_depth}",
             terms=res.terms,
-            depth=res.depth,
         )
     coeffs = [0] * len(x)
     sign = 1
@@ -221,7 +220,7 @@ def barcode(m: PersistenceModule, cap: int = DEFAULT_CAP) -> GrothClass:
     like any other class.  Type-A quivers are representation-directed, so the
     member Hom digraph is acyclic and the class is back-substituted.
     """
-    if m.poset.hasse_path_order() is None:
+    if not m.poset.is_path():
         raise NotTypeAError("the Hasse graph of the poset is not a simple path")
     return invariant_key("class", m, family=builtin_family(m.poset, "connected_spreads", cap))
 

@@ -290,29 +290,10 @@ class Poset:
 
     # -- structure tests -------------------------------------------------------
 
-    def hasse_path_order(self) -> tuple[int, ...] | None:
-        """Element order along the Hasse graph if it is a simple path, else None."""
-        n = self._n
-        if n == 0:
-            return None
-        if n == 1:
-            return (0,)
-        deg = [bin(self._adj[a]).count("1") for a in range(n)]
-        if len(self._covers) != n - 1 or max(deg) > 2:
-            return None
-        ends = [a for a in range(n) if deg[a] == 1]
-        if len(ends) != 2:
-            return None
-        order = [ends[0]]
-        seen = 1 << ends[0]
-        while len(order) < n:
-            nxt = self._adj[order[-1]] & ~seen
-            if nxt == 0 or nxt & (nxt - 1):
-                return None
-            a = nxt.bit_length() - 1
-            order.append(a)
-            seen |= nxt
-        return tuple(order)
+    def is_path(self) -> bool:
+        """True when the Hasse graph is a simple path (one element counts)."""
+        return (len(self._covers) == self._n - 1 and self.is_connected(self.full_mask)
+                and all(adj.bit_count() <= 2 for adj in self._adj))
 
     # -- moebius ---------------------------------------------------------------
 

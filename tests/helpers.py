@@ -3,9 +3,12 @@
 The poset oracles are deliberately independent of the library internals:
 they work on explicit pair sets computed by graph search over cover lists,
 never on the bitmask machinery they are checking.  The module fixtures
-(inclusions of summands, zero morphisms), the connecting maps of a
-resolution, the up-set predicate and the morphisms read back from the
+(inclusions of summands, zero morphisms, the rank-blind pair and the
+non-thin bricks), the up-set predicate and the morphisms read back from the
 spread-level Hom routes (held against `hom_basis`) are used by tests only.
+The module route keeps every approximation, kernel and inclusion of a
+resolution; it is the oracle of `resolve`, which keeps only the terms, and
+its steps give the connecting maps.
 The commutativity oracle checks every parent of c above a, for every
 a < c, where the validator checks one square per pair of parents of a
 join.  The limit and colimit oracle writes every equation out, at every
@@ -15,11 +18,24 @@ elimination at the end is the reference for `PrimeField.rref`.
 """
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
-from spreadhom import Morphism, Poset, enumerate_spreads, spread_module
-from spreadhom.approx import _assemble, _member_homs
+from spreadhom import (
+    Morphism,
+    PersistenceModule,
+    Poset,
+    SpreadHomError,
+    direct_sum,
+    enumerate_spreads,
+    interval_module,
+    kernel_module,
+    minimal_approximation,
+    spread_from_antichains,
+    spread_module,
+)
+from spreadhom.approx import DEFAULT_MAX_DEPTH, _assemble, _member_homs
 from spreadhom.gallery import atilde5, crown, funnel, grid
 from spreadhom.field import Matrix
 from spreadhom.hom import spread_hom_components, stacked_offsets, yoneda_basis, yoneda_values
@@ -197,9 +213,76 @@ def every_parent_failure(m):
     return None
 
 
-def connecting(res, k):
+Step = namedtuple("Step", "approximation kernel inclusion")
+
+
+def module_route(x, m, max_depth=DEFAULT_MAX_DEPTH):
+    """The resolution of m with every module and map kept: the oracle of `resolve`.
+
+    `minimal_approximation`, then `kernel_module`, until the kernel dies or
+    depth runs out; each kernel of a truncated run is signed by a second
+    `_member_homs`, and the first two kernels with equal signatures are the
+    periodicity.  Returns ((terms, status, periodicity), steps), with one
+    `Step` per term.
+    """
+    terms, steps = [], []
+    current = m
+    while not current.is_zero() and len(terms) < max_depth:
+        mult, f = minimal_approximation(x, current)
+        current, incl = kernel_module(f)
+        terms.append(mult)
+        steps.append(Step(f, current, incl))
+    if current.is_zero():
+        return (tuple(terms), "finite", None), steps
+    sigs = [(s.kernel.dims, {j: w.shape[1] for j, (_, w) in _member_homs(x, s.kernel).items()}) for s in steps]
+    periodicity = next(((i, j) for i, j in itertools.combinations(range(len(sigs)), 2) if sigs[i] == sigs[j]), None)
+    return (tuple(terms), "truncated", periodicity), steps
+
+
+def connecting(steps, k):
     """The chain map R_k -> R_{k-1} (k >= 1) of a resolution, through the kernel inclusion."""
-    return res.kernel_inclusions[k - 1] @ res.approximations[k]
+    return steps[k - 1].inclusion @ steps[k].approximation
+
+
+def branching_vertex(p):
+    """First element with two distinct covers, as (a, b, c); None on chains-of-covers."""
+    for a in range(p.n):
+        ch = p.children(a)
+        if len(ch) >= 2:
+            return a, ch[0], ch[1]
+    return None
+
+
+def rank_blind_pair(p, field):
+    """A pair with equal rank invariants that single-source classes separate.
+
+    Built at the first branching vertex a with covers b, c:
+    interval[a,b] ⊕ interval[a,c]  versus  interval[a,a] ⊕ spread[a,{b,c}].
+    """
+    found = branching_vertex(p)
+    if found is None:
+        raise SpreadHomError("poset has no branching vertex; every up-set is a chain")
+    a, b, c = found
+    first = direct_sum([interval_module(p, field, a, b), interval_module(p, field, a, c)])
+    wide = spread_from_antichains(p, [a], [b, c])
+    second = direct_sum([
+        interval_module(p, field, a, a),
+        spread_module(wide, field),
+    ])
+    return first, second
+
+
+def nonthin_brick(field, lam):
+    """On the 2-crown: all four maps are 1 except one, which is lam.  For
+    lam not in {0, 1} this is thin but not isomorphic to a spread module."""
+    p = crown(2)
+    maps = {
+        (0, 2): [[1]],
+        (0, 3): [[1]],
+        (1, 2): [[1]],
+        (1, 3): [[lam]],
+    }
+    return PersistenceModule(p, field, (1, 1, 1, 1), maps)
 
 
 # posets with multi-source and multi-target spreads, for the spread-system oracles

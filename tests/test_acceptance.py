@@ -43,12 +43,11 @@ from spreadhom.gallery import (
     grid23_diagram_modules,
     grid,
     path_poset,
-    rank_blind_pair,
     equal_rank_pair,
 )
 from spreadhom.randmod import random_module
 
-from helpers import principal_upsets_totally_ordered
+from helpers import principal_upsets_totally_ordered, rank_blind_pair
 
 FIELD = PrimeField()
 

@@ -37,12 +37,13 @@ from spreadhom.gallery import (
     grid,
     equal_rank_pair,
 )
+from spreadhom import approx
 from spreadhom.approx import BUILTIN_FAMILIES, _member_homs
 from spreadhom.hom import spread_hom_components
 from spreadhom.poset import iter_mask, kahn_order, mask_of
 from spreadhom.randmod import random_module
 
-from helpers import connecting, full_row_minimal_approximation
+from helpers import connecting, full_row_minimal_approximation, module_route
 
 
 # -- family construction and diagnostics -------------------------------------
@@ -407,7 +408,8 @@ def test_a_resolution_step_eliminates_once_per_quantity(field, monkeypatch):
     budget = 0
     for m, res in zip(mods, resolutions):
         assert res.status == "finite" and res.depth >= 2
-        for stage in (m, *res.kernels[:-1]):
+        _, steps = module_route(x, m)
+        for stage in (m, *[step.kernel for step in steps[:-1]]):
             supp = stage.support_mask()
             yoneda = sum(1 for s in x.members if s.sources & supp)
             budget += yoneda + len(_member_homs(x, stage)) + p.n
@@ -454,19 +456,20 @@ def test_resolution_is_exact(field, rng):
     x = builtin_family(p, "single_source")
     for _ in range(4):
         m = random_module(p, field, rng)
-        res = resolve(x, m)
-        assert res.status == "finite"
+        (terms, status, _), steps = module_route(x, m)
+        assert status == "finite"
         # each approximation is onto its stage
-        for k, f in enumerate(res.approximations):
+        for step in steps:
+            f = step.approximation
             for a in range(p.n):
                 assert field.rank(f.components[a]) == f.target.dim(a)
         # consecutive connecting maps compose to zero, with matching ranks
-        for k in range(1, len(res.terms)):
-            q = connecting(res, k)
+        for k in range(1, len(terms)):
+            q = connecting(steps, k)
             if k >= 2:
-                assert (connecting(res, k - 1) @ q).is_zero()
+                assert (connecting(steps, k - 1) @ q).is_zero()
             # image of connecting = kernel of previous stage, pointwise
-            ker, _ = kernel_module(res.approximations[k - 1])
+            ker, _ = kernel_module(steps[k - 1].approximation)
             for a in range(p.n):
                 assert field.rank(q.components[a]) == ker.dim(a)
 
@@ -479,11 +482,11 @@ def test_resolution_first_step_is_additive_on_hom(field, rng):
     mods = x.member_modules(field)
     for _ in range(3):
         m = random_module(p, field, rng)
-        res = resolve(x, m)
-        if not res.kernels:
+        _, steps = module_route(x, m)
+        if not steps:
             continue
-        dom = res.approximations[0].source
-        ker = res.kernels[0]
+        dom = steps[0].approximation.source
+        ker = steps[0].kernel
         for t in mods:
             assert hom_dim(t, dom) == hom_dim(t, ker) + hom_dim(t, m)
 
@@ -499,4 +502,39 @@ def test_truncation_and_periodicity(field):
     assert 0 <= i < j < 6
     assert x_dimension(x, m, max_depth=6) is None
     assert x_dimension(x, m, max_depth=12) is None
+
+
+# every covering builtin family on the small posets, and the cyclic atilde5 family
+RESOLVE_FAMILIES = [
+    x for _, p in generator_posets(5) for kind in BUILTIN_FAMILIES
+    if (x := builtin_family(p, kind)).contains_projectives
+] + [atilde5_family()[1]]
+
+
+@given(st.sampled_from(range(len(RESOLVE_FAMILIES))), st.integers(0, 8), st.integers(0, 10_000))
+def test_resolve_matches_the_module_route(k, depth, seed):
+    x = RESOLVE_FAMILIES[k]
+    m = random_module(x.poset, PrimeField(), random.Random(seed))
+    res = resolve(x, m, depth)
+    assert (res.terms, res.status, res.periodicity) == module_route(x, m, depth)[0]
+
+
+def test_resolve_solves_the_homs_into_each_module_once(field, rng, monkeypatch):
+    # one `_member_homs` per approximated module, and one more to sign the
+    # last kernel of a truncated run
+    calls = []
+    member_homs = approx._member_homs
+    monkeypatch.setattr(approx, "_member_homs", lambda x, k: calls.append(k) or member_homs(x, k))
+    p, x = atilde5_family()
+    m = spread_module(spread_from_antichains(p, ["1"], ["6"]), field)
+    for depth in (0, 1, 6):
+        calls.clear()
+        res = resolve(x, m, max_depth=depth)
+        assert res.status == "truncated" and res.depth == depth
+        assert len(calls) == (depth + 1 if depth else 0)
+    x = builtin_family(grid(2, 2), "single_source")
+    for _ in range(3):
+        calls.clear()
+        res = resolve(x, random_module(grid(2, 2), field, rng))
+        assert res.status == "finite" and len(calls) == res.depth
 

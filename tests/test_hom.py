@@ -33,13 +33,12 @@ from spreadhom.gallery import (
     funnel,
     generator_posets,
     grid,
-    nonthin_brick,
     equal_rank_pair,
 )
-from spreadhom.hom import _submodule, yoneda_basis
+from spreadhom.hom import _submodule, agreement_system, yoneda_basis
 from spreadhom.randmod import random_module
 
-from helpers import ORACLE_POSETS, ORACLE_SPREADS, indicator_morphisms, to_np, yoneda_morphisms, zero_morphism
+from helpers import ORACLE_POSETS, ORACLE_SPREADS, indicator_morphisms, nonthin_brick, to_np, yoneda_morphisms, zero_morphism
 
 
 def test_only_spread_module_tags_a_spread(field):
@@ -204,6 +203,19 @@ def test_hom_endpoints_must_share_poset_and_prime():
         for fn in (hom_dim, hom_basis):
             with pytest.raises(PosetMismatchError):
                 fn(m2, target)
+
+
+def test_spread_level_solvers_refuse_a_module_over_another_poset(field):
+    # the spread's bitmasks would otherwise be read against the module's elements
+    s = builtin_family(grid(2, 2), "intervals").members[0]
+    m = random_module(chain(4), field, random.Random(0))
+    for fn in (agreement_system, yoneda_basis):
+        with pytest.raises(PosetMismatchError):
+            fn(s, m)
+    # a module over an equal poset, built separately, is accepted
+    n = spread_module(spread_from_antichains(grid(2, 2), ["00"], ["00"]), field)
+    assert n.poset is not s.poset
+    assert yoneda_basis(s, n)[1].shape == (1, 1)
 
 
 def test_hom_from_projective_is_fiber_dim(field, rng):

@@ -52,7 +52,6 @@ from spreadhom import (
 from spreadhom import approx, invariants
 from spreadhom.gallery import (
     atilde5_family,
-    branching_vertex,
     chain,
     fan,
     funnel,
@@ -60,7 +59,6 @@ from spreadhom.gallery import (
     grid23_diagram_modules,
     grid,
     path_poset,
-    rank_blind_pair,
     equal_rank_pair,
 )
 from spreadhom.hom import agreement_system
@@ -68,7 +66,14 @@ from spreadhom.invariants import COMPARE_KINDS
 from spreadhom.poset import elements_of, mask_of
 from spreadhom.randmod import base_change, random_module, random_spread_sum
 
-from helpers import ORACLE_POSETS, ORACLE_SPREADS, principal_upsets_totally_ordered, unreduced_limit_colimit
+from helpers import (
+    ORACLE_POSETS,
+    ORACLE_SPREADS,
+    branching_vertex,
+    principal_upsets_totally_ordered,
+    rank_blind_pair,
+    unreduced_limit_colimit,
+)
 
 
 # -- dim-hom vectors ----------------------------------------------------------
@@ -211,7 +216,6 @@ def test_class_via_hom_matrix_raises_on_cycle(field):
         class_via_hom_matrix(x, m)
     with pytest.raises(ResolutionTruncatedError) as exc:
         class_via_resolution(x, m, max_depth=6)
-    assert exc.value.depth == 6
     assert len(exc.value.terms) == 6
 
 

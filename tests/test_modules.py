@@ -22,7 +22,6 @@ from spreadhom import (
     interval_module,
     morphism_from_vec,
     projective_module,
-    resolve,
     simple_module,
     spread_from_antichains,
     spread_module,
@@ -38,6 +37,7 @@ from helpers import (
     closure_pairs,
     every_parent_failure,
     mask_to_set,
+    module_route,
     summand_inclusions,
     zero_morphism,
 )
@@ -372,10 +372,10 @@ def test_what_the_library_builds_unchecked_passes_the_public_checks(field, rng):
         for _ in range(4):
             m, n = random_module(p, field, rng, spreads), random_module(p, field, rng, spreads)
             s, t = (spread_module(rng.choice(spreads), field) for _ in range(2))
-            res = resolve(x, m, 3)
+            _, steps = module_route(x, m, 3)
             built["modules"] += [m, n, s, t, direct_sum([m, n, s]), base_change(m, rng),
-                                 m.restrict(rng.randrange(1, 1 << p.n))[0], *res.kernels]
-            built["resolution maps"] += [*res.approximations, *res.kernel_inclusions]
+                                 m.restrict(rng.randrange(1, 1 << p.n))[0], *[step.kernel for step in steps]]
+            built["resolution maps"] += [f for step in steps for f in (step.approximation, step.inclusion)]
             # Hom bases spread -> spread, spread -> module and module -> module
             into_m, m_to_n = hom_basis(s, m).basis, hom_basis(m, n).basis
             built["hom bases"] += [*hom_basis(s, t).basis, *into_m, *m_to_n]

@@ -74,10 +74,10 @@ def test_bad_labels_rejected():
 def test_empty_and_singleton():
     p0 = Poset(0, [])
     assert p0.n == 0
-    assert p0.hasse_path_order() is None
+    assert not p0.is_path()
     p1 = Poset(1, [])
     assert p1.leq(0, 0)
-    assert p1.hasse_path_order() == (0,)
+    assert p1.is_path()
 
 
 def test_structural_equality():
@@ -187,15 +187,23 @@ def test_principal_upsets_totally_ordered():
     assert not principal_upsets_totally_ordered(path_poset("udud"))
 
 
-def test_hasse_path_order():
-    assert chain(4).hasse_path_order() == (0, 1, 2, 3)
-    p = path_poset("ud")
-    order = p.hasse_path_order()
-    assert order in ((0, 1, 2), (2, 1, 0))
-    assert grid(2, 2).hasse_path_order() is None
-    assert fan(3).hasse_path_order() is None
+def test_is_path():
+    assert chain(4).is_path()
+    assert path_poset("ud").is_path()
+    assert not grid(2, 2).is_path()
+    assert not fan(3).is_path()
     # disconnected Hasse graph is not a path
-    assert Poset(2, []).hasse_path_order() is None
+    assert not Poset(2, []).is_path()
+
+
+@given(st.integers(0, 2**31), st.integers(1, 6))
+def test_is_path_is_a_walk_along_every_cover(seed, n):
+    # n - 1 covers make a path exactly when some order of the elements steps along covers only
+    p = random_poset(random.Random(seed), n)
+    covers = {frozenset(c) for c in p.covers}
+    walk = any(all(frozenset(step) in covers for step in zip(order, order[1:]))
+               for order in itertools.permutations(range(n)))
+    assert p.is_path() == (len(covers) == n - 1 and walk)
 
 
 # -- Möbius ------------------------------------------------------------------
