@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 
 from .errors import (
     DuplicateMemberError,
@@ -313,6 +314,7 @@ def resolve(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH)
     periodicity signature: dims(K) and the width of each nonzero Hom(R_j, K).
     A truncated run solves them for its last kernel too, to sign it.
     """
+    max_depth = index(max_depth)
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     _require_same_poset(x, m)

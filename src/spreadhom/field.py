@@ -11,7 +11,7 @@ input.
 from __future__ import annotations
 
 from itertools import chain
-from operator import mul
+from operator import index, mul
 
 DEFAULT_PRIME = 32003
 
@@ -94,15 +94,16 @@ class PrimeField:
     # -- construction -----------------------------------------------------
 
     def arr(self, data) -> Matrix:
-        """A new Matrix with entries int(x) % p, from a Matrix or any nested sequence of rows.
+        """A new Matrix with entries x % p, from a Matrix or any nested sequence of rows.
 
-        A sequence with no rows takes its column count from a 2-d `shape`
-        (an array object has one), else 0.
+        An entry that is not an integer raises TypeError.  A sequence with no
+        rows takes its column count from a 2-d `shape` (an array object has
+        one), else 0.
         """
         p = self.p
         if isinstance(data, Matrix):
-            return Matrix([[int(x) % p for x in row] for row in data.rows], data.shape[1])
-        rows = [[int(x) % p for x in row] for row in data]
+            return Matrix([[index(x) % p for x in row] for row in data.rows], data.shape[1])
+        rows = [[index(x) % p for x in row] for row in data]
         if not rows:
             shape = getattr(data, "shape", ())
             return Matrix(rows, shape[1] if len(shape) == 2 else 0)

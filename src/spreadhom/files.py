@@ -172,7 +172,7 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
                 for x in row:
                     if not _is_int(x):
                         raise FileFormatError(f"{path}: map {key!r} has entry {x!r}, not an integer")
-            shape = (len(value), len(value[0]) if value else 0)
+            shape = (len(value), len(value[0]) if value else dims[a])
             if shape != (dims[b], dims[a]):
                 raise ShapeError(f"{path}: map {key!r} has shape {shape}, expected {(dims[b], dims[a])}")
             maps[(a, b)] = value

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from operator import mul
+from operator import index, mul
 
 from .errors import PosetMismatchError
 from .field import Matrix, free_columns
@@ -48,7 +48,7 @@ class HomBasis:
 
     def linear_combination(self, coeffs) -> Morphism:
         p = self.source.field.p
-        coeffs = [int(c) % p for c in coeffs]
+        coeffs = [index(c) % p for c in coeffs]
         if len(coeffs) != len(self.basis):
             raise ValueError(f"{len(coeffs)} coefficients for {len(self.basis)} basis morphisms")
         v = [sum(map(mul, row, coeffs)) % p for row in self.matrix().rows]
@@ -197,15 +197,8 @@ def spread_hom_components(s: Spread, t: Spread) -> tuple[int, ...]:
         return ()
     out = []
     for comp in p.connected_components(s.support & t.support):
-        for a in iter_mask(s.sources & ~comp):
-            if p.up_mask(a) & comp:
-                break
-        else:
-            for d in iter_mask(t.targets & ~comp):
-                if p.down_mask(d) & comp:
-                    break
-            else:
-                out.append(comp)
+        if not p.up_set(s.sources & ~comp) & comp and not p.down_set(t.targets & ~comp) & comp:
+            out.append(comp)
     if len(out) > 1:
         out.sort(key=int.bit_length)
     return tuple(out)

@@ -193,7 +193,9 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
     image = field.zeros(total, lim.shape[1]).rows
     image[tgt[b]:tgt[b] + m.dims[b]] = field.matmul(
         m.map_along(a, b), Matrix(lim.rows[src[a]:src[a] + m.dims[a]], lim.shape[1])).rows
-    return field.rank(hstack([rel, Matrix(image, lim.shape[1])])) - field.rank(rel)
+    # rank [rel | image] - rank rel: the pivots that fall in the image columns
+    _, pivots = field.rref(hstack([rel, Matrix(image, lim.shape[1])]))
+    return sum(j >= rel.shape[1] for j in pivots)
 
 
 def generalized_rank_vector(m: PersistenceModule, collection) -> tuple[int, ...]:

@@ -7,6 +7,7 @@ column vectors: the map along a cover (a, b) has shape (dim_b, dim_a).
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 
 from .errors import (
     CommutativityError,
@@ -19,6 +20,12 @@ from .field import Matrix, PrimeField
 from .poset import Poset, Spread, iter_mask, spread_from_convex
 
 
+def _matrix(field: PrimeField, data, cols: int) -> Matrix:
+    """`field.arr(data)`, where a matrix written with no rows, such as [], has `cols` columns."""
+    m = field.arr(data)
+    return Matrix([], cols) if m.shape == (0, 0) else m
+
+
 class PersistenceModule:
     """A vector space per element and a matrix per cover, every diamond commuting.
 
@@ -29,7 +36,7 @@ class PersistenceModule:
     """
 
     def __init__(self, poset: Poset, field: PrimeField, dims, maps=None):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(index(d) for d in dims)
         if len(dims) != poset.n:
             raise ShapeError(f"{len(dims)} dimensions for {poset.n} elements")
         if any(d < 0 for d in dims):
@@ -38,7 +45,7 @@ class PersistenceModule:
         self.maps = {}
         for a, b in poset.covers:
             m = maps.pop((a, b), None)
-            m = self.maps[(a, b)] = field.zeros(dims[b], dims[a]) if m is None else field.arr(m)
+            m = self.maps[(a, b)] = field.zeros(dims[b], dims[a]) if m is None else _matrix(field, m, dims[a])
             if m.shape != (dims[b], dims[a]):
                 raise ShapeError(
                     f"map {poset.label(a)}->{poset.label(b)} has shape {m.shape}, "
@@ -149,7 +156,7 @@ class Morphism:
         field = source.field
         comps = []
         for a in range(source.poset.n):
-            c = field.arr(components[a])
+            c = _matrix(field, components[a], source.dims[a])
             if c.shape != (target.dims[a], source.dims[a]):
                 raise ShapeError(
                     f"component at {source.poset.label(a)} has shape {c.shape}, "

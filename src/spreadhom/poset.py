@@ -3,11 +3,16 @@
 Elements are dense integer ids 0..n-1 with optional string labels; subsets
 are Python-int bitmasks.  A poset is built from an explicit irredundant
 cover list and validated on construction (acyclic, no transitive edges).
+
+Every closure of a subset S is one union of per-element masks (`union_over`):
+the up-set ↑S, the down-set ↓S, the convex hull ↑S ∩ ↓S, the spread [A, B]
+as ↑A ∩ ↓B, and min S as S minus the strict up-sets of its elements.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -51,6 +56,16 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(iter_mask(mask))
 
 
+def union_over(table, mask: int) -> int:
+    """The union of the masks table[a] over the elements a of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= table[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def kahn_order(succs) -> tuple[list[int], list[int]]:
     """Kahn's algorithm on the digraph i -> succs[i], least ready node first.
 
@@ -81,7 +96,7 @@ class Poset:
         if n < 0:
             raise ValueError("n must be >= 0")
         self._n = n
-        covers = tuple((int(a), int(b)) for a, b in covers)
+        covers = tuple((index(a), index(b)) for a, b in covers)
         names = tuple(names) if names is not None else tuple(str(i) for i in range(n))
         if len(names) != n:
             raise ValueError(f"{len(names)} names for {n} elements")
@@ -108,7 +123,7 @@ class Poset:
         self._parents = tuple(tuple(sorted(c)) for c in parents)
 
         self._topo = self._toposort()
-        # reachability masks: up[a] = {x : a <= x}
+        # reachability masks: up[a] = {x : a <= x}; the strict above[a] = {x : a < x}
         up = [0] * n
         for a in reversed(self._topo):
             m = 1 << a
@@ -123,6 +138,8 @@ class Poset:
             down[a] = m
         self._up = tuple(up)
         self._down = tuple(down)
+        self._above = tuple(m & ~(1 << a) for a, m in enumerate(up))
+        self._below = tuple(m & ~(1 << a) for a, m in enumerate(down))
 
         for a, b in self._covers:
             for c in self._children[a]:
@@ -187,6 +204,14 @@ class Poset:
     def down_mask(self, a: int) -> int:
         return self._down[a]
 
+    def up_set(self, mask: int) -> int:
+        """↑S = {x : s <= x for some s in S}."""
+        return union_over(self._up, mask)
+
+    def down_set(self, mask: int) -> int:
+        """↓S = {x : x <= s for some s in S}."""
+        return union_over(self._down, mask)
+
     def children(self, a: int) -> tuple[int, ...]:
         return self._children[a]
 
@@ -204,7 +229,7 @@ class Poset:
 
     def subset_mask(self, ids) -> int:
         """Bitmask from element ids or labels (mixed is fine)."""
-        m = mask_of(self.element(x) if isinstance(x, str) else int(x) for x in ids)
+        m = mask_of(self.element(x) if isinstance(x, str) else index(x) for x in ids)
         if m & ~self.full_mask:
             raise ValueError("subset contains out-of-range elements")
         return m
@@ -215,23 +240,13 @@ class Poset:
     # -- subset predicates ----------------------------------------------------
 
     def is_antichain(self, mask: int) -> bool:
-        for a in iter_mask(mask):
-            if (self._up[a] | self._down[a]) & mask & ~(1 << a):
-                return False
-        return True
+        return self.minimal_elements(mask) == mask
 
     def is_convex(self, mask: int) -> bool:
         return self.convex_closure(mask) == mask
 
     def convex_closure(self, mask: int) -> int:
-        out = 0
-        elems = elements_of(mask)
-        for x in elems:
-            ux = self._up[x]
-            for z in elems:
-                if ux >> z & 1:
-                    out |= ux & self._down[z]
-        return out
+        return self.up_set(mask) & self.down_set(mask)
 
     def is_connected(self, mask: int) -> bool:
         """Connected in the Hasse diagram restricted to the subset; empty is not."""
@@ -263,30 +278,16 @@ class Poset:
         return tuple(comps)
 
     def minimal_elements(self, mask: int) -> int:
-        out = 0
-        for a in iter_mask(mask):
-            if not (self._down[a] & mask & ~(1 << a)):
-                out |= 1 << a
-        return out
+        return mask & ~union_over(self._above, mask)
 
     def maximal_elements(self, mask: int) -> int:
-        out = 0
-        for a in iter_mask(mask):
-            if not (self._up[a] & mask & ~(1 << a)):
-                out |= 1 << a
-        return out
+        return mask & ~union_over(self._below, mask)
 
     # -- order notions on antichains -----------------------------------------
 
     def antichain_leq(self, amask: int, bmask: int) -> bool:
         """A <= B: every a lies below some b and every b lies above some a."""
-        for a in iter_mask(amask):
-            if not (self._up[a] & bmask):
-                return False
-        for b in iter_mask(bmask):
-            if not (self._down[b] & amask):
-                return False
-        return True
+        return not (amask & ~self.down_set(bmask) or bmask & ~self.up_set(amask))
 
     # -- structure tests -------------------------------------------------------
 
@@ -348,15 +349,9 @@ class SubPoset:
         self.parent = parent
         self.mask = mask
         self.elements = elements_of(mask)  # sub id -> parent id
-        index = {e: i for i, e in enumerate(self.elements)}
-        covers = []
-        for i, a in enumerate(self.elements):
-            for b in self.elements:
-                if not parent.lt(a, b):
-                    continue
-                between = parent.interval_mask(a, b) & mask & ~(1 << a) & ~(1 << b)
-                if between == 0:
-                    covers.append((i, index[b]))
+        sub_id = {e: i for i, e in enumerate(self.elements)}
+        covers = [(i, sub_id[b]) for i, a in enumerate(self.elements)
+                  for b in iter_mask(parent.minimal_elements(parent._above[a] & mask))]
         names = tuple(parent.label(e) for e in self.elements)
         self.poset = Poset(len(self.elements), covers, names)
 
@@ -410,12 +405,7 @@ def spread_from_antichains(p: Poset, sources, targets) -> Spread:
         raise AntichainOrderError(
             f"antichain order fails: {p.label_set(amask)} <= {p.label_set(bmask)}"
         )
-    support = 0
-    for a in iter_mask(amask):
-        ua = p.up_mask(a)
-        for b in iter_mask(bmask & ua):
-            support |= ua & p.down_mask(b)
-    return Spread(p, support, amask, bmask)
+    return Spread(p, p.up_set(amask) & p.down_set(bmask), amask, bmask)
 
 
 def spread_from_convex(p: Poset, subset) -> Spread:
@@ -455,6 +445,7 @@ def enumerate_spreads(p: Poset, kind: str, cap: int = DEFAULT_CAP) -> list[Sprea
     """
     if kind not in BUILTIN_FAMILIES:
         raise ValueError(f"unknown spread kind {kind!r}; expected one of {BUILTIN_FAMILIES}")
+    cap = index(cap)
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
     supports: set[int] = set()
@@ -479,15 +470,10 @@ def enumerate_spreads(p: Poset, kind: str, cap: int = DEFAULT_CAP) -> list[Sprea
     elif kind == "single_source":
         for a in range(p.n):
             for bmask in _antichain_masks(p, p.up_mask(a)):
-                support = 0
-                for b in iter_mask(bmask):
-                    support |= p.up_mask(a) & p.down_mask(b)
-                add(support)
+                add(p.up_mask(a) & p.down_set(bmask))
     elif kind == "connected_upsets":
         for amask in _antichain_masks(p, p.full_mask):
-            support = 0
-            for a in iter_mask(amask):
-                support |= p.up_mask(a)
+            support = p.up_set(amask)
             if p.is_connected(support):
                 add(support)
     else:  # connected_spreads: grow connected convex sets one Hasse neighbour at a time
@@ -497,10 +483,7 @@ def enumerate_spreads(p: Poset, kind: str, cap: int = DEFAULT_CAP) -> list[Sprea
         while frontier:
             nxt = []
             for s in frontier:
-                cand = 0
-                for x in iter_mask(s):
-                    cand |= p._adj[x]
-                for y in iter_mask(cand & ~s):
+                for y in iter_mask(union_over(p._adj, s) & ~s):
                     grown = p.convex_closure(s | (1 << y))
                     if grown not in supports:
                         add(grown)

@@ -15,6 +15,7 @@ from spreadhom import (
     Spread,
     builtin_family,
     check_family,
+    class_via_resolution,
     direct_sum,
     enumerate_spreads,
     hom_basis,
@@ -449,6 +450,17 @@ def test_resolution_of_member_sum_has_depth_zero(field):
     assert res.status == "finite"
     assert len(res.terms) == 1
     assert x_dimension(x, m) == 0
+
+
+def test_a_depth_that_is_not_an_integer_raises(field):
+    # 2.5 is refused rather than compared with the number of terms, which
+    # never equals it: a periodic resolution would run on without end
+    x = builtin_family(grid(2, 2), "single_source")
+    m = direct_sum([spread_module(x.members[2], field), spread_module(x.members[6], field)])
+    assert resolve(x, m, np.int64(2)).status == "finite"
+    for call in (resolve, x_dimension, class_via_resolution):
+        with pytest.raises(TypeError):
+            call(x, m, 2.5)
 
 
 def test_resolution_is_exact(field, rng):

@@ -278,6 +278,8 @@ def test_linear_combination(field):
     assert f.components[0].tolist() == [[5]]
     g = hb.linear_combination(np.array([0]))
     assert g.is_zero()
+    with pytest.raises(TypeError):
+        hb.linear_combination([0.5])
 
 
 def test_kernel_module(field):

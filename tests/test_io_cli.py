@@ -629,6 +629,24 @@ def test_cli_rejects_wrong_shape_matrix(capsys, tmp_path):
     assert out == ""
 
 
+def test_a_map_of_height_zero_may_be_written_with_no_rows(capsys, tmp_path, field):
+    # 00->10 has shape dim(10) x dim(00) = 0 x 2, and [] is that matrix
+    shutil.copy(DATA / "grid2x2.yaml", tmp_path / "grid2x2.yaml")
+    head = 'poset: "grid2x2.yaml"\ndims: {"00": 2, "01": 1}\nmaps:\n  "00->01": [[1, 0]]\n'
+    (tmp_path / "m.yaml").write_text(head + '  "00->10": []\n')
+    (tmp_path / "omitted.yaml").write_text(head)
+    code, out, err = run_cli(capsys, "validate", str(tmp_path / "grid2x2.yaml"), str(tmp_path / "m.yaml"))
+    assert (code, err) == (0, "") and "ok module" in out
+    m = load_module(str(tmp_path / "m.yaml"), field)[0]
+    assert m == load_module(str(tmp_path / "omitted.yaml"), field)[0]
+    assert m.maps[(0, 2)].shape == (0, 2)
+    # where dim(b) > 0, [] is still a matrix of the wrong shape
+    (tmp_path / "m.yaml").write_text(head.replace("[[1, 0]]", "[]"))
+    code, out, err = run_cli(capsys, "invariant", "dimvec", str(tmp_path / "m.yaml"))
+    _one_line_error(code, err, "m.yaml", "'00->01'", "shape (0, 2), expected (1, 2)")
+    assert out == ""
+
+
 def test_cli_rejects_maps_that_do_not_commute(capsys, tmp_path):
     path = _grid2x3_variant(tmp_path, '"11->12": [[1], [1]]', '"11->12": [[0], [1]]')
     code, out, err = run_cli(capsys, "invariant", "dimvec", path)

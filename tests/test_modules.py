@@ -64,6 +64,32 @@ def test_shape_validation(field):
         PersistenceModule(p, field, [1, 1], {(1, 0): [[1]]})
 
 
+def test_a_matrix_with_no_rows_has_the_expected_columns(field):
+    p = chain(2)
+    m = PersistenceModule(p, field, [2, 0], {(0, 1): []})
+    assert m == PersistenceModule(p, field, [2, 0]) and m.maps[(0, 1)].shape == (0, 2)
+    assert Morphism(m, zero_module(p, field), [[], []]).is_zero()
+    with pytest.raises(ShapeError):
+        PersistenceModule(p, field, [2, 1], {(0, 1): []})
+    with pytest.raises(ShapeError):  # an array keeps its own column count
+        PersistenceModule(p, field, [2, 0], {(0, 1): np.zeros((0, 3), dtype=int)})
+
+
+def test_non_integers_raise_type_error(field):
+    # a float is refused, not truncated; numpy integers are integers
+    p = chain(2)
+    with pytest.raises(TypeError):
+        PersistenceModule(p, PrimeField(7), [1.7, 1], {(0, 1): [[1]]})
+    with pytest.raises(TypeError):
+        PersistenceModule(p, PrimeField(7), [1, 1], {(0, 1): [[2.9]]})
+    with pytest.raises(TypeError):
+        field.arr([[0.5]])
+    m = PersistenceModule(p, field, np.array([1, 1]), {(0, 1): np.array([[3]])})
+    assert m.dims == (1, 1) and m.maps[(0, 1)].rows == [[3]]
+    with pytest.raises(TypeError):
+        Morphism(m, m, [[[1.0]], [[3]]])
+
+
 def test_the_constructors_reduce_a_matrix_of_another_prime():
     six = PrimeField(7).arr([[6]])
     f5 = PrimeField(5)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -78,6 +79,18 @@ def test_empty_and_singleton():
     p1 = Poset(1, [])
     assert p1.leq(0, 0)
     assert p1.is_path()
+
+
+def test_non_integer_ids_and_caps_raise_type_error():
+    # a float is refused, not truncated; numpy integers are integers
+    with pytest.raises(TypeError):
+        Poset(2, [(0.0, 1.9)])
+    with pytest.raises(TypeError):
+        chain(3).subset_mask([1.0])
+    with pytest.raises(TypeError):
+        enumerate_spreads(chain(3), "intervals", 10.5)
+    assert Poset(2, np.array([[0, 1]])).covers == ((0, 1),)
+    assert chain(3).subset_mask(np.array([1, 2])) == 0b110
 
 
 def test_structural_equality():
@@ -255,6 +268,51 @@ def test_subposet_covers_are_reduced_restriction(seed):
     for i, j in sub.poset.covers:
         assert (subset[i], subset[j]) in leq
     assert [sub.to_parent(i) for i in range(4)] == subset
+
+
+def check_closures_against_definitions(p):
+    """Every mask of p: the closures, predicates and subposet covers, read
+    off the pairs x <= y; every pair of antichains: their order and spread."""
+    leq = closure_pairs(p.n, p.covers)
+    lt = {(x, y) for x, y in leq if x != y}
+    ground = range(p.n)
+    antichains = []
+    for mask in range(1 << p.n):
+        s = mask_to_set(mask)
+        assert mask_to_set(p.up_set(mask)) == {y for y in ground if any((x, y) in leq for x in s)}
+        assert mask_to_set(p.down_set(mask)) == {y for y in ground if any((y, x) in leq for x in s)}
+        assert mask_to_set(p.minimal_elements(mask)) == {x for x in s if not any((y, x) in lt for y in s)}
+        assert mask_to_set(p.maximal_elements(mask)) == {x for x in s if not any((x, y) in lt for y in s)}
+        antichain = not any((x, y) in lt for x in s for y in s)
+        assert p.is_antichain(mask) == antichain
+        if antichain and s:
+            antichains.append((mask, s))
+        elems = sorted(s)
+        covers = {(i, j) for i, x in enumerate(elems) for j, y in enumerate(elems)
+                  if (x, y) in lt and not any((x, z) in lt and (z, y) in lt for z in s)}
+        assert set(p.subposet(mask).poset.covers) == covers
+    for a, sa in antichains:
+        for b, sb in antichains:
+            below = all(any((x, y) in leq for y in sb) for x in sa)
+            above = all(any((x, y) in leq for x in sa) for y in sb)
+            assert p.antichain_leq(a, b) == (below and above)
+            if below and above:
+                support = {z for z in ground
+                           if any((x, z) in leq and (z, y) in leq for x in sa for y in sb)}
+                assert mask_to_set(spread_from_antichains(p, a, b).support) == support
+            else:
+                with pytest.raises(AntichainOrderError):
+                    spread_from_antichains(p, a, b)
+
+
+@pytest.mark.parametrize("name,p", generator_posets(max_n=6) + [("grid3x3", grid(3, 3)), ("crown3", crown(3))])
+def test_closures_match_their_definitions_on_every_mask(name, p):
+    check_closures_against_definitions(p)
+
+
+@given(st.integers(0, 2**31), st.integers(1, 8))
+def test_closures_match_their_definitions_on_random_posets(seed, n):
+    check_closures_against_definitions(random_poset(random.Random(seed), n))
 
 
 # -- spreads -------------------------------------------------------------------
