@@ -22,6 +22,12 @@ not visibly factor through a third member (`Family.radical_generators`):
 the indicator of a component that is itself a member's support, R_K, is the
 composite R_i ->> R_K >-> R_j.  The span, and every pivot read off it, is
 the same as over all basis maps.
+
+The span lies in Hom(R, M), so it is reduced one column at a time (`Span`),
+each block evaluated only when reached.  Once the span is as wide as
+Hom(R, M) it is all of it: the multiplicity is 0, and the blocks left are
+never evaluated.  Otherwise the representatives are the basis columns that
+leave the span, the pivots an rref of [radical | basis] would give.
 """
 from __future__ import annotations
 
@@ -36,7 +42,7 @@ from .errors import (
     PosetMismatchError,
     SpreadHomError,
 )
-from .field import Matrix, PrimeField, hstack
+from .field import Matrix, PrimeField, Span, hstack
 from .hom import kernel_module, spread_hom_components, yoneda_basis, yoneda_values
 from .modules import (
     Morphism,
@@ -238,12 +244,13 @@ def minimal_approximation(x: Family, m: PersistenceModule):
     """Multiplicity vector and morphism of the minimal right approximation.
 
     Multiplicity at member R is dim Hom(R,m) minus the rank of the span of
-    composites R -> R' -> m over the other members R'; the representatives
-    are read off the pivots of one elimination per member, over the
-    `Family.radical_generators` of R only.  Everything runs in the source
-    coordinates ⊕_{a in sources(R)} m_a of Hom(R, m): for the indicator h of
-    a component X and g in Hom(R', m), g∘h has the value of g at each source
-    a of R in X and 0 at the others.
+    composites R -> R' -> m over the other members R'.  That span is reduced
+    column by column over the `Family.radical_generators` of R only, and only
+    until it fills Hom(R, m); the representatives are the basis columns that
+    then still leave it, each joining it in turn.  Everything runs in the
+    source coordinates ⊕_{a in sources(R)} m_a of Hom(R, m): for the
+    indicator h of a component X and g in Hom(R', m), g∘h has the value of g
+    at each source a of R in X and 0 at the others.
     """
     _require_coverage(x)
     return _approximate(x, m, _member_homs(x, m))
@@ -263,33 +270,33 @@ def _approximate(x: Family, m: PersistenceModule, homs):
             out = values[(j, a)] = yoneda_values(members[j], m, offsets, w, a)
         return out
 
+    def radical_columns(i, offsets, rows):
+        """The columns of member i's radical blocks, in generator order; each block built when reached."""
+        for j, sources in generators[i]:
+            if j not in homs:
+                continue
+            if len(offsets) == 1:  # the one source of R_i lies in every component
+                (a,) = offsets
+                block = value_at(j, a).rows
+            else:
+                block = [[0] * homs[j][1].shape[1] for _ in range(rows)]
+                for a in iter_mask(sources):
+                    block[offsets[a]:offsets[a] + m.dims[a]] = value_at(j, a).rows
+            yield from zip(*block)
+
     multiplicities = [0] * len(members)
     chosen = {}  # i -> (offsets, the picked columns of the basis)
     for i, (offsets, w) in homs.items():
-        radical = [(j, sources) for j, sources in generators[i] if j in homs]
-        if not radical:  # w is a basis: every column is a pivot
-            multiplicities[i] = w.shape[1]
-            chosen[i] = (offsets, w)
-            continue
-        if len(offsets) == 1:  # the one source of R_i lies in every component
-            (a,) = offsets
-            blocks = [value_at(j, a) for j, _ in radical]
-        else:
-            blocks = []
-            for j, sources in radical:
-                width = homs[j][1].shape[1]
-                rows = [[0] * width for _ in range(w.shape[0])]
-                for a in iter_mask(sources):
-                    rows[offsets[a]:offsets[a] + m.dims[a]] = value_at(j, a).rows
-                blocks.append(Matrix(rows, width))
-        blocks.append(w)
-        stacked = hstack(blocks)
-        start = stacked.shape[1] - w.shape[1]
-        _, pivots = field.rref(stacked)
-        cols = [c - start for c in pivots if c >= start]
-        multiplicities[i] = len(cols)
-        if cols:
-            chosen[i] = (offsets, w.columns(cols))
+        span = Span(field)
+        full = w.shape[1]  # dim Hom(R_i, m), which holds the radical
+        for v in radical_columns(i, offsets, w.shape[0]):
+            if span.add(v) and len(span) == full:
+                break  # the radical is all of Hom(R_i, m): multiplicity 0
+        else:  # the columns of the basis w that leave the span
+            cols = [c for c, v in enumerate(zip(*w.rows)) if span.add(v)]
+            multiplicities[i] = len(cols)
+            if cols:
+                chosen[i] = (offsets, w.columns(cols))
     return tuple(multiplicities), _assemble(x, m, chosen)
 
 

@@ -212,3 +212,36 @@ class PrimeField:
         """The pivot columns of m, in order (a deterministic image basis)."""
         a = self.arr(m)
         return a.columns(self.rref(a)[1])
+
+
+class Span:
+    """A growing span of vectors in F_p^n, kept as an echelon basis.
+
+    `add` a vector (entries in [0, p)) to reduce it against the basis and learn
+    whether it left the span.  The vectors that do are exactly the pivot
+    columns of `PrimeField.rref` of the vectors side by side, in the order
+    added: a column is a pivot when it lies outside the span of those before it.
+    """
+
+    __slots__ = ("p", "basis")
+
+    def __init__(self, field: PrimeField):
+        self.p = field.p
+        self.basis: list[tuple[int, list[int]]] = []  # (pivot, row): 1 at pivot, 0 at earlier pivots
+
+    def __len__(self):
+        return len(self.basis)
+
+    def add(self, v) -> bool:
+        """Reduce v against the basis; True, and v joins it, when v is not in the span."""
+        p = self.p
+        for c, row in self.basis:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        inv = pow(v[c], -1, p)
+        self.basis.append((c, [x * inv % p for x in v]))
+        return True

@@ -344,7 +344,7 @@ def _assert_matches_full_row_oracle(x, m, depth=3):
         m, _ = kernel_module(f)
 
 
-ORACLE_POSETS = dict(generator_posets(max_n=5))  # the funnel among them
+ORACLE_POSETS = dict(generator_posets(max_n=5), grid33=grid(3, 3))  # the funnel among them
 ORACLE_CASES = [
     (name, kind) for name, p in ORACLE_POSETS.items() for kind in BUILTIN_FAMILIES
     if builtin_family(p, kind).contains_projectives
@@ -380,6 +380,20 @@ def test_minimal_approximation_matches_full_row_oracle_on_random_families(picks,
     _assert_matches_full_row_oracle(Family(p, members), m)
 
 
+@given(st.integers(0, 10_000))
+def test_minimal_approximation_matches_full_row_oracle_on_atilde5(seed):
+    p, x = atilde5_family()
+    _assert_matches_full_row_oracle(x, random_module(p, PrimeField(), random.Random(seed)), depth=6)
+
+
+def test_minimal_approximation_matches_full_row_oracle_deep_in_a_periodic_resolution(field):
+    # M_[1,6] never resolves: its terms cycle through the three doubled spreads
+    p, x = atilde5_family()
+    m = spread_module(spread_from_antichains(p, ["1"], ["6"]), field)
+    assert resolve(x, m, max_depth=12).status == "truncated"
+    _assert_matches_full_row_oracle(x, m, depth=12)
+
+
 def test_radical_generators_drop_maps_through_a_third_member():
     # on grid(4, 4) the indicator of a member's support, between two other
     # members, adds nothing; nor does a second component with the same sources
@@ -392,8 +406,9 @@ def test_radical_generators_drop_maps_through_a_third_member():
 
 
 def test_a_resolution_step_eliminates_once_per_quantity(field, monkeypatch):
-    # one rref per Yoneda system, per radical stack and per approximation
-    # component, and no solve: kernel coordinates are read off free rows
+    # one rref per Yoneda system and per approximation component, and no
+    # solve: the radical is reduced column by column, not by an rref, and
+    # kernel coordinates are read off free rows
     p = grid(4, 4)
     x = builtin_family(p, "intervals")
     rng = random.Random(4)
@@ -412,10 +427,29 @@ def test_a_resolution_step_eliminates_once_per_quantity(field, monkeypatch):
         _, steps = module_route(x, m)
         for stage in (m, *[step.kernel for step in steps[:-1]]):
             supp = stage.support_mask()
-            yoneda = sum(1 for s in x.members if s.sources & supp)
-            budget += yoneda + len(_member_homs(x, stage)) + p.n
+            budget += sum(1 for s in x.members if s.sources & supp) + p.n
     assert calls["solve"] == 0
     assert 0 < calls["rref"] <= budget
+
+
+def test_an_approximation_stops_reading_the_radical_once_it_fills_hom(field, monkeypatch):
+    # once the radical blocks read so far span Hom(R_i, M), the rest are never evaluated
+    p = grid(4, 4)
+    x = builtin_family(p, "intervals")
+    calls = []
+    yoneda_values = approx.yoneda_values
+    monkeypatch.setattr(approx, "yoneda_values", lambda *args: calls.append(args) or yoneda_values(*args))
+    monkeypatch.setattr(approx, "_assemble", lambda x, m, coords: None)  # its evaluations are not counted
+    rng = random.Random(4)
+    for _ in range(3):
+        m = random_module(p, field, rng)
+        homs = _member_homs(x, m)
+        radical = [(j, sources) for i in homs for j, sources in x.radical_generators()[i] if j in homs]
+        # each block reads Hom(R_j, M) at the sources it holds, evaluated once per (j, a)
+        values = {(j, a) for j, sources in radical for a in iter_mask(sources)}
+        calls.clear()
+        approx._approximate(x, m, homs)
+        assert 0 < len(calls) < min(len(values), len(radical))
 
 
 def test_twisted_corner_module_minimal_multiplicities(field):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spreadhom import PrimeField
+from spreadhom.field import Span
 
 from helpers import numpy_rref, to_np
 
@@ -181,6 +182,21 @@ def test_the_two_rref_loops_agree(pm):
     kernel = f.kernel_of_rref(red, pivots)
     assert kernel == f.kernel_of_rref(f.arr(wide), wide_pivots) == f.kernel_basis(m)
     assert not np.mod(m @ to_np(kernel), p).any()
+
+
+@given(prime_matrices(), st.data())
+def test_a_span_adds_exactly_the_rref_pivots(pm, data):
+    # the columns again in a drawn order, with repeats and a zero column mixed in
+    p, m = pm
+    rows, cols = m.shape
+    m = np.concatenate([m, np.zeros((rows, 1), dtype=np.int64)], axis=1)
+    picks = data.draw(st.lists(st.integers(0, cols), max_size=8))
+    m = m[:, data.draw(st.permutations(list(range(cols + 1)) + picks))]
+    f = PrimeField(p)
+    span = Span(f)
+    added = tuple(c for c, v in enumerate(m.T.tolist()) if span.add(v))
+    assert added == f.rref(m)[1]
+    assert len(span) == f.rank(m)
 
 
 def test_matmul_matches_integer_arithmetic():
