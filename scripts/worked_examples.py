@@ -23,7 +23,6 @@ from spreadhom import (
     compare,
     direct_sum,
     enumerate_spreads,
-    hom_basis,
     hom_dim,
     rank_invariant,
     resolve,
@@ -65,7 +64,7 @@ def main():
     print(f"  T = {t.render()}")
     print(f"  counted components: dim Hom = {spread_hom_dim(s, t)}")
     ms, mt = spread_module(s, FIELD), spread_module(t, FIELD)
-    print(f"  naturality solver:  dim Hom = {hom_basis(ms, mt).dim}")
+    print(f"  naturality solver:  dim Hom = {hom_dim(ms, mt)}")
 
     heading("Equal ranks, different classes (2x2 grid)")
     p, m, mprime = equal_rank_pair(FIELD)

@@ -1,9 +1,10 @@
 """Declarative poset / module / family files.
 
 Parsing uses yaml's safe loader, on libyaml when PyYAML was built with it,
-and refuses a repeated key.  Serialization is a small canonical emitter
-(stable ordering, labels always double-quoted) so that serializing a parsed
-canonical file reproduces it byte for byte.
+and refuses a repeated key, an alias and nesting deeper than MAX_NESTING.
+Serialization is a small canonical emitter (stable ordering, labels always
+double-quoted) so that serializing a parsed canonical file reproduces it
+byte for byte.
 """
 from __future__ import annotations
 
@@ -21,6 +22,11 @@ from .poset import DEFAULT_CAP, Poset, Spread, spread_from_antichains
 # Most dense matrix cells a module file may ask for, before any is built: a
 # d_b x d_a map per cover a -> b and a d_a x d_a identity per element a.
 MAX_DENSE_CELLS = 10 ** 7
+
+# Deepest nesting of mappings and lists a file may have; the formats need 4.
+# libyaml composes a document recursively, so a file some 25 000 levels deep
+# overflows the C stack, and the loader's own messages recurse on far less.
+MAX_NESTING = 16
 
 
 class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -40,11 +46,26 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
 
 def _load_yaml(path: str):
+    """The file's one document, once its parse events show no alias and no nesting deeper than MAX_NESTING.
+
+    libyaml's event parser is iterative, so that walk is safe on any file.
+    """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
+            depth = 0
+            for event in yaml.parse(fh, Loader=_Loader):
+                if isinstance(event, yaml.AliasEvent):
+                    raise FileFormatError(f"{path}: line {event.start_mark.line + 1}: YAML aliases are refused")
+                depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+                if depth > MAX_NESTING:
+                    raise FileFormatError(f"{path}: line {event.start_mark.line + 1}: "
+                                          f"nested deeper than {MAX_NESTING} levels")
+            fh.seek(0)
             data = yaml.load(fh, Loader=_Loader)
     except OSError as e:
         raise FileFormatError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise FileFormatError(f"{path}: not UTF-8 text ({e})") from None
     except yaml.YAMLError as e:
         raise FileFormatError(f"{path}: not valid YAML ({' '.join(str(e).split())})") from None
     if not isinstance(data, dict):

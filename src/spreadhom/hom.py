@@ -1,8 +1,9 @@
 """Hom spaces between persistence modules, at two levels.
 
 - Modules: `hom_basis` is the canonical kernel of one linear system over
-  all covers (`_naturality_system`), so the basis depends only on the values
-  of the endpoints; `hom_dim` is its size.  It solves any pair, and the
+  all covers (`_naturality_system`), a `Matrix` whose columns are morphisms
+  in the layout of `Morphism.vec`, so the basis depends only on the values
+  of the endpoints; `hom_dim` is its width.  It solves any pair, and the
   tests hold the spread-level routes against it.
 - Spreads, for a module M_S known by its spread S:
   - into M_T: one indicator morphism per valid component of the
@@ -19,40 +20,12 @@
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations
-from operator import index, mul
 
 from .errors import PosetMismatchError
 from .field import Matrix, free_columns
-from .modules import Morphism, PersistenceModule, morphism_from_vec
+from .modules import Morphism, PersistenceModule
 from .poset import Spread, iter_mask
-
-
-@dataclass
-class HomBasis:
-    source: PersistenceModule
-    target: PersistenceModule
-    basis: tuple[Morphism, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def matrix(self) -> Matrix:
-        """Basis vectors as columns (vec layout of Morphism.vec)."""
-        if not self.basis:
-            u = sum(self.source.dims[a] * self.target.dims[a] for a in range(self.source.poset.n))
-            return Matrix([[] for _ in range(u)], 0)
-        return Matrix([list(row) for row in zip(*(f.vec() for f in self.basis))], len(self.basis))
-
-    def linear_combination(self, coeffs) -> Morphism:
-        p = self.source.field.p
-        coeffs = [index(c) % p for c in coeffs]
-        if len(coeffs) != len(self.basis):
-            raise ValueError(f"{len(coeffs)} coefficients for {len(self.basis)} basis morphisms")
-        v = [sum(map(mul, row, coeffs)) % p for row in self.matrix().rows]
-        return morphism_from_vec(self.source, self.target, v)
 
 
 def _naturality_system(m: PersistenceModule, n: PersistenceModule) -> Matrix:
@@ -166,19 +139,20 @@ def yoneda_values(s: Spread, n: PersistenceModule, offsets, w: Matrix, x: int) -
     return n.field.matmul(n.map_along(a, x), Matrix(w.rows[offsets[a]:offsets[a] + n.dims[a]], w.shape[1]))
 
 
-def hom_basis(m: PersistenceModule, n: PersistenceModule) -> HomBasis:
+def hom_basis(m: PersistenceModule, n: PersistenceModule) -> Matrix:
     """A basis of the space of morphisms m -> n: the canonical kernel of the naturality system.
 
-    It depends only on the values of m and n, never on how they were built.
+    Its columns are in the layout of `Morphism.vec`; `morphism_from_vec`
+    reads one back.  It depends only on the values of m and n, never on how
+    they were built.
     """
     _check_endpoints(m, n)
-    kernel = m.field.kernel_basis(_naturality_system(m, n))
-    return HomBasis(m, n, tuple(morphism_from_vec(m, n, col) for col in zip(*kernel.rows)))
+    return m.field.kernel_basis(_naturality_system(m, n))
 
 
 def hom_dim(m: PersistenceModule, n: PersistenceModule) -> int:
-    """dim Hom(m, n): the size of `hom_basis`."""
-    return hom_basis(m, n).dim
+    """dim Hom(m, n): the width of `hom_basis`."""
+    return hom_basis(m, n).shape[1]
 
 
 def spread_hom_components(s: Spread, t: Spread) -> tuple[int, ...]:
@@ -226,11 +200,6 @@ def _subfunctor(m: PersistenceModule, bases, coords, what: str):
     return sub, Morphism._build(sub, m, bases)
 
 
-def _submodule(m: PersistenceModule, bases, what: str):
-    """`_subfunctor` with coordinates by one solve per cover."""
-    return _subfunctor(m, bases, lambda b, v: m.field.solve(bases[b], v), what)
-
-
 def kernel_module(f: Morphism):
     """The kernel subfunctor of a morphism; returns (module, inclusion).
 
@@ -250,5 +219,7 @@ def kernel_module(f: Morphism):
 
 
 def image_module(f: Morphism):
-    """The image subfunctor of a morphism; returns (module, inclusion into target)."""
-    return _submodule(f.target, [f.target.field.column_space_basis(c) for c in f.components], "image")
+    """The image subfunctor of a morphism; returns (module, inclusion into target), by one solve per cover."""
+    field = f.target.field
+    bases = [field.column_space_basis(c) for c in f.components]
+    return _subfunctor(f.target, bases, lambda b, v: field.solve(bases[b], v), "image")

@@ -9,7 +9,7 @@ import random
 
 from .field import Matrix, PrimeField
 from .hom import hom_basis, kernel_module
-from .modules import PersistenceModule, direct_sum, spread_module
+from .modules import PersistenceModule, direct_sum, morphism_from_vec, spread_module
 from .poset import Poset, enumerate_spreads
 
 MAX_SUMMANDS = 3
@@ -60,10 +60,10 @@ def random_module(p: Poset, field: PrimeField, rng: random.Random,
     if rng.random() < 0.4:
         # replace by the kernel of a random morphism into another sum
         n = random_spread_sum(p, field, rng, spreads)
-        hb = hom_basis(m, n)
-        if hb.basis:
-            coeffs = [rng.randrange(field.p) for _ in hb.basis]
-            f = hb.linear_combination(coeffs)
+        basis = hom_basis(m, n)
+        if basis.shape[1]:
+            coeffs = [rng.randrange(field.p) for _ in range(basis.shape[1])]
+            f = morphism_from_vec(m, n, [sum(x * c for x, c in zip(row, coeffs)) % field.p for row in basis.rows])
             ker, _ = kernel_module(f)
             if not ker.is_zero():
                 m = ker

@@ -5,7 +5,8 @@ they work on explicit pair sets computed by graph search over cover lists,
 never on the bitmask machinery they are checking.  The module fixtures
 (inclusions of summands, zero morphisms, the rank-blind pair and the
 non-thin bricks), the up-set predicate and the morphisms read back from the
-spread-level Hom routes (held against `hom_basis`) are used by tests only.
+spread-level Hom routes (held against `hom_basis`, whose columns
+`hom_morphisms` reads back) are used by tests only.
 The module route keeps every approximation, kernel and inclusion of a
 resolution; it is the oracle of `resolve`, which keeps only the terms, and
 its steps give the connecting maps.
@@ -29,9 +30,11 @@ from spreadhom import (
     SpreadHomError,
     direct_sum,
     enumerate_spreads,
+    hom_basis,
     interval_module,
     kernel_module,
     minimal_approximation,
+    morphism_from_vec,
     spread_from_antichains,
     spread_module,
 )
@@ -187,6 +190,11 @@ def indicator_morphisms(s, t, field):
                           for x in range(s.poset.n)])
         for comp in spread_hom_components(s, t)
     ]
+
+
+def hom_morphisms(m, n):
+    """The columns of `hom_basis(m, n)`, read back as checked morphisms by `morphism_from_vec`."""
+    return [morphism_from_vec(m, n, list(col)) for col in zip(*hom_basis(m, n).rows)]
 
 
 def yoneda_morphisms(s, n):

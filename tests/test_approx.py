@@ -44,7 +44,7 @@ from spreadhom.hom import spread_hom_components
 from spreadhom.poset import iter_mask, kahn_order, mask_of
 from spreadhom.randmod import random_module
 
-from helpers import connecting, full_row_minimal_approximation, module_route
+from helpers import connecting, full_row_minimal_approximation, hom_morphisms, module_route
 
 
 # -- family construction and diagnostics -------------------------------------
@@ -94,7 +94,7 @@ def test_hom_matrix_diagonal_is_one(field):
     mods = x.member_modules(field)
     for i in (0, 3, 7):
         for j in (1, 5, 9):
-            assert h[i][j] == hom_basis(mods[i], mods[j]).dim
+            assert h[i][j] == hom_basis(mods[i], mods[j]).shape[1]
 
 
 def test_doubled_source_trio_has_hom_cycle():
@@ -208,13 +208,13 @@ def _approximation_spans(x, picked, m):
         full = hom_basis(mods[j], m)
         cols = []
         for i, g in picked:
-            for h in hom_basis(mods[j], mods[i]).basis:
+            for h in hom_morphisms(mods[j], mods[i]):
                 cols.append((g @ h).vec())
         if cols:
             reached = field.rank(np.array(cols).T)
         else:
             reached = 0
-        out.append((full.dim, reached))
+        out.append((full.shape[1], reached))
     return out
 
 
@@ -225,7 +225,7 @@ def _greedy_minimal(x, m):
     mods = x.member_modules(field)
     picked = []
     for i, r in enumerate(mods):
-        for g in hom_basis(r, m).basis:
+        for g in hom_morphisms(r, m):
             picked.append((i, g))
 
     def is_approximation(subset):

@@ -38,6 +38,7 @@ from spreadhom import (
     invariant_key,
     kernel_module,
     minimal_approximation,
+    morphism_from_vec,
     rank_invariant,
     rank_via_hooks,
     resolve,
@@ -61,6 +62,7 @@ from spreadhom.gallery import (
     path_poset,
     equal_rank_pair,
 )
+from spreadhom.field import Matrix
 from spreadhom.hom import agreement_system
 from spreadhom.invariants import COMPARE_KINDS
 from spreadhom.poset import elements_of, mask_of
@@ -358,8 +360,9 @@ def test_generalized_rank_matches_the_unreduced_oracle(name, seed):
     rng = random.Random(seed)
     p = ORACLE_POSETS[name]
     m, n = random_module(p, field, rng), random_module(p, field, rng)
-    hb = hom_basis(m, n)
-    kernel, _ = kernel_module(hb.linear_combination([rng.randrange(field.p) for _ in hb.basis]))
+    basis = hom_basis(m, n)
+    coeffs = Matrix([[rng.randrange(field.p)] for _ in range(basis.shape[1])], 1)
+    kernel, _ = kernel_module(morphism_from_vec(m, n, [row[0] for row in field.matmul(basis, coeffs).rows]))
     for mod in (m, kernel):
         for s in ORACLE_SPREADS[name]:
             limit, want = unreduced_limit_colimit(mod, s)

@@ -889,6 +889,47 @@ def test_cli_refuses_a_huge_prime_at_once():
     _one_line_error(proc.returncode, proc.stderr, "2305843009213693951 too large")
 
 
+ALIAS_CHAIN = ", ".join(f"k{i}: &x{i} [{f'*x{i - 1}' if i else 1}]" for i in range(3000))
+
+
+@pytest.mark.parametrize("body,needle", [
+    ("elements: " + "[" * 30_000 + "]" * 30_000 + "\ncovers: []\n", "line 1: nested deeper than 16 levels"),
+    ('elements: ["a"]\ncovers: ' + "[" * 1_000 + "]" * 1_000 + "\n", "line 2: nested deeper than 16 levels"),
+    ('elements: ["a"]\ncovers: {' + ALIAS_CHAIN + "}\n", "line 2: YAML aliases are refused"),
+], ids=["30000-levels", "1000-levels", "alias-chain"])
+def test_cli_refuses_deep_or_aliased_yaml(tmp_path, body, needle):
+    # libyaml composes a document recursively, so 30 000 levels would overflow
+    # the C stack, and the loader's messages would repr a 1 000-level value or
+    # a 3 000-alias chain into a RecursionError; a child keeps a crash contained
+    path = tmp_path / "p.yaml"
+    path.write_text(body)
+    proc = _run_entry_point("validate", str(path), timeout=60)
+    assert proc.stdout == ""
+    _one_line_error(proc.returncode, proc.stderr, "p.yaml", needle)
+
+
+def test_the_nesting_bound_counts_mappings_and_lists(capsys, tmp_path, monkeypatch):
+    # a module file needs 4 levels: the file, its maps, a matrix and a row
+    shutil.copy(DATA / "grid2x2.yaml", tmp_path / "grid2x2.yaml")
+    path = tmp_path / "m.yaml"
+    shutil.copy(DATA / "equal_rank_m.yaml", path)
+    argv = ["validate", str(tmp_path / "grid2x2.yaml"), str(path)]
+    monkeypatch.setattr(files, "MAX_NESTING", 4)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(files, "MAX_NESTING", 3)
+    code, out, err = run_cli(capsys, *argv)
+    _one_line_error(code, err, "m.yaml", "line 4: nested deeper than 3 levels")
+    assert out.startswith("ok poset")
+
+
+def test_cli_names_a_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "p.yaml"
+    path.write_bytes(b'elements: ["\xff"]\ncovers: []\n')
+    code, out, err = run_cli(capsys, "validate", str(path))
+    _one_line_error(code, err, "p.yaml", "not UTF-8 text", "can't decode byte 0xff")
+    assert out == ""
+
+
 def test_data_files_match_generator(tmp_path):
     # the checked-in files are exactly what scripts/make_data.py emits
     names = POSET_FILES + MODULE_FILES + ["atilde5_family.yaml"]

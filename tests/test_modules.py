@@ -16,7 +16,6 @@ from spreadhom import (
     builtin_family,
     direct_sum,
     enumerate_spreads,
-    hom_basis,
     hook_module,
     image_module,
     interval_module,
@@ -36,6 +35,7 @@ from helpers import (
     ORACLE_POSETS,
     closure_pairs,
     every_parent_failure,
+    hom_morphisms,
     mask_to_set,
     module_route,
     summand_inclusions,
@@ -403,8 +403,8 @@ def test_what_the_library_builds_unchecked_passes_the_public_checks(field, rng):
                                  m.restrict(rng.randrange(1, 1 << p.n))[0], *[step.kernel for step in steps]]
             built["resolution maps"] += [f for step in steps for f in (step.approximation, step.inclusion)]
             # Hom bases spread -> spread, spread -> module and module -> module
-            into_m, m_to_n = hom_basis(s, m).basis, hom_basis(m, n).basis
-            built["hom bases"] += [*hom_basis(s, t).basis, *into_m, *m_to_n]
+            into_m, m_to_n = hom_morphisms(s, m), hom_morphisms(m, n)
+            built["hom bases"] += [*hom_morphisms(s, t), *into_m, *m_to_n]
             built["composites"] += [g @ f for f in into_m for g in m_to_n]
             built["image inclusions"] += [image_module(g)[1] for g in m_to_n]
     assert min(map(len, built.values())) > 20, {k: len(v) for k, v in built.items()}

@@ -58,7 +58,7 @@ def test_every_name_in_the_box_table_exists():
 def test_the_box_check_sees_a_removed_name():
     text = (
         "## What is in the box\n\n| module | contents |\n|---|---|\n"
-        "| `spreadhom.hom` | `hom_basis`, `naturality_basis`, `HomBasis.dim`, `\"finite\"` |\n"
+        "| `spreadhom.hom` | `hom_basis`, `naturality_basis`, `Morphism.vec`, `\"finite\"` |\n"
         "| `spreadhom.approx` | `Family.hom_rows`, `missing_projectives()`, `hooks`, `Family.nope` |\n"
         "| `spreadhom.cli` | `spreadhom validate | invariant` |\n\n## CLI\n\n| `spreadhom.hom` | `gone` |\n"
     )
