@@ -214,24 +214,24 @@ def _require_same_poset(x: Family, m: PersistenceModule):
         raise PosetMismatchError("the module and the family live over different posets")
 
 
-def _member_homs(x: Family, m: PersistenceModule) -> dict[int, tuple[dict[int, int], Matrix]]:
-    """{j: (offsets, basis)}: Hom(member_j, m) in source coordinates, for each j where it is nonzero."""
+def _member_homs(x: Family, m: PersistenceModule) -> dict[int, Matrix]:
+    """{j: the `yoneda_basis` of Hom(member_j, m)}, for each j where it is nonzero."""
     _require_same_poset(x, m)
     # Hom(R_j, m) embeds in ⊕ m_a over the sources of R_j, so it is 0 unless one lies in supp m
     supp = m.support_mask()
     homs = {j: yoneda_basis(s, m) for j, s in enumerate(x.members) if s.sources & supp}
-    return {j: h for j, h in homs.items() if h[1].shape[1]}
+    return {j: w for j, w in homs.items() if w.shape[1]}
 
 
 def _assemble(x: Family, m: PersistenceModule, coords) -> Morphism:
-    """The epimorphism ⊕_j R_j^{k_j} -> m with the k_j columns of coords[j] = (offsets, w)."""
+    """The epimorphism ⊕_j R_j^{k_j} -> m with the k_j source-coordinate columns of coords[j]."""
     field = m.field
-    summands = [x.member_module(j, field) for j, (_, w) in coords.items() for _ in range(w.shape[1])]
+    summands = [x.member_module(j, field) for j, w in coords.items() for _ in range(w.shape[1])]
     dom = direct_sum(summands) if summands else zero_module(m.poset, field)
     comps = []
     for a in range(m.poset.n):
-        blocks = [yoneda_values(x.members[j], m, offsets, w, a)
-                  for j, (offsets, w) in coords.items() if x.members[j].support >> a & 1]
+        blocks = [yoneda_values(x.members[j], m, w, a)
+                  for j, w in coords.items() if x.members[j].support >> a & 1]
         comps.append(hstack(blocks) if blocks else field.zeros(m.dims[a], 0))
     f = Morphism._build(dom, m, comps)
     for a, (_, pivots) in enumerate(f.reduced()):
@@ -266,37 +266,32 @@ def _approximate(x: Family, m: PersistenceModule, homs):
     def value_at(j, a):
         out = values.get((j, a))
         if out is None:
-            offsets, w = homs[j]
-            out = values[(j, a)] = yoneda_values(members[j], m, offsets, w, a)
+            out = values[(j, a)] = yoneda_values(members[j], m, homs[j], a)
         return out
 
-    def radical_columns(i, offsets, rows):
+    def radical_columns(i):
         """The columns of member i's radical blocks, in generator order; each block built when reached."""
+        own = tuple(iter_mask(members[i].sources))
         for j, sources in generators[i]:
-            if j not in homs:
-                continue
-            if len(offsets) == 1:  # the one source of R_i lies in every component
-                (a,) = offsets
-                block = value_at(j, a).rows
-            else:
-                block = [[0] * homs[j][1].shape[1] for _ in range(rows)]
-                for a in iter_mask(sources):
-                    block[offsets[a]:offsets[a] + m.dims[a]] = value_at(j, a).rows
-            yield from zip(*block)
+            if j in homs:
+                block = []
+                for a in own:  # zeros at the sources of R_i outside the component
+                    block += value_at(j, a).rows if sources >> a & 1 else [[0] * homs[j].shape[1]] * m.dims[a]
+                yield from zip(*block)
 
     multiplicities = [0] * len(members)
-    chosen = {}  # i -> (offsets, the picked columns of the basis)
-    for i, (offsets, w) in homs.items():
+    chosen = {}  # i -> the picked columns of the basis
+    for i, w in homs.items():
         span = Span(field)
         full = w.shape[1]  # dim Hom(R_i, m), which holds the radical
-        for v in radical_columns(i, offsets, w.shape[0]):
+        for v in radical_columns(i):
             if span.add(v) and len(span) == full:
                 break  # the radical is all of Hom(R_i, m): multiplicity 0
         else:  # the columns of the basis w that leave the span
             cols = [c for c, v in enumerate(zip(*w.rows)) if span.add(v)]
             multiplicities[i] = len(cols)
             if cols:
-                chosen[i] = (offsets, w.columns(cols))
+                chosen[i] = w.columns(cols)
     return tuple(multiplicities), _assemble(x, m, chosen)
 
 
@@ -333,7 +328,7 @@ def resolve(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH)
             return Resolution((), "truncated")
         homs = _member_homs(x, current)
         if terms:
-            sigs.append((current.dims, {j: w.shape[1] for j, (_, w) in homs.items()}))
+            sigs.append((current.dims, {j: w.shape[1] for j, w in homs.items()}))
         if len(terms) == max_depth:
             periodicity = next(((i, j) for i, j in combinations(range(len(sigs)), 2) if sigs[i] == sigs[j]), None)
             return Resolution(tuple(terms), "truncated", periodicity)

@@ -144,6 +144,8 @@ def cmd_compare(args) -> int:
     """Verdicts for all pairs; each file, family and invariant key is computed once."""
     field = PrimeField(args.prime)
     if args.batch:
+        if args.module_a:
+            raise ValueError("compare takes two module files or --batch DIR, not both")
         try:
             names = os.listdir(args.batch)
         except OSError as e:

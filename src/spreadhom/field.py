@@ -75,11 +75,12 @@ class PrimeField:
     """F_p arithmetic on `Matrix` values."""
 
     def __init__(self, p: int = DEFAULT_PRIME):
+        p = index(p)  # a Python int from here on, whatever integer type came in
         # the bound first: trial division up to sqrt(p) is slow for large p
-        if isinstance(p, int) and p >= _MAX_PRIME:
+        if p >= _MAX_PRIME:
             raise ValueError(f"p = {p} too large (need p < 2**20 for exact int64 products)")
-        if not isinstance(p, int) or not _is_prime(p):
-            raise ValueError(f"p = {p!r} is not prime")
+        if not _is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
         self.p = p
 
     def __repr__(self):

@@ -101,7 +101,7 @@ def load_poset(path: str) -> Poset:
         raise FileFormatError(f"{path}: 'elements' must be a list of labels")
     names = [_as_label(path, x) for x in elements]
     index = {lbl: i for i, lbl in enumerate(names)}
-    raw_covers = data["covers"] or []
+    raw_covers = [] if data["covers"] is None else data["covers"]
     if not isinstance(raw_covers, list):
         raise FileFormatError(f"{path}: 'covers' must be a list of pairs, got {raw_covers!r}")
     covers = []
@@ -158,7 +158,7 @@ def load_module(path: str, field: PrimeField, poset: Poset | None = None,
     cells = sum(dims[a] * dims[b] for a, b in poset.covers) + sum(d * d for d in dims)
     if cells > MAX_DENSE_CELLS:
         raise FileFormatError(f"{path}: dims need {cells} dense matrix cells, more than {MAX_DENSE_CELLS}")
-    raw_maps = data.get("maps") or {}
+    raw_maps = {} if data.get("maps") is None else data["maps"]
     if not isinstance(raw_maps, dict):
         raise FileFormatError(f"{path}: 'maps' must map 'a->b' keys to matrices")
     maps = {}

@@ -12,11 +12,11 @@
     lies in T and a target of T lies in S: a valid component contains the
     sources of S below it and the targets of T above it, hence one of each.
   - into any N: Yoneda.  M_S is a quotient of ⊕_{a ∈ min S} P_a and
-    Hom(P_a, N) = N_a, so a morphism is a tuple (v_a) in ⊕ N_a whose pushes
+    Hom(P_a, N) = N_a, so a morphism is a column (v_a) of N_a stacked over
+    the sources a of S by increasing id, its source coordinates, whose pushes
     N(a -> x) v_a agree on S (`agreement_system`) and vanish off S
-    (`yoneda_basis`, read back by `yoneda_values`).  Each equation is
-    written once, at the minimal elements where it starts.  Hom(M_S, N) is
-    0 when N is 0 at every source of S, since it embeds in ⊕ N_a.
+    (`yoneda_basis`, read back at any x of S by `yoneda_values`).
+    Hom(M_S, N) is 0 when N is 0 at every source of S: it embeds in ⊕ N_a.
 """
 from __future__ import annotations
 
@@ -60,11 +60,6 @@ def _check_endpoints(m: PersistenceModule, n: PersistenceModule):
         raise PosetMismatchError("hom endpoints use different primes")
 
 
-def _least_source_below(s: Spread, x: int) -> int:
-    below = s.sources & s.poset.down_mask(x)
-    return (below & -below).bit_length() - 1
-
-
 def stacked_offsets(mask: int, n: PersistenceModule) -> tuple[dict[int, int], int]:
     """Row offset of each n_a, a in mask, when they are stacked as ⊕ n_a; and the total."""
     offsets = {}
@@ -86,8 +81,8 @@ def _placed(total: int, blocks) -> list[list[int]]:
     return out
 
 
-def agreement_system(s: Spread, n: PersistenceModule) -> tuple[Matrix, dict[int, int]]:
-    """Equations on (v_a)_{a in sources(s)}, stacked in ⊕ n_a; returns (system, offsets).
+def agreement_system(s: Spread, n: PersistenceModule) -> Matrix:
+    """Equations on the source coordinates (v_a)_{a in sources(s)} of Hom(M_s, n).
 
     Each pair of sources a, b writes N(a -> x) v_a = N(b -> x) v_b once, at
     each minimal x of S ∩ up(a) ∩ up(b).  At any higher x' of that set the
@@ -101,17 +96,17 @@ def agreement_system(s: Spread, n: PersistenceModule) -> tuple[Matrix, dict[int,
     offsets, total = stacked_offsets(s.sources, n)
     rows = []
     if not total or not s.sources & (s.sources - 1):  # no unknowns, or one source
-        return Matrix(rows, total), offsets
+        return Matrix(rows, total)
     for a, b in combinations(iter_mask(s.sources), 2):
         for x in iter_mask(p.minimal_elements(s.support & p.up_mask(a) & p.up_mask(b))):
             if n.dims[x]:
                 rows += _placed(total, [(offsets[a], n.map_along(a, x)),
                                         (offsets[b], n.field.neg(n.map_along(b, x)))])
-    return Matrix(rows, total), offsets
+    return Matrix(rows, total)
 
 
-def yoneda_basis(s: Spread, n: PersistenceModule) -> tuple[dict[int, int], Matrix]:
-    """Hom(M_s, n) in source coordinates: (row offset of each source in ⊕ n_a, basis columns).
+def yoneda_basis(s: Spread, n: PersistenceModule) -> Matrix:
+    """Hom(M_s, n): its basis columns in source coordinates.
 
     The system is the agreement system plus N(a -> y) v_a = 0 for each source
     a and each minimal y of up(a) outside S.  A morphism vanishes off S, so
@@ -121,22 +116,28 @@ def yoneda_basis(s: Spread, n: PersistenceModule) -> tuple[dict[int, int], Matri
     its canonical kernel basis is the identity.
     """
     p = s.poset
-    agree, offsets = agreement_system(s, n)
+    agree = agreement_system(s, n)
     total = agree.shape[1]
     rows = list(agree.rows)
+    offset = 0
     for a in iter_mask(s.sources):
         for y in iter_mask(p.minimal_elements(p.up_mask(a) & ~s.support)):
             if n.dims[y]:
-                rows += _placed(total, [(offsets[a], n.map_along(a, y))])
+                rows += _placed(total, [(offset, n.map_along(a, y))])
+        offset += n.dims[a]
     if not rows:
-        return offsets, n.field.eye(total)
-    return offsets, n.field.kernel_basis(Matrix(rows, total))
+        return n.field.eye(total)
+    return n.field.kernel_basis(Matrix(rows, total))
 
 
-def yoneda_values(s: Spread, n: PersistenceModule, offsets, w: Matrix, x: int) -> Matrix:
-    """Components at x in supp(s) of the morphisms with source coordinates w (columns)."""
-    a = _least_source_below(s, x)
-    return n.field.matmul(n.map_along(a, x), Matrix(w.rows[offsets[a]:offsets[a] + n.dims[a]], w.shape[1]))
+def yoneda_values(s: Spread, n: PersistenceModule, w: Matrix, x: int) -> Matrix:
+    """Components at x in supp(s), pushed from its least source below x, of the columns of w."""
+    offset = 0
+    for a in iter_mask(s.sources):
+        if s.poset.leq(a, x):
+            return n.field.matmul(n.map_along(a, x), Matrix(w.rows[offset:offset + n.dims[a]], w.shape[1]))
+        offset += n.dims[a]
+    raise ValueError(f"{s.poset.label(x)} lies above no source of the spread {s.render()}")
 
 
 def hom_basis(m: PersistenceModule, n: PersistenceModule) -> Matrix:

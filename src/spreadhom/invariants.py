@@ -23,7 +23,7 @@ from .errors import (
     UnknownInvariantError,
 )
 from .field import Matrix, hstack
-from .hom import agreement_system, hom_dim, stacked_offsets
+from .hom import agreement_system, hom_dim, stacked_offsets, yoneda_values
 from .modules import PersistenceModule, hook_module
 from .poset import DEFAULT_CAP, Poset, Spread, iter_mask
 
@@ -64,7 +64,7 @@ class GrothClass:
 def dim_hom_vector(x: Family, m: PersistenceModule) -> tuple[int, ...]:
     """(dim Hom(R, m))_{R in x}: the widths of the Yoneda bases that approximations use."""
     homs = _member_homs(x, m)
-    return tuple(homs[j][1].shape[1] if j in homs else 0 for j in range(len(x)))
+    return tuple(homs[j].shape[1] if j in homs else 0 for j in range(len(x)))
 
 
 def class_via_resolution(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH) -> GrothClass:
@@ -164,9 +164,9 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
     once for each pair of targets b, c and each maximal x of
     S ∩ down(b) ∩ down(c).  At any lower x' of that set the relation is this
     one pulled back along m(x' -> x), so the relations span the same
-    subspace as with every pair at every x.  The canonical map pushes the
-    limit's value at a source to a target above that source (any pair will
-    do, by connectedness).
+    subspace as with every pair at every x.  The canonical map reads the
+    limit at a target, pushed from a source below it (`yoneda_values`; any
+    pair will do, by connectedness).
     """
     if s.poset is not m.poset and s.poset != m.poset:
         raise PosetMismatchError("the spread and the module live over different posets")
@@ -174,8 +174,7 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
         raise NotConnectedError(f"spread {s.render()} has disconnected support")
     field = m.field
     p = m.poset
-    agree, src = agreement_system(s, m)
-    lim = field.kernel_basis(agree)
+    lim = field.kernel_basis(agreement_system(s, m))
     tgt, total = stacked_offsets(s.targets, m)
     if lim.shape[1] == 0 or total == 0:
         return 0
@@ -188,11 +187,9 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
                 col[tgt[c]:tgt[c] + m.dims[c]] = field.neg(m.map_along(x, c)).rows
                 cols.append(Matrix(col, m.dims[x]))
     rel = hstack(cols)
-    a = next(iter_mask(s.sources))
-    b = next(iter_mask(s.targets & p.up_mask(a)))
+    b = next(iter_mask(s.targets))
     image = field.zeros(total, lim.shape[1]).rows
-    image[tgt[b]:tgt[b] + m.dims[b]] = field.matmul(
-        m.map_along(a, b), Matrix(lim.rows[src[a]:src[a] + m.dims[a]], lim.shape[1])).rows
+    image[tgt[b]:tgt[b] + m.dims[b]] = yoneda_values(s, m, lim, b).rows
     # rank [rel | image] - rank rel: the pivots that fall in the image columns
     _, pivots = field.rref(hstack([rel, Matrix(image, lim.shape[1])]))
     return sum(j >= rel.shape[1] for j in pivots)

@@ -201,11 +201,10 @@ def yoneda_morphisms(s, n):
     """Hom(M_s, n) from the `yoneda_basis` columns, read back at each x of s by `yoneda_values`, checked."""
     field = n.field
     m = spread_module(s, field)
-    offsets, w = yoneda_basis(s, n)
     return [
-        Morphism(m, n, [yoneda_values(s, n, offsets, Matrix([[v] for v in col], 1), x)
+        Morphism(m, n, [yoneda_values(s, n, Matrix([[v] for v in col], 1), x)
                         if s.support >> x & 1 else field.zeros(n.dims[x], 0) for x in range(s.poset.n)])
-        for col in zip(*w.rows)
+        for col in zip(*yoneda_basis(s, n).rows)
     ]
 
 
@@ -242,7 +241,7 @@ def module_route(x, m, max_depth=DEFAULT_MAX_DEPTH):
         steps.append(Step(f, current, incl))
     if current.is_zero():
         return (tuple(terms), "finite", None), steps
-    sigs = [(s.kernel.dims, {j: w.shape[1] for j, (_, w) in _member_homs(x, s.kernel).items()}) for s in steps]
+    sigs = [(s.kernel.dims, {j: w.shape[1] for j, w in _member_homs(x, s.kernel).items()}) for s in steps]
     periodicity = next(((i, j) for i, j in itertools.combinations(range(len(sigs)), 2) if sigs[i] == sigs[j]), None)
     return (tuple(terms), "truncated", periodicity), steps
 
@@ -338,21 +337,23 @@ def full_row_minimal_approximation(x, m):
     """`minimal_approximation` composing every basis map R_i -> R_j (j != i).
 
     One block per component of each row of `Family.hom_rows`, none dropped
-    or merged, as before `Family.radical_generators`.
+    or merged, as before `Family.radical_generators`.  A block is laid out
+    in the source coordinates of Hom(R_i, m) by `stacked_offsets`.
     """
     field = m.field
     homs = _member_homs(x, m)
     multiplicities = [0] * len(x)
     chosen = {}
-    for i, (offsets, w) in homs.items():
+    for i, w in homs.items():
+        offsets, _ = stacked_offsets(x.members[i].sources, m)
         blocks = []
         for j, comps in x.hom_rows()[i]:
             if j == i or j not in homs:
                 continue
             for comp in comps:
-                block = np.zeros((w.shape[0], homs[j][1].shape[1]), dtype=np.int64)
+                block = np.zeros((w.shape[0], homs[j].shape[1]), dtype=np.int64)
                 for a in iter_mask(x.members[i].sources & comp):
-                    block[offsets[a]:offsets[a] + m.dims[a]] = to_np(yoneda_values(x.members[j], m, *homs[j], a))
+                    block[offsets[a]:offsets[a] + m.dims[a]] = to_np(yoneda_values(x.members[j], m, homs[j], a))
                 blocks.append(block)
         blocks.append(to_np(w))
         stacked = np.concatenate(blocks, axis=1)
@@ -360,7 +361,7 @@ def full_row_minimal_approximation(x, m):
         cols = [c - start for c in field.rref(stacked)[1] if c >= start]
         multiplicities[i] = len(cols)
         if cols:
-            chosen[i] = (offsets, w.columns(cols))
+            chosen[i] = w.columns(cols)
     return tuple(multiplicities), _assemble(x, m, chosen)
 
 

@@ -30,6 +30,11 @@ def test_prime_validation():
         PrimeField(1)
     with pytest.raises(ValueError):
         PrimeField((1 << 20) + 7)  # prime, but past the int64 safety bound
+    # any integer type is read as a Python int; a float is not an integer
+    p = PrimeField(np.int64(7))
+    assert type(p.p) is int and p == PrimeField(7)
+    with pytest.raises(TypeError):
+        PrimeField(7.0)
 
 
 def test_huge_prime_is_refused_before_primality_testing():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spreadhom import (
     Morphism,
     PersistenceModule,
+    Poset,
     PosetMismatchError,
     PrimeField,
     builtin_family,
@@ -38,7 +39,7 @@ from spreadhom.gallery import (
 )
 from spreadhom.field import Matrix
 from spreadhom.files import dump_module
-from spreadhom.hom import _subfunctor, agreement_system, yoneda_basis
+from spreadhom.hom import _subfunctor, agreement_system, yoneda_basis, yoneda_values
 from spreadhom.randmod import random_module
 
 from helpers import (
@@ -174,12 +175,12 @@ def test_yoneda_basis_is_empty_when_the_target_vanishes_at_the_sources(name, see
     field = PrimeField()
     n = random_module(YONEDA_POSETS[name], field, random.Random(seed))
     for s in YONEDA_SPREADS[name]:
-        offsets, w = yoneda_basis(s, n)
-        assert sorted(offsets) == list(s.source_elements())
+        w = yoneda_basis(s, n)
         m = spread_module(s, field)
         want = hom_dim(m, n)
-        if any(n.dims[a] for a in offsets):
-            assert w.shape == (sum(n.dims[a] for a in offsets), want), s.render()
+        rows = sum(n.dims[a] for a in s.source_elements())
+        if rows:
+            assert w.shape == (rows, want), s.render()
         else:
             assert w.shape == (0, 0) and want == 0, s.render()
 
@@ -204,18 +205,18 @@ def test_yoneda_route_matches_solver(name, seed):
 
 @given(st.sampled_from(sorted(ORACLE_POSETS)), st.integers(0, 10_000))
 def test_yoneda_basis_is_the_canonical_basis_of_the_solver_span(name, seed):
-    # every column pinned: the solver's basis, read at the sources, spans
-    # Hom(M_s, n) in ⊕ n_a, and the kernel of the kernel of its transpose is
-    # the canonical basis of that span
+    # every column pinned: the solver's basis, read at the sources in
+    # increasing id order, spans Hom(M_s, n) in ⊕ n_a, and the kernel of the
+    # kernel of its transpose is the canonical basis of that span
     field = PrimeField()
     n = random_module(ORACLE_POSETS[name], field, random.Random(seed))
     for s in ORACLE_SPREADS[name]:
-        offsets, w = yoneda_basis(s, n)
-        assert list(offsets) == list(s.source_elements())
+        w = yoneda_basis(s, n)
+        sources = s.source_elements()
         basis = hom_morphisms(spread_module(s, field), n)
-        v = np.zeros((sum(n.dims[a] for a in offsets), len(basis)), dtype=np.int64)
+        v = np.zeros((sum(n.dims[a] for a in sources), len(basis)), dtype=np.int64)
         for j, f in enumerate(basis):
-            v[:, j] = np.concatenate([to_np(f.components[a])[:, 0] for a in offsets])
+            v[:, j] = np.concatenate([to_np(f.components[a])[:, 0] for a in sources])
         want = field.kernel_basis(to_np(field.kernel_basis(v.T)).T)
         assert w == want, s.render()
 
@@ -259,7 +260,24 @@ def test_spread_level_solvers_refuse_a_module_over_another_poset(field):
     # a module over an equal poset, built separately, is accepted
     n = spread_module(spread_from_antichains(grid(2, 2), ["00"], ["00"]), field)
     assert n.poset is not s.poset
-    assert yoneda_basis(s, n)[1].shape == (1, 1)
+    assert yoneda_basis(s, n).shape == (1, 1)
+
+
+def test_yoneda_values_refuses_an_element_above_no_source(field):
+    # the least source below x is looked up, never guessed: on grid(2, 2), 00
+    # lies above no source of [01, 11]; on a chain numbered top down, the last
+    # element lies below x = mid, which is above no source of [top, top]
+    p = grid(2, 2)
+    s = spread_from_antichains(p, ["01"], ["11"])
+    n = random_module(p, field, random.Random(0))
+    w = yoneda_basis(s, n)
+    with pytest.raises(ValueError, match=r"00 lies above no source of the spread \[01,11\]"):
+        yoneda_values(s, n, w, p.element("00"))
+    q = Poset(3, [(2, 1), (1, 0)], ["top", "mid", "bot"])
+    t = spread_from_antichains(q, ["top"], ["top"])
+    n = spread_module(spread_from_antichains(q, ["bot"], ["top"]), field)
+    with pytest.raises(ValueError, match="mid lies above no source"):
+        yoneda_values(t, n, yoneda_basis(t, n), q.element("mid"))
 
 
 def test_hom_from_projective_is_fiber_dim(field, rng):

@@ -517,6 +517,15 @@ def test_cli_compare_batch_needs_a_directory(capsys, tmp_path):
     assert out == ""
 
 
+def test_cli_compare_refuses_module_files_with_batch(capsys, tmp_path, field):
+    # the files would otherwise be dropped, and only the directory compared
+    mods, paths = _grid2x2_batch(tmp_path, field)
+    for named in (paths[:1], paths[:2]):
+        code, out, err = run_cli(capsys, "compare", "rank", *named, "--batch", str(mods))
+        _one_line_error(code, err, "--batch", "not both")
+        assert out == ""
+
+
 def test_cli_compare_reads_each_file_over_its_own_poset(capsys, tmp_path):
     # other.yaml is grid2x2 without the cover 10->11; m_other.yaml is
     # equal_rank_m.yaml over it, which loads fine (it has no map into 11)
@@ -543,12 +552,24 @@ def test_cli_compare_reads_each_file_over_its_own_poset(capsys, tmp_path):
 
 
 def test_cli_rejects_maps_that_are_not_a_mapping(capsys, tmp_path):
+    # only null or an absent key means no maps: a falsy value is refused too
     shutil.copy(DATA / "grid2x3.yaml", tmp_path / "grid2x3.yaml")
     path = tmp_path / "m.yaml"
-    path.write_text('poset: "grid2x3.yaml"\ndims: {"11": 1}\nmaps: [1]\n')
-    code, out, err = run_cli(capsys, "invariant", "dimvec", str(path))
-    _one_line_error(code, err, "m.yaml", "'maps'")
-    assert out == ""
+    for value in ("[1]", "false", "[]", '""'):
+        path.write_text(f'poset: "grid2x3.yaml"\ndims: {{"11": 1}}\nmaps: {value}\n')
+        code, out, err = run_cli(capsys, "invariant", "dimvec", str(path))
+        _one_line_error(code, err, "m.yaml", "'maps'")
+        assert out == "", value
+
+
+def test_null_covers_and_absent_or_null_maps_still_load(tmp_path, field):
+    (tmp_path / "p.yaml").write_text('elements: ["a", "b"]\ncovers: null\n')
+    assert load_poset(str(tmp_path / "p.yaml")).covers == ()
+    (tmp_path / "q.yaml").write_text('elements: ["a", "b"]\ncovers: [["a", "b"]]\n')
+    for tail in ("", "maps: null\n", "maps: {}\n"):
+        (tmp_path / "m.yaml").write_text('poset: "q.yaml"\ndims: {"a": 1, "b": 1}\n' + tail)
+        m = load_module(str(tmp_path / "m.yaml"), field)[0]
+        assert m.dims == (1, 1) and m.maps[(0, 1)].rows == [[0]], tail
 
 
 def test_cli_rejects_ragged_matrix(capsys, tmp_path):
@@ -697,7 +718,10 @@ def test_cli_rejects_two_dims_keys_for_one_label(capsys, tmp_path):
     ('elements: ["a", "b"]\ncovers: 5\n', ["'covers'"]),
     ('elements: [["a"], "b"]\ncovers: []\n', ["['a']", "not a string or an integer"]),
     ('elements: ["a", "b"]\ncovers: [["a", "b"], ["b", "a"]]\n', ["cycle through {a, b}"]),
-], ids=["covers-not-a-list", "list-as-label", "cyclic-covers"])
+    ('elements: ["a", "b"]\ncovers: false\n', ["'covers' must be a list", "False"]),
+    ('elements: ["a", "b"]\ncovers: 0\n', ["'covers' must be a list", "got 0"]),
+    ('elements: ["a", "b"]\ncovers: {}\n', ["'covers' must be a list", "{}"]),
+], ids=["covers-not-a-list", "list-as-label", "cyclic-covers", "covers-false", "covers-zero", "covers-empty-map"])
 def test_cli_poset_file_errors_name_the_file(capsys, tmp_path, body, needles):
     path = tmp_path / "p.yaml"
     path.write_text(body)
