@@ -1,5 +1,9 @@
 """Command-line driver: validate files, print invariants, compare modules.
 
+A module file is read over the poset its own `poset:` names.  Every command
+prints through `Reporter` (text, or --jsonl records), and each kind reads at
+most one of --family and --collection (FAMILY_OPTION).
+
 Exit codes: 0 ok; 1 validation/parse failure; 2 well-posed but undecided
 (truncated resolution, enumeration cap); 3 unsupported input (e.g. a barcode
 request off a path-shaped poset).
@@ -48,35 +52,37 @@ class Reporter:
 
 
 def _family(args, poset):
-    """The --family or --collection that args.kind needs, over poset; None if neither."""
+    """The --family or --collection that args.kind reads, over poset; None if neither."""
     option = FAMILY_OPTION.get(args.kind)
-    if option is None:
-        return None
-    spec = getattr(args, option)
-    if not spec:
-        raise FileFormatError(f"kind {args.kind!r} needs --{option}")
-    return load_family(spec, poset, args.cap)
+    return None if option is None else load_family(getattr(args, option), poset, args.cap)
 
 
 def cmd_validate(args) -> int:
+    """Check POSET, then each module over its own `poset:`, which must equal POSET."""
     poset = load_poset(args.poset)
-    print(f"ok poset {args.poset}: {poset.n} elements, {len(poset.covers)} covers")
+    rep = Reporter(args.jsonl, "validate", {"poset": args.poset, "prime": args.prime})
+    rep.record(f"ok poset {args.poset}: {poset.n} elements, {len(poset.covers)} covers",
+               record="poset", path=args.poset, elements=poset.n, covers=len(poset.covers))
     field = PrimeField(args.prime)
+    posets = {os.path.realpath(args.poset): poset}
     for path in args.modules:
-        module, _, _ = load_module(path, field, poset)
+        module, module_poset, ref = load_module(path, field, posets)
+        if module_poset != poset:
+            raise PosetMismatchError(f"{path}: its poset {ref!r} is not equal to {args.poset}")
         dims = {poset.label(a): d for a, d in enumerate(module.dims) if d}
-        print(f"ok module {path}: dims {dims}")
+        rep.record(f"ok module {path}: dims {dims}", record="module", path=path, dims=dims)
     return 0
 
 
 def cmd_invariant(args) -> int:
     kind = args.kind
-    rep_options = {"kind": kind, "module": args.module, "prime": args.prime}
     module, poset, _ = load_module(args.module, PrimeField(args.prime))
     family = _family(args, poset)
-    rep = Reporter(args.jsonl, "invariant", rep_options)
+    rep = Reporter(args.jsonl, "invariant", {"kind": kind, "module": args.module, "prime": args.prime})
 
-    if kind in COMPARE_KINDS:
+    if kind == "barcode":
+        value = barcode(module, args.cap)
+    elif kind != "resolve":
         value = invariant_key(kind, module, family=family, max_depth=args.max_depth,
                               collection=None if family is None else family.members)
 
@@ -93,42 +99,23 @@ def cmd_invariant(args) -> int:
         rep.record(value.table(), record="invariant", kind=kind, entries=entries)
         return 0
 
-    if kind == "class":
-        route = class_route(family)
-        rep.record(
-            f"class ({route}): {value.render()}",
-            record="invariant", kind=kind, route=route, coeffs=value.nonzero(),
-        )
-        return 0
-
     if kind in ("dimhom", "genrank"):
         shown = {s.render(): int(v) for s, v in zip(family.members, value)}
         text = "\n".join(f"{k}: {v}" for k, v in shown.items())
         rep.record(text, record="invariant", kind=kind, values=shown)
         return 0
 
-    if kind == "diagram":
-        rep.record(
-            f"signed diagram: {value.render()}",
-            record="invariant", kind=kind, coeffs=value.nonzero(),
-        )
-        return 0
-
-    if kind == "barcode":
-        cls = barcode(module, args.cap)
-        rep.record(f"barcode: {cls.render()}", record="invariant", kind=kind, coeffs=cls.nonzero())
+    if kind in ("class", "diagram", "barcode"):
+        route = {"route": class_route(family)} if kind == "class" else {}
+        label = {"class": f"class ({route.get('route')})", "diagram": "signed diagram"}.get(kind, kind)
+        rep.record(f"{label}: {value.render()}",
+                   record="invariant", kind=kind, coeffs=value.nonzero(), **route)
         return 0
 
     # resolve
     res = resolve(family, module, args.max_depth)
-    term_dicts = []
-    lines = []
-    for k, term in enumerate(res.terms):
-        shown = {
-            s.render(): int(c) for s, c in zip(family.members, term) if c
-        }
-        term_dicts.append(shown)
-        lines.append(f"term {k}: {shown if shown else '0'}")
+    term_dicts = [{s.render(): int(c) for s, c in zip(family.members, term) if c} for term in res.terms]
+    lines = [f"term {k}: {shown or '0'}" for k, shown in enumerate(term_dicts)]
     lines.append(f"status: {res.status}")
     if res.periodicity is not None:
         lines.append(f"periodicity hint: kernels {res.periodicity[0]} and {res.periodicity[1]} look alike")
@@ -232,6 +219,13 @@ def main(argv=None) -> int:
         for option in ("max_depth", "cap"):
             if (value := getattr(args, option)) < 0:
                 raise ValueError(f"{option} must be non-negative, got {value}")
+        wanted = FAMILY_OPTION.get(getattr(args, "kind", None))
+        for option in ("family", "collection"):
+            spec = getattr(args, option, None)
+            if spec is not None and option != wanted:
+                raise ValueError(f"kind {args.kind!r} does not read --{option}")
+            if not spec and option == wanted:
+                raise FileFormatError(f"kind {args.kind!r} needs --{option}")
         return args.fn(args)
     except ResolutionTruncatedError as e:
         partial = f"; partial terms: {[list(t) for t in e.terms]}" if e.terms else ""

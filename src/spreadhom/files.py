@@ -2,6 +2,8 @@
 
 Parsing uses yaml's safe loader, on libyaml when PyYAML was built with it,
 and refuses a repeated key, an alias and nesting deeper than MAX_NESTING.
+A module file is read one way: over the poset that its `poset:` reference
+names, relative to the module file.
 Serialization is a small canonical emitter (stable ordering, labels always
 double-quoted) so that serializing a parsed canonical file reproduces it
 byte for byte.
@@ -119,25 +121,23 @@ def load_poset(path: str) -> Poset:
         raise type(e)(f"{path}: {e}") from None
 
 
-def load_module(path: str, field: PrimeField, poset: Poset | None = None,
-                posets: dict[str, Poset] | None = None):
+def load_module(path: str, field: PrimeField, posets: dict[str, Poset] | None = None):
     """Parse a module file; returns (module, poset, poset_reference).
 
-    Without `poset`, the file's own `poset:` reference is loaded, relative to
-    the module file; `posets` (resolved path -> Poset) memoises those loads.
+    The module is read over the poset its `poset:` reference names, relative
+    to the module file; `posets` (resolved path -> Poset) memoises those loads.
     """
     data = _load_yaml(path)
     _expect_keys(path, data, {"poset", "dims", "maps"}, {"poset", "dims"})
     ref = data["poset"]
     if not isinstance(ref, str):
         raise FileFormatError(f"{path}: 'poset' must be a file name, got {ref!r}")
-    if poset is None:
-        poset_path = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-        posets = {} if posets is None else posets
-        resolved = os.path.realpath(poset_path)
-        if resolved not in posets:
-            posets[resolved] = load_poset(poset_path)
-        poset = posets[resolved]
+    poset_path = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
+    posets = {} if posets is None else posets
+    resolved = os.path.realpath(poset_path)
+    if resolved not in posets:
+        posets[resolved] = load_poset(poset_path)
+    poset = posets[resolved]
     dims = [0] * poset.n
     raw_dims = data["dims"]
     if not isinstance(raw_dims, dict):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .approx import DEFAULT_MAX_DEPTH, Family, _member_homs, builtin_family, check_family, resolve
+from .approx import DEFAULT_MAX_DEPTH, Family, _member_homs, _require_coverage, builtin_family, check_family, resolve
 from .errors import (
     DuplicateSpreadError,
     HomMatrixSingularError,
@@ -68,7 +68,8 @@ def dim_hom_vector(x: Family, m: PersistenceModule) -> tuple[int, ...]:
 
 
 def class_via_resolution(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH) -> GrothClass:
-    """Alternating sum of the terms of the minimal resolution."""
+    """Alternating sum of the terms of the minimal resolution; x must hold the principal up-sets."""
+    _require_coverage(x)
     res = resolve(x, m, max_depth)
     if res.status != "finite":
         raise ResolutionTruncatedError(
@@ -100,9 +101,11 @@ def _back_substitute(b, rows, order) -> tuple[int, ...]:
 def class_via_hom_matrix(x: Family, m: PersistenceModule) -> GrothClass:
     """Solve dim Hom(R', m) = Σ_R c_R dim Hom(R', R) over the integers.
 
-    Needs the member-to-member Hom digraph to be acyclic: the matrix is then
-    unitriangular in a topological order and back-substitution is exact.
+    Needs the principal up-sets in x (else a solution is no class) and an
+    acyclic member-to-member Hom digraph: the matrix is then unitriangular in
+    a topological order and back-substitution is exact.
     """
+    _require_coverage(x)
     diag = check_family(x)
     if not diag.hom_acyclic:
         cycle = " -> ".join(x.members[i].render() for i in diag.hom_cycle)

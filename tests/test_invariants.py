@@ -11,6 +11,7 @@ from spreadhom import (
     Family,
     GrothClass,
     HomMatrixSingularError,
+    MissingProjectivesError,
     NotConnectedError,
     NotTypeAError,
     PersistenceModule,
@@ -51,6 +52,7 @@ from spreadhom import (
     zero_module,
 )
 from spreadhom import approx, invariants
+from spreadhom.approx import BUILTIN_FAMILIES
 from spreadhom.gallery import (
     atilde5_family,
     chain,
@@ -255,6 +257,27 @@ def test_an_integral_hom_matrix_solution_is_not_a_class(field, name):
     assert (res.status, res.depth, res.periodicity) == ("truncated", 40, (1, 4))
     with pytest.raises(ResolutionTruncatedError):
         invariant_key("class", m, family=x)
+
+
+def test_both_class_routes_need_the_principal_up_sets(field):
+    # without them an integer solution of H c = dimhom is no class, and the
+    # resolution is refused anyway; the zero module is refused alike
+    for name, p in generator_posets(max_n=6):
+        for kind in BUILTIN_FAMILIES:
+            x = builtin_family(p, kind)
+            for m in (zero_module(p, field), simple_module(p, field, p.n - 1)):
+                for route in ("hom_matrix", "resolution"):
+                    try:
+                        if route == "hom_matrix":
+                            class_via_hom_matrix(x, m)
+                        else:
+                            class_via_resolution(x, m, max_depth=2)
+                        missing = False
+                    except MissingProjectivesError:
+                        missing = True
+                    except (HomMatrixSingularError, ResolutionTruncatedError):
+                        missing = False
+                    assert missing == (not x.contains_projectives), (name, kind, route, m.dims)
 
 # -- rank invariants -------------------------------------------------------
 

@@ -207,6 +207,66 @@ def test_cli_validate_rejects_garbage(capsys, tmp_path):
     assert "error:" in err
 
 
+def _two_chains(tmp_path):
+    """chain.yaml (1 < 2), same.yaml (a copy) and other.yaml (2 < 1) in tmp_path."""
+    chain2 = 'elements: ["1", "2"]\ncovers: [["1", "2"]]\n'
+    (tmp_path / "chain.yaml").write_text(chain2)
+    (tmp_path / "same.yaml").write_text(chain2)
+    (tmp_path / "other.yaml").write_text('elements: ["1", "2"]\ncovers: [["2", "1"]]\n')
+    return str(tmp_path / "chain.yaml")
+
+
+def test_cli_validate_reads_each_module_over_its_own_poset(capsys, tmp_path):
+    chain2 = _two_chains(tmp_path)
+    # 1->2 is a cover of chain.yaml but not of other.yaml, which m.yaml names
+    m = tmp_path / "m.yaml"
+    m.write_text('poset: "other.yaml"\ndims: {"1": 1, "2": 1}\nmaps: {"1->2": [[1]]}\n')
+    code, out, err = run_cli(capsys, "invariant", "dimvec", str(m))
+    _one_line_error(code, err, "m.yaml", "'1->2' is not a cover")
+    code, out, err = run_cli(capsys, "validate", chain2, str(m))
+    _one_line_error(code, err, "m.yaml", "'1->2' is not a cover")
+    # a module that loads over its own poset is still refused when that is not POSET
+    m.write_text('poset: "other.yaml"\ndims: {"1": 1}\n')
+    code, out, err = run_cli(capsys, "validate", chain2, str(m))
+    _one_line_error(code, err, "m.yaml", "'other.yaml'", "chain.yaml")
+    assert out.splitlines() == [f"ok poset {chain2}: 2 elements, 1 covers"]
+    # a poset file that differs only in name passes, and the text is unchanged
+    m.write_text('poset: "same.yaml"\ndims: {"1": 1, "2": 1}\nmaps: {"1->2": [[1]]}\n')
+    code, out, err = run_cli(capsys, "validate", chain2, str(m))
+    assert (code, err) == (0, "")
+    assert out == f"ok poset {chain2}: 2 elements, 1 covers\nok module {m}: dims {{'1': 1, '2': 1}}\n"
+
+
+def test_cli_validate_jsonl(capsys, tmp_path):
+    chain2 = _two_chains(tmp_path)
+    m = tmp_path / "m.yaml"
+    m.write_text('poset: "chain.yaml"\ndims: {"2": 3}\n')
+    code, out, err = run_cli(capsys, "validate", chain2, str(m), str(m), "--jsonl", "--prime", "5")
+    assert (code, err) == (0, "")
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"record": "header", "format": "spreadhom.v1", "command": "validate", "poset": chain2, "prime": 5},
+        {"record": "poset", "path": chain2, "elements": 2, "covers": 1},
+        {"record": "module", "path": str(m), "dims": {"2": 3}},
+        {"record": "module", "path": str(m), "dims": {"2": 3}},
+    ]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["invariant", "dimvec", "m16.yaml", "--family", "/no/such.yaml"], "--family"),
+    (["invariant", "barcode", "zigzag_module.yaml", "--collection", "intervals"], "--collection"),
+    (["invariant", "class", "m16.yaml", "--family", "intervals", "--collection", "intervals"], "--collection"),
+    (["invariant", "diagram", "m16.yaml", "--family", "intervals", "--collection", "intervals"], "--family"),
+    (["compare", "rank", "equal_rank_m.yaml", "equal_rank_mprime.yaml", "--collection", "nope"], "--collection"),
+    (["compare", "genrank", "equal_rank_m.yaml", "equal_rank_mprime.yaml", "--family", "intervals"], "--family"),
+], ids=["dimvec-family", "barcode-collection", "class-collection", "diagram-family",
+        "rank-collection", "genrank-family"])
+def test_cli_refuses_a_family_option_the_kind_does_not_read(capsys, argv, option):
+    argv = [str(DATA / a) if a.endswith("yaml") and "/" not in a else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    _one_line_error(code, err, f"kind {argv[1]!r}", option)
+    assert out == ""
+
+
 def _grid2x3_variant(tmp_path, old, new, name="m.yaml"):
     """diagram_m.yaml over grid2x3.yaml with one line replaced."""
     shutil.copy(DATA / "grid2x3.yaml", tmp_path / "grid2x3.yaml")
@@ -800,6 +860,23 @@ def test_cli_jsonl_records(capsys):
     assert lines[1]["record"] == "invariant"
     assert lines[1]["kind"] == "rank"
     assert all(isinstance(e, list) and len(e) == 3 for e in lines[1]["entries"])
+
+
+@pytest.mark.parametrize("argv, record", [
+    (["diagram", "diagram_x.yaml", "--collection", "intervals"],
+     {"record": "invariant", "kind": "diagram", "coeffs": {"[11,11]": -1, "[11,12]": 1, "[11,21]": 1}}),
+    (["barcode", "zigzag_module.yaml"],
+     {"record": "invariant", "kind": "barcode", "coeffs": {"[1,2]": 1, "[3,2]": 1, "[3,4]": 1}}),
+])
+def test_cli_jsonl_groth_class_records(capsys, argv, record):
+    path = str(DATA / argv[1])
+    code, out, err = run_cli(capsys, "invariant", argv[0], path, *argv[2:], "--jsonl")
+    assert (code, err) == (0, "")
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"record": "header", "format": "spreadhom.v1", "command": "invariant",
+         "kind": argv[0], "module": path, "prime": 32003},
+        record,
+    ]
 
 
 def test_cli_jsonl_resolve_payload(capsys):
