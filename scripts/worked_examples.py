@@ -69,7 +69,7 @@ def main():
     heading("Equal ranks, different classes (2x2 grid)")
     p, m, mprime = equal_rank_pair(FIELD)
     print(f"  dim vectors: M {m.dimension_vector()}  M' {mprime.dimension_vector()}")
-    same = rank_invariant(m).entries == rank_invariant(mprime).entries
+    same = rank_invariant(m) == rank_invariant(mprime)
     print(f"  rank invariants equal: {same}")
     x = builtin_family(p, "intervals")
     for name, mod in (("M ", m), ("M'", mprime)):

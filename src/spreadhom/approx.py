@@ -320,6 +320,7 @@ def resolve(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH)
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     _require_same_poset(x, m)
+    _require_coverage(x)
     terms = []
     sigs = []  # one per kernel
     current = m
@@ -332,7 +333,6 @@ def resolve(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH)
         if len(terms) == max_depth:
             periodicity = next(((i, j) for i, j in combinations(range(len(sigs)), 2) if sigs[i] == sigs[j]), None)
             return Resolution(tuple(terms), "truncated", periodicity)
-        _require_coverage(x)
         mult, f = _approximate(x, current, homs)
         terms.append(mult)
         current, _ = kernel_module(f)

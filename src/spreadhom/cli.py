@@ -4,7 +4,7 @@ A module file is read over the poset its own `poset:` names.  Every command
 prints through `Reporter` (text, or --jsonl records), and each kind reads at
 most one of --family and --collection (FAMILY_OPTION).
 
-Exit codes: 0 ok; 1 validation/parse failure; 2 well-posed but undecided
+Exit codes: 0 ok; 1 usage, validation or parse failure; 2 well-posed but undecided
 (truncated resolution, enumeration cap); 3 unsupported input (e.g. a barcode
 request off a path-shaped poset).
 """
@@ -94,9 +94,10 @@ def cmd_invariant(args) -> int:
     if kind == "rank":
         entries = [
             [poset.label(a), poset.label(b), int(r)]
-            for (a, b), r in sorted(value.entries.items())
+            for (a, b), r in sorted(value.items())
         ]
-        rep.record(value.table(), record="invariant", kind=kind, entries=entries)
+        rep.record("\n".join(f"{a} <= {b}: {r}" for a, b, r in entries),
+                   record="invariant", kind=kind, entries=entries)
         return 0
 
     if kind in ("dimhom", "genrank"):
@@ -170,8 +171,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error into `main`, which prints it as one line and exits 1."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spreadhom",
         description="Invariants of persistence modules over finite posets.",
     )
@@ -214,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for option in ("max_depth", "cap"):
             if (value := getattr(args, option)) < 0:
                 raise ValueError(f"{option} must be non-negative, got {value}")

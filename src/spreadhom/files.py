@@ -102,6 +102,10 @@ def load_poset(path: str) -> Poset:
     if not isinstance(elements, list):
         raise FileFormatError(f"{path}: 'elements' must be a list of labels")
     names = [_as_label(path, x) for x in elements]
+    for lbl in names:  # a map key 'a->b' is split at its first '->' and each side stripped
+        if "->" in lbl or lbl != lbl.strip():
+            raise FileFormatError(f"{path}: no map key can name label {lbl!r}: "
+                                  "it holds '->' or starts or ends with whitespace")
     index = {lbl: i for i, lbl in enumerate(names)}
     raw_covers = [] if data["covers"] is None else data["covers"]
     if not isinstance(raw_covers, list):

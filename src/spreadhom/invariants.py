@@ -25,7 +25,7 @@ from .errors import (
 from .field import Matrix, hstack
 from .hom import agreement_system, hom_dim, stacked_offsets, yoneda_values
 from .modules import PersistenceModule, hook_module
-from .poset import DEFAULT_CAP, Poset, Spread, iter_mask
+from .poset import DEFAULT_CAP, Spread, iter_mask
 
 COMPARE_KINDS = ("dimvec", "rank", "class", "dimhom", "genrank", "diagram")
 
@@ -69,7 +69,6 @@ def dim_hom_vector(x: Family, m: PersistenceModule) -> tuple[int, ...]:
 
 def class_via_resolution(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH) -> GrothClass:
     """Alternating sum of the terms of the minimal resolution; x must hold the principal up-sets."""
-    _require_coverage(x)
     res = resolve(x, m, max_depth)
     if res.status != "finite":
         raise ResolutionTruncatedError(
@@ -123,29 +122,15 @@ def class_route(x: Family) -> str:
     return "hom_matrix" if check_family(x).hom_acyclic else "resolution"
 
 
-@dataclass
-class RankInvariant:
-    """rank M(a -> b) over all comparable pairs."""
-
-    poset: Poset
-    entries: dict[tuple[int, int], int]
-
-    def table(self) -> str:
-        lines = []
-        for (a, b), r in sorted(self.entries.items()):
-            lines.append(f"{self.poset.label(a)} <= {self.poset.label(b)}: {r}")
-        return "\n".join(lines)
-
-
-def rank_invariant(m: PersistenceModule) -> RankInvariant:
-    entries = {
+def rank_invariant(m: PersistenceModule) -> dict[tuple[int, int], int]:
+    """{(a, b): rank m(a -> b)} over all comparable pairs a <= b."""
+    return {
         (a, b): m.field.rank(m.map_along(a, b))
         for a, b in m.poset.comparable_pairs()
     }
-    return RankInvariant(m.poset, entries)
 
 
-def rank_via_hooks(m: PersistenceModule) -> RankInvariant:
+def rank_via_hooks(m: PersistenceModule) -> dict[tuple[int, int], int]:
     """The same table assembled purely from Hom dimensions against hooks."""
     p = m.poset
     field = m.field
@@ -156,7 +141,7 @@ def rank_via_hooks(m: PersistenceModule) -> RankInvariant:
             entries[(a, b)] = at_source[a]
         else:
             entries[(a, b)] = at_source[a] - hom_dim(hook_module(p, field, a, b), m)
-    return RankInvariant(p, entries)
+    return entries
 
 
 def generalized_rank(m: PersistenceModule, s: Spread) -> int:

@@ -187,12 +187,16 @@ def test_hom_rows_match_unfiltered_components_on_random_families(picks):
 
 
 def test_coverage_guard(field):
-    x = builtin_family(fan(3), "intervals")  # lacks the up-set at the hub
-    m = simple_module(fan(3), field, 0)
+    p = fan(3)
+    x = builtin_family(p, "intervals")  # lacks the up-set at the hub
+    m = simple_module(p, field, 0)
     with pytest.raises(MissingProjectivesError):
         minimal_approximation(x, m)
-    with pytest.raises(MissingProjectivesError):
-        resolve(x, m)
+    # resolve checks before it answers anything, for the zero module and at depth 0 too
+    for m, depth in ((m, 8), (zero_module(p, field), 8), (m, 0)):
+        for call in (resolve, x_dimension):
+            with pytest.raises(MissingProjectivesError):
+                call(x, m, depth)
 
 
 # -- minimal approximations -------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spreadhom
-from spreadhom import FileFormatError, ShapeError, dim_hom_vector, direct_sum
+from spreadhom import FileFormatError, ShapeError, dim_hom_vector, direct_sum, interval_module
 from spreadhom import cli, files
 from spreadhom.cli import main
 from spreadhom.files import (
@@ -307,9 +308,13 @@ def test_cli_reduces_huge_entry_exactly(capsys, tmp_path, field):
 
 
 def test_cli_rank(capsys):
-    code, out, _ = run_cli(capsys, "invariant", "rank", str(DATA / "equal_rank_m.yaml"))
-    assert code == 0
-    assert "00" in out
+    # the text is made in the CLI from the library's {(a, b): rank} table, sorted by ids
+    code, out, err = run_cli(capsys, "invariant", "rank", str(DATA / "equal_rank_m.yaml"))
+    assert (code, err) == (0, "")
+    assert out == (
+        "00 <= 00: 2\n00 <= 01: 1\n00 <= 10: 1\n00 <= 11: 0\n01 <= 01: 1\n"
+        "01 <= 11: 0\n10 <= 10: 1\n10 <= 11: 0\n11 <= 11: 0\n"
+    )
 
 
 def test_cli_class_needs_family(capsys):
@@ -365,6 +370,18 @@ def test_cli_resolve_finite(capsys):
     )
     assert code == 0
     assert "status: finite" in out
+
+
+def test_cli_resolve_refuses_a_family_without_the_principal_up_sets_as_class_does(capsys, tmp_path):
+    # resolve checks the family before it answers, at depth 0 and for the zero module too
+    shutil.copy(DATA / "atilde5.yaml", tmp_path)
+    (tmp_path / "zero.yaml").write_text('poset: "atilde5.yaml"\ndims: {}\n')
+    for module, depth in ((DATA / "m16.yaml", "0"), (tmp_path / "zero.yaml", "8")):
+        for kind in ("resolve", "class"):
+            code, out, err = run_cli(capsys, "invariant", kind, str(module),
+                                     "--family", "intervals", "--max-depth", depth)
+            assert (code, out) == (1, ""), (module, kind)
+            assert err == "error: family lacks the principal up-sets at {1, 2, 3}\n"
 
 
 def test_cli_class_on_cyclic_family_reports_undecided(capsys):
@@ -486,6 +503,28 @@ def _one_line_error(code, err, *needles):
     assert code == 1
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert err.startswith("error:") and all(n in err for n in needles), err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["invariant", "nope", "m16.yaml"], "invalid choice: 'nope'"),
+    (["invariant", "dimvec", "m16.yaml", "--max-depth", "x"], "invalid int value: 'x'"),
+    ([], "required: command"),
+    (["invariant", "dimvec", "m16.yaml", "--bogus"], "unrecognized arguments: --bogus"),
+    (["compare"], "required: kind"),
+], ids=["unknown-kind", "depth-not-an-int", "no-command", "unknown-option", "compare-without-kind"])
+def test_cli_usage_error_is_one_line_with_exit_1(capsys, argv, needle):
+    # 2 means an undecided answer, so a usage error exits 1 like any bad input
+    argv = [str(DATA / a) if a.endswith(".yaml") else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    _one_line_error(code, err, needle)
+    assert out == ""
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["invariant", "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spreadhom invariant")
 
 
 def _grid2x2_batch(tmp_path, field):
@@ -790,6 +829,22 @@ def test_cli_poset_file_errors_name_the_file(capsys, tmp_path, body, needles):
     assert out == ""
 
 
+@pytest.mark.parametrize("label", ["a->b", " a", "a\t"])
+def test_a_poset_label_no_map_key_can_name_is_refused(capsys, tmp_path, field, label):
+    # a map key is split at its first '->' and each side stripped, so dump_module
+    # over this poset would write a key that load_module reads as other labels
+    p = Poset(2, [(0, 1)], [label, "c"])
+    (tmp_path / "p.yaml").write_text(dump_poset(p))
+    (tmp_path / "m.yaml").write_text(dump_module(interval_module(p, field, 0, 1), "p.yaml"))
+    with pytest.raises(FileFormatError, match=re.escape(repr(label))):
+        load_poset(str(tmp_path / "p.yaml"))
+    with pytest.raises(FileFormatError, match=re.escape(repr(label))):
+        load_module(str(tmp_path / "m.yaml"), field)
+    code, out, err = run_cli(capsys, "validate", str(tmp_path / "p.yaml"), str(tmp_path / "m.yaml"))
+    _one_line_error(code, err, "p.yaml", repr(label))
+    assert out == ""
+
+
 # -- loader fuzzing ------------------------------------------------------------
 
 FUZZ_FILES = {
@@ -859,7 +914,10 @@ def test_cli_jsonl_records(capsys):
     assert lines[0]["command"] == "invariant"
     assert lines[1]["record"] == "invariant"
     assert lines[1]["kind"] == "rank"
-    assert all(isinstance(e, list) and len(e) == 3 for e in lines[1]["entries"])
+    assert lines[1]["entries"] == [
+        ["00", "00", 2], ["00", "01", 1], ["00", "10", 1], ["00", "11", 0], ["01", "01", 1],
+        ["01", "11", 0], ["10", "10", 1], ["10", "11", 0], ["11", "11", 0],
+    ]
 
 
 @pytest.mark.parametrize("argv, record", [
