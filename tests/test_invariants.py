@@ -51,7 +51,7 @@ from spreadhom import (
     x_dimension,
     zero_module,
 )
-from spreadhom import approx, invariants
+from spreadhom import approx, cli, files, invariants
 from spreadhom.approx import BUILTIN_FAMILIES
 from spreadhom.gallery import (
     atilde5_family,
@@ -310,6 +310,20 @@ def test_rank_monotone_and_submultiplicative(field, rng):
             for c in range(p.n):
                 if p.leq(b, c):
                     assert ri[(a, c)] <= min(r, ri[(b, c)])
+
+
+def test_rank_table_renders(field, tmp_path, capsys):
+    # the table is rendered by the CLI, one `a <= b: r` line per entry, sorted by ids
+    p = chain(3)
+    m = interval_module(p, field, 0, 1)
+    (tmp_path / "chain.yaml").write_text(files.dump_poset(p))
+    (tmp_path / "m.yaml").write_text(files.dump_module(m, "chain.yaml"))
+    assert cli.main(["invariant", "rank", str(tmp_path / "m.yaml")]) == 0
+    want = "".join(
+        f"{p.label(a)} <= {p.label(b)}: {r}\n" for (a, b), r in sorted(rank_invariant(m).items())
+    )
+    assert capsys.readouterr() == (want, "")
+    assert set(rank_invariant(m).values()) == {0, 1}
 
 
 # -- generalized rank ---------------------------------------------------------
