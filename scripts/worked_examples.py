@@ -68,7 +68,7 @@ def main():
 
     heading("Equal ranks, different classes (2x2 grid)")
     p, m, mprime = equal_rank_pair(FIELD)
-    print(f"  dim vectors: M {m.dimension_vector()}  M' {mprime.dimension_vector()}")
+    print(f"  dim vectors: M {m.dims}  M' {mprime.dims}")
     same = rank_invariant(m) == rank_invariant(mprime)
     print(f"  rank invariants equal: {same}")
     x = builtin_family(p, "intervals")
@@ -117,7 +117,7 @@ def main():
         spread_module(spread_from_convex(pz, seg), FIELD) for seg in segments
     ])
     bc = barcode(mz)
-    print(f"  module dims {mz.dimension_vector()} over path u-d-u-d")
+    print(f"  module dims {mz.dims} over path u-d-u-d")
     print(f"  barcode: {bc.render()}")
 
 

@@ -36,7 +36,7 @@ from itertools import combinations
 from operator import index
 
 from .errors import (
-    DuplicateMemberError,
+    DuplicateSpreadError,
     MissingProjectivesError,
     NotConnectedError,
     PosetMismatchError,
@@ -72,7 +72,7 @@ class Family:
             if not s.is_connected():
                 raise NotConnectedError(f"member {s.render()} has disconnected support")
             if s.support in seen:
-                raise DuplicateMemberError(f"member {s.render()} appears twice")
+                raise DuplicateSpreadError(f"spread {s.render()} appears twice")
             seen.add(s.support)
         self.members = members
         self._supports = frozenset(seen)
@@ -86,10 +86,6 @@ class Family:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(s.render() for s in self.members)
-
-    @property
-    def contains_projectives(self) -> bool:
-        return not self.missing_projectives()
 
     def missing_projectives(self) -> tuple[str, ...]:
         return tuple(
@@ -203,10 +199,8 @@ def check_family(x: Family) -> FamilyDiagnostics:
 
 
 def _require_coverage(x: Family):
-    if not x.contains_projectives:
-        raise MissingProjectivesError(
-            f"family lacks the principal up-sets at {{{', '.join(x.missing_projectives())}}}"
-        )
+    if missing := x.missing_projectives():
+        raise MissingProjectivesError(f"family lacks the principal up-sets at {{{', '.join(missing)}}}")
 
 
 def _require_same_poset(x: Family, m: PersistenceModule):

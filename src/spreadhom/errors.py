@@ -70,10 +70,6 @@ class MissingProjectivesError(SpreadHomError):
     """Family lacks some principal up-set, so approximations need not cover."""
 
 
-class DuplicateMemberError(SpreadHomError):
-    """Family members must have pairwise distinct supports."""
-
-
 # --- invariants ----------------------------------------------------------
 
 

@@ -102,10 +102,6 @@ def load_poset(path: str) -> Poset:
     if not isinstance(elements, list):
         raise FileFormatError(f"{path}: 'elements' must be a list of labels")
     names = [_as_label(path, x) for x in elements]
-    for lbl in names:  # a map key 'a->b' is split at its first '->' and each side stripped
-        if "->" in lbl or lbl != lbl.strip():
-            raise FileFormatError(f"{path}: no map key can name label {lbl!r}: "
-                                  "it holds '->' or starts or ends with whitespace")
     index = {lbl: i for i, lbl in enumerate(names)}
     raw_covers = [] if data["covers"] is None else data["covers"]
     if not isinstance(raw_covers, list):
@@ -121,7 +117,7 @@ def load_poset(path: str) -> Poset:
         covers.append((index[a], index[b]))
     try:
         return Poset(len(names), covers, names)
-    except (SpreadHomError, ValueError) as e:  # a cycle, a redundant cover, a repeated label
+    except (SpreadHomError, ValueError) as e:  # a cycle, a redundant cover, a repeated or unnameable label
         raise type(e)(f"{path}: {e}") from None
 
 
@@ -213,22 +209,28 @@ def _parse_spread(path: str, item, poset: Poset) -> Spread:
         raise FileFormatError(
             f"{path}: each spread needs exactly 'sources' and 'targets', got {item!r}"
         )
+    masks = []
     for key in ("sources", "targets"):
         if not isinstance(item[key], list):
             raise FileFormatError(f"{path}: spread {key!r} must be a list of labels, got {item[key]!r}")
-    try:
-        sources = [poset.element(_as_label(path, x)) for x in item["sources"]]
-        targets = [poset.element(_as_label(path, x)) for x in item["targets"]]
-    except KeyError as e:
-        raise FileFormatError(f"{path}: {e.args[0]}") from None
-    return spread_from_antichains(poset, sources, targets)
+        mask = 0
+        for x in item[key]:
+            lbl = _as_label(path, x)
+            try:
+                bit = 1 << poset.element(lbl)
+            except KeyError as e:
+                raise FileFormatError(f"{path}: {e.args[0]}") from None
+            if mask & bit:  # read as a set, a repeated label (or "1" and 1) would silently be dropped
+                raise FileFormatError(f"{path}: spread {key!r} lists label {lbl!r} twice")
+            mask |= bit
+        masks.append(mask)
+    return spread_from_antichains(poset, *masks)
 
 
 def load_family(spec: str, poset: Poset, cap: int = DEFAULT_CAP) -> Family:
     """A builtin family name, or a path to a family file.
 
-    A family file is `{family: <builtin name>}` or `{spreads: [...]}`; any
-    other key is refused.
+    A family file is `{spreads: [...]}`; any other key is refused.
     """
     if spec in BUILTIN_FAMILIES:
         return builtin_family(poset, spec, cap)
@@ -237,16 +239,15 @@ def load_family(spec: str, poset: Poset, cap: int = DEFAULT_CAP) -> Family:
             f"{spec!r} is neither a builtin family ({', '.join(BUILTIN_FAMILIES)}) nor a file"
         )
     data = _load_yaml(spec)
-    if "family" in data:
-        _expect_keys(spec, data, {"family"}, {"family"})
-        name = _as_label(spec, data["family"])
-        if name not in BUILTIN_FAMILIES:
-            raise FileFormatError(f"{spec}: unknown builtin family {name!r}")
-        return builtin_family(poset, name, cap)
     _expect_keys(spec, data, {"spreads"}, {"spreads"})
     if not isinstance(data["spreads"], list):
         raise FileFormatError(f"{spec}: 'spreads' must be a list")
-    return Family(poset, [_parse_spread(spec, item, poset) for item in data["spreads"]])
+    try:
+        return Family(poset, [_parse_spread(spec, item, poset) for item in data["spreads"]])
+    except FileFormatError:  # already names the file
+        raise
+    except SpreadHomError as e:  # sources or targets not an antichain, a repeated or disconnected spread
+        raise type(e)(f"{spec}: {e}") from None
 
 
 # -- canonical emission ---------------------------------------------------------
@@ -286,7 +287,7 @@ def dump_module(m: PersistenceModule, poset_ref: str) -> str:
 def dump_family(members) -> str:
     lines = ["spreads:"]
     for s in members:
-        src = json.dumps([s.poset.label(a) for a in s.source_elements()])
-        tgt = json.dumps([s.poset.label(b) for b in s.target_elements()])
+        src = json.dumps(s.poset.label_set(s.sources))
+        tgt = json.dumps(s.poset.label_set(s.targets))
         lines.append(f"  - {{sources: {src}, targets: {tgt}}}")
     return "\n".join(lines) + "\n"

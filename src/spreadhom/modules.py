@@ -81,12 +81,6 @@ class PersistenceModule:
 
     # -- queries --------------------------------------------------------------
 
-    def dim(self, a: int) -> int:
-        return self.dims[a]
-
-    def dimension_vector(self) -> tuple[int, ...]:
-        return self.dims
-
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims)
 

@@ -102,6 +102,10 @@ class Poset:
             raise ValueError(f"{len(names)} names for {n} elements")
         if len(set(names)) != n:
             raise ValueError("element labels must be distinct")
+        for lbl in names:  # a module file's map key 'a->b' is split at its first '->' and each side stripped
+            if "->" in lbl or lbl != lbl.strip():
+                raise ValueError(f"no map key can name label {lbl!r}: "
+                                 "it holds '->' or starts or ends with whitespace")
         self._names = names
         self._name_to_id = {lbl: i for i, lbl in enumerate(names)}
 
@@ -370,12 +374,6 @@ class Spread:
 
     def __len__(self):
         return bin(self.support).count("1")
-
-    def source_elements(self) -> tuple[int, ...]:
-        return elements_of(self.sources)
-
-    def target_elements(self) -> tuple[int, ...]:
-        return elements_of(self.targets)
 
     def is_connected(self) -> bool:
         return self.poset.is_connected(self.support)

@@ -102,7 +102,7 @@ def test_criterion_03_rank_via_hooks(capsys):
     for p, count in ((grid(2, 2), 67), (grid(2, 3), 67), (grid(3, 3), 66)):
         for _ in range(count):
             m = random_module(p, FIELD, rng)
-            assert all(d <= 3 for d in m.dimension_vector())
+            assert all(d <= 3 for d in m.dims)
             total += 1
             if rank_via_hooks(m) != rank_invariant(m):
                 bad += 1
@@ -203,7 +203,7 @@ def test_criterion_05_single_source_classes_refine_rank(capsys):
                 class_via_hom_matrix(x, m).coeffs == class_via_hom_matrix(x, n).coeffs
             )
             if class_equal and rank_invariant(m) != rank_invariant(n):
-                violations.append((name, m.dimension_vector(), n.dimension_vector()))
+                violations.append((name, m.dims, n.dims))
 
     blind_fail = []
     for name, p in generator_posets(max_n=6):

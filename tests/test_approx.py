@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spreadhom import (
-    DuplicateMemberError,
+    DuplicateSpreadError,
     Family,
     MissingProjectivesError,
     Morphism,
@@ -53,7 +53,7 @@ from helpers import connecting, full_row_minimal_approximation, hom_morphisms, m
 def test_family_rejects_duplicates_and_disconnected():
     p = grid(2, 2)
     s = spread_from_convex(p, ["00"])
-    with pytest.raises(DuplicateMemberError):
+    with pytest.raises(DuplicateSpreadError, match=r"spread \[00,00\] appears twice"):
         Family(p, [s, spread_from_convex(p, ["00"])])
     disconnected = Spread(
         p, mask_of([p.element("01"), p.element("10")]),
@@ -77,12 +77,11 @@ def test_builtin_families_acyclic_on_small_posets():
 def test_check_family_reports_missing_projectives(field):
     p = fan(3)
     x = builtin_family(p, "intervals")
-    assert not x.contains_projectives
     assert x.missing_projectives() == ("0",)
     with pytest.raises(MissingProjectivesError, match=r"principal up-sets at \{0\}"):
         resolve(x, simple_module(p, field, 0))
     # hooks subsume the up-sets, so nothing is missing
-    assert builtin_family(p, "hooks").contains_projectives
+    assert builtin_family(p, "hooks").missing_projectives() == ()
 
 
 def test_hom_matrix_diagonal_is_one(field):
@@ -281,7 +280,7 @@ def test_minimal_approximation_factors_everything(field, rng):
         mult, f = minimal_approximation(x, m)
         # pointwise surjective
         for a in range(m.poset.n):
-            assert field.rank(f.components[a]) == m.dim(a)
+            assert field.rank(f.components[a]) == m.dims[a]
         # one summand per unit of the multiplicity vector, and Hom(T, f) is
         # onto for every member T
         picked = _summand_maps(x, f, mult)
@@ -325,7 +324,7 @@ def test_minimal_matches_greedy_oracle(field, rng):
         for _ in range(4):
             m = random_module(p, field, rng)
             mult, f = minimal_approximation(x, m)
-            assert mult == _greedy_minimal(x, m), (fam, m.dimension_vector())
+            assert mult == _greedy_minimal(x, m), (fam, m.dims)
             # domain multiplicities are what the vector says
             dom_dim = sum(
                 k * sum(spread_module(s, field).dims)
@@ -351,7 +350,7 @@ def _assert_matches_full_row_oracle(x, m, depth=3):
 ORACLE_POSETS = dict(generator_posets(max_n=5), grid33=grid(3, 3))  # the funnel among them
 ORACLE_CASES = [
     (name, kind) for name, p in ORACLE_POSETS.items() for kind in BUILTIN_FAMILIES
-    if builtin_family(p, kind).contains_projectives
+    if not builtin_family(p, kind).missing_projectives()
 ]
 
 
@@ -367,7 +366,7 @@ def test_minimal_approximation_matches_full_row_oracle_on_the_funnel(field, rng)
     p = funnel()
     for kind in BUILTIN_FAMILIES:
         x = builtin_family(p, kind)
-        if x.contains_projectives:
+        if not x.missing_projectives():
             for _ in range(3):
                 _assert_matches_full_row_oracle(x, random_module(p, field, rng))
 
@@ -512,7 +511,7 @@ def test_resolution_is_exact(field, rng):
         for step in steps:
             f = step.approximation
             for a in range(p.n):
-                assert field.rank(f.components[a]) == f.target.dim(a)
+                assert field.rank(f.components[a]) == f.target.dims[a]
         # consecutive connecting maps compose to zero, with matching ranks
         for k in range(1, len(terms)):
             q = connecting(steps, k)
@@ -521,7 +520,7 @@ def test_resolution_is_exact(field, rng):
             # image of connecting = kernel of previous stage, pointwise
             ker, _ = kernel_module(steps[k - 1].approximation)
             for a in range(p.n):
-                assert field.rank(q.components[a]) == ker.dim(a)
+                assert field.rank(q.components[a]) == ker.dims[a]
 
 
 def test_resolution_first_step_is_additive_on_hom(field, rng):
@@ -557,7 +556,7 @@ def test_truncation_and_periodicity(field):
 # every covering builtin family on the small posets, and the cyclic atilde5 family
 RESOLVE_FAMILIES = [
     x for _, p in generator_posets(5) for kind in BUILTIN_FAMILIES
-    if (x := builtin_family(p, kind)).contains_projectives
+    if not (x := builtin_family(p, kind)).missing_projectives()
 ] + [atilde5_family()[1]]
 
 

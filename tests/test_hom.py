@@ -40,6 +40,7 @@ from spreadhom.gallery import (
 from spreadhom.field import Matrix
 from spreadhom.files import dump_module
 from spreadhom.hom import _subfunctor, agreement_system, yoneda_basis, yoneda_values
+from spreadhom.poset import elements_of
 from spreadhom.randmod import random_module
 
 from helpers import (
@@ -178,7 +179,7 @@ def test_yoneda_basis_is_empty_when_the_target_vanishes_at_the_sources(name, see
         w = yoneda_basis(s, n)
         m = spread_module(s, field)
         want = hom_dim(m, n)
-        rows = sum(n.dims[a] for a in s.source_elements())
+        rows = sum(n.dims[a] for a in elements_of(s.sources))
         if rows:
             assert w.shape == (rows, want), s.render()
         else:
@@ -212,7 +213,7 @@ def test_yoneda_basis_is_the_canonical_basis_of_the_solver_span(name, seed):
     n = random_module(ORACLE_POSETS[name], field, random.Random(seed))
     for s in ORACLE_SPREADS[name]:
         w = yoneda_basis(s, n)
-        sources = s.source_elements()
+        sources = elements_of(s.sources)
         basis = hom_morphisms(spread_module(s, field), n)
         v = np.zeros((sum(n.dims[a] for a in sources), len(basis)), dtype=np.int64)
         for j, f in enumerate(basis):
@@ -287,7 +288,7 @@ def test_hom_from_projective_is_fiber_dim(field, rng):
             m = random_module(p, field, rng)
             for a in range(p.n):
                 proj = projective_module(p, field, a)
-                assert hom_dim(proj, m) == m.dim(a), (name, a)
+                assert hom_dim(proj, m) == m.dims[a], (name, a)
 
 
 def test_connected_spread_modules_are_bricks(field):
@@ -341,11 +342,11 @@ def test_kernel_module(field):
     bottom = simple_module(p, field, 0)
     proj = Morphism(full, bottom, [field.arr([[1]]), field.zeros(0, 1), field.zeros(0, 1)])
     ker, inc = kernel_module(proj)
-    assert ker.dimension_vector() == (0, 1, 1)
+    assert ker.dims == (0, 1, 1)
     assert (proj @ inc).is_zero()
     Morphism(ker, full, inc.components)  # inclusion is natural
     for a in range(p.n):
-        assert field.rank(inc.components[a]) == ker.dim(a)
+        assert field.rank(inc.components[a]) == ker.dims[a]
 
 
 def test_kernel_of_zero_is_identity_like(field, rng):
@@ -353,9 +354,9 @@ def test_kernel_of_zero_is_identity_like(field, rng):
     m = random_module(p, field, rng)
     n = random_module(p, field, rng)
     ker, inc = kernel_module(zero_morphism(m, n))
-    assert ker.dimension_vector() == m.dimension_vector()
+    assert ker.dims == m.dims
     for a in range(p.n):
-        assert field.rank(inc.components[a]) == m.dim(a)
+        assert field.rank(inc.components[a]) == m.dims[a]
 
 
 @given(st.sampled_from(sorted(YONEDA_POSETS)), st.integers(0, 10_000))
@@ -398,10 +399,10 @@ def test_image_module(field):
     top = simple_module(p, field, 1)
     inc = Morphism(top, full, [field.zeros(1, 0), field.arr([[1]])])
     img, emb = image_module(inc)
-    assert img.dimension_vector() == (0, 1)
+    assert img.dims == (0, 1)
     Morphism(img, full, emb.components)
     for a in range(p.n):
-        assert field.rank(emb.components[a]) == img.dim(a)
+        assert field.rank(emb.components[a]) == img.dims[a]
 
 
 def test_kernel_image_ranks_add_up(field, rng):
@@ -417,7 +418,7 @@ def test_kernel_image_ranks_add_up(field, rng):
         ker, _ = kernel_module(f)
         img, _ = image_module(f)
         for a in range(p.n):
-            assert ker.dim(a) + img.dim(a) == m.dim(a)
+            assert ker.dims[a] + img.dims[a] == m.dims[a]
 
 
 def test_equal_rank_pair_kernel_story(field):
@@ -438,11 +439,11 @@ def test_equal_rank_pair_kernel_story(field):
             comps.append(field.zeros(0, 1))
     f = Morphism(dom, mprime, comps)
     for a in range(p.n):
-        assert field.rank(f.components[a]) == mprime.dim(a)  # epi
+        assert field.rank(f.components[a]) == mprime.dims[a]  # epi
     ker, _ = kernel_module(f)
     want = [0] * 4
     want[e["11"]] = 1
-    assert ker.dimension_vector() == tuple(want)
+    assert ker.dims == tuple(want)
 
 
 @given(st.integers(0, 10_000))

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spreadhom
-from spreadhom import FileFormatError, ShapeError, dim_hom_vector, direct_sum, interval_module
+from spreadhom import FileFormatError, ShapeError, dim_hom_vector, direct_sum
 from spreadhom import cli, files
 from spreadhom.cli import main
 from spreadhom.files import (
@@ -163,9 +163,11 @@ def test_module_file_errors(tmp_path, field):
 def test_load_family_forms(tmp_path):
     p = atilde5()
     assert len(load_family("single_source", p)) == 15
-    indirect = tmp_path / "fam.yaml"
+    assert len(load_family("connected_upsets", p)) == 10
+    indirect = tmp_path / "fam.yaml"  # a builtin family is named by its name, not by a file
     indirect.write_text('family: "connected_upsets"\n')
-    assert len(load_family(str(indirect), p)) == 10
+    with pytest.raises(FileFormatError, match=re.escape("unknown keys ['family']")):
+        load_family(str(indirect), p)
     bad = tmp_path / "bad.yaml"
     bad.write_text('family: "everything"\n')
     with pytest.raises(FileFormatError):
@@ -803,6 +805,24 @@ def test_cli_rejects_spread_sources_that_are_not_a_list(capsys, tmp_path):
     assert out == ""
 
 
+@pytest.mark.parametrize("spreads,needle", [
+    ('[{sources: ["00", "01"], targets: ["11"]}]', "sources ('00', '01') are not an antichain"),
+    ('[{sources: ["00"], targets: ["11"]}, {sources: ["00"], targets: ["11"]}]', "spread [00,11] appears twice"),
+    ('[{sources: ["01", "10"], targets: ["01", "10"]}]', "member [{01,10},{01,10}] has disconnected support"),
+    ('[{sources: ["00", "00"], targets: ["11"]}]', "spread 'sources' lists label '00' twice"),
+    ('[{sources: ["00"], targets: ["01", "10", "01"]}]', "spread 'targets' lists label '01' twice"),
+], ids=["not-an-antichain", "repeated-spread", "disconnected", "repeated-source", "repeated-target"])
+def test_cli_family_file_errors_name_the_file_once(capsys, tmp_path, spreads, needle):
+    fam = tmp_path / "fam.yaml"
+    fam.write_text(f"spreads: {spreads}\n")
+    code, out, err = run_cli(
+        capsys, "invariant", "class", str(DATA / "equal_rank_m.yaml"), "--family", str(fam)
+    )
+    _one_line_error(code, err, f"error: {fam}: {needle}")
+    assert err.count("fam.yaml") == 1
+    assert out == ""
+
+
 def test_cli_rejects_two_dims_keys_for_one_label(capsys, tmp_path):
     # YAML reads "1" and 1 as two keys; neither may silently win
     (tmp_path / "p.yaml").write_text('elements: ["1", "2"]\ncovers: [["1", "2"]]\n')
@@ -831,14 +851,16 @@ def test_cli_poset_file_errors_name_the_file(capsys, tmp_path, body, needles):
 
 @pytest.mark.parametrize("label", ["a->b", " a", "a\t"])
 def test_a_poset_label_no_map_key_can_name_is_refused(capsys, tmp_path, field, label):
-    # a map key is split at its first '->' and each side stripped, so dump_module
-    # over this poset would write a key that load_module reads as other labels
-    p = Poset(2, [(0, 1)], [label, "c"])
-    (tmp_path / "p.yaml").write_text(dump_poset(p))
-    (tmp_path / "m.yaml").write_text(dump_module(interval_module(p, field, 0, 1), "p.yaml"))
-    with pytest.raises(FileFormatError, match=re.escape(repr(label))):
+    # a map key is split at its first '->' and each side stripped, so no map key
+    # could name this label: the poset refuses it, and so does every file reader
+    with pytest.raises(ValueError, match=re.escape(repr(label))):
+        Poset(2, [(0, 1)], [label, "c"])
+    quoted = json.dumps(label)
+    (tmp_path / "p.yaml").write_text(f'elements: [{quoted}, "c"]\ncovers: [[{quoted}, "c"]]\n')
+    (tmp_path / "m.yaml").write_text('poset: "p.yaml"\ndims: {"c": 1}\n')
+    with pytest.raises(ValueError, match=re.escape(f"p.yaml: no map key can name label {label!r}")):
         load_poset(str(tmp_path / "p.yaml"))
-    with pytest.raises(FileFormatError, match=re.escape(repr(label))):
+    with pytest.raises(ValueError, match=re.escape(f"p.yaml: no map key can name label {label!r}")):
         load_module(str(tmp_path / "m.yaml"), field)
     code, out, err = run_cli(capsys, "validate", str(tmp_path / "p.yaml"), str(tmp_path / "m.yaml"))
     _one_line_error(code, err, "p.yaml", repr(label))

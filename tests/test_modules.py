@@ -247,7 +247,7 @@ def test_map_along_is_path_product(field, rng):
                 while path[-1] != b:
                     nxt = next(c for c in p.children(path[-1]) if p.leq(c, b))
                     path.append(nxt)
-                acc = field.eye(m.dim(a))
+                acc = field.eye(m.dims[a])
                 for x, y in zip(path, path[1:]):
                     acc = field.matmul(m.map_along(x, y), acc)
                 assert got == acc
@@ -264,7 +264,7 @@ def test_spread_module_shape(field):
     p = grid(2, 2)
     s = spread_from_antichains(p, ["00"], ["01", "10"])
     m = spread_module(s, field)
-    assert m.dimension_vector() == (1, 1, 1, 0)
+    assert m.dims == (1, 1, 1, 0)
     assert m.map_along(p.element("00"), p.element("01")).tolist() == [[1]]
     assert mask_to_set(m.support_mask()) == set(elements_of(s.support))
 
@@ -272,15 +272,15 @@ def test_spread_module_shape(field):
 def test_named_module_builders(field):
     p = funnel()
     proj = projective_module(p, field, 0)
-    assert proj.dimension_vector() == (1, 1, 0, 1, 1)
+    assert proj.dims == (1, 1, 0, 1, 1)
     simp = simple_module(p, field, 3)
-    assert simp.dimension_vector() == (0, 0, 0, 1, 0)
+    assert simp.dims == (0, 0, 0, 1, 0)
     ivl = interval_module(p, field, 0, 3)
-    assert ivl.dimension_vector() == (1, 1, 0, 1, 0)
+    assert ivl.dims == (1, 1, 0, 1, 0)
     hook = hook_module(p, field, 0, 3)
-    assert hook.dimension_vector() == (1, 1, 0, 0, 0)
+    assert hook.dims == (1, 1, 0, 0, 0)
     full_hook = hook_module(p, field, 0)
-    assert full_hook.dimension_vector() == proj.dimension_vector()
+    assert full_hook.dims == proj.dims
     with pytest.raises(HookOrderError):
         hook_module(p, field, 0, 2)  # 2 is not above 0
 
@@ -289,8 +289,8 @@ def test_direct_sum_and_inclusions(field, rng):
     p = grid(2, 2)
     parts = [random_module(p, field, rng) for _ in range(3)]
     total = direct_sum(parts)
-    assert total.dimension_vector() == tuple(
-        sum(q.dim(a) for q in parts) for a in range(p.n)
+    assert total.dims == tuple(
+        sum(q.dims[a] for q in parts) for a in range(p.n)
     )
     incs = summand_inclusions(total, parts)
     for inc in incs:
@@ -299,8 +299,8 @@ def test_direct_sum_and_inclusions(field, rng):
     # inclusions have pairwise orthogonal, jointly full column spans
     for a in range(p.n):
         stacked = hstack([inc.components[a] for inc in incs])
-        assert stacked.shape == (total.dim(a), total.dim(a))
-        assert field.rank(stacked) == total.dim(a)
+        assert stacked.shape == (total.dims[a], total.dims[a])
+        assert field.rank(stacked) == total.dims[a]
 
 
 def test_zero_and_total_dim(field):
@@ -322,11 +322,11 @@ def test_restrict_commutes(field, rng):
         PersistenceModule(
             sub.poset,
             field,
-            [sub_m.dim(i) for i in range(sub.poset.n)],
+            [sub_m.dims[i] for i in range(sub.poset.n)],
             {(i, j): sub_m.map_along(i, j) for i, j in sub.poset.covers},
         )
         for i in range(sub.poset.n):
-            assert sub_m.dim(i) == m.dim(sub.to_parent(i))
+            assert sub_m.dims[i] == m.dims[sub.to_parent(i)]
 
 
 def test_morphism_validation(field):
@@ -372,7 +372,7 @@ def test_vec_round_trip(field, rng):
     v = f.vec()
     assert morphism_from_vec(m, n, v) == f
     # a nonzero natural map: scalar multiple of identity on m
-    g = Morphism(m, m, [field.arr(2 * np.eye(m.dim(a), dtype=np.int64)) for a in range(p.n)])
+    g = Morphism(m, m, [field.arr(2 * np.eye(m.dims[a], dtype=np.int64)) for a in range(p.n)])
     assert morphism_from_vec(m, m, g.vec()) == g
 
 

@@ -341,8 +341,8 @@ def test_spread_antichain_validation():
 def test_spread_from_convex():
     p = grid(2, 2)
     s = spread_from_convex(p, ["00", "01", "10"])
-    assert s.source_elements() == (p.element("00"),)
-    assert set(p.label_set(mask_of(s.target_elements()))) == {"01", "10"}
+    assert elements_of(s.sources) == (p.element("00"),)
+    assert set(p.label_set(s.targets)) == {"01", "10"}
     with pytest.raises(NotConvexError):
         spread_from_convex(p, ["00", "11"])
 
