@@ -27,11 +27,21 @@ The span lies in Hom(R, M), so it is reduced one column at a time (`Span`),
 each block evaluated only when reached.  Once the span is as wide as
 Hom(R, M) it is all of it: the multiplicity is 0, and the blocks left are
 never evaluated.  Otherwise the representatives are the basis columns that
-leave the span, the pivots an rref of [radical | basis] would give.
+leave the span, the pivots an rref of [radical | basis] would give.  This
+pick reads Hom(X, M) through its composites only (`_approximate`), so it
+runs in any coordinates.
+
+X holds the projectives, so Hom(X, -) takes the minimal X-resolution of M
+to the minimal projective resolution of the End(X)-module Hom(X, M)
+(Auslander-Solberg, Relative homology and representation theory I, 1993).
+`resolve` therefore solves Hom(X, M) by Yoneda once and builds no kernel:
+a kernel K inside P = ⊕ R_j is kept as the kernels Hom(R_l, K) of
+Hom(R_l, P) -> Hom(R_l, T), T the module P maps onto, each in the
+indicator coordinates of Hom(R_l, P), and dim K_a = dim P_a - dim T_a.
+Hom(P_a, K) = K_a at each principal up-set P_a checks that P -> T is onto.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import index
 
@@ -43,7 +53,7 @@ from .errors import (
     SpreadHomError,
 )
 from .field import Matrix, PrimeField, Span, hstack
-from .hom import kernel_module, spread_hom_components, yoneda_basis, yoneda_values
+from .hom import spread_hom_components, yoneda_basis, yoneda_values
 from .modules import (
     Morphism,
     PersistenceModule,
@@ -78,6 +88,7 @@ class Family:
         self._supports = frozenset(seen)
         self._modules: dict[tuple[int, int], PersistenceModule] = {}  # (p, i) -> module
         self._rows: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] | None = None
+        self._row_dicts: dict[int, dict[int, tuple[int, ...]]] = {}  # i -> `hom_row(i)`
         self._radical: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._diagnostics: FamilyDiagnostics | None = None
 
@@ -140,14 +151,21 @@ class Family:
             )
         return self._radical
 
+    def hom_row(self, i: int) -> dict[int, tuple[int, ...]]:
+        """{j: `pair_hom(i, j)`} over row i of `hom_rows`, built on first use."""
+        row = self._row_dicts.get(i)
+        if row is None:
+            row = self._row_dicts[i] = dict(self.hom_rows()[i])
+        return row
+
     def pair_hom(self, i: int, j: int) -> tuple[int, ...]:
         """Supports of the indicator basis of Hom(member_i, member_j), field-free."""
-        return next((comps for k, comps in self.hom_rows()[i] if k == j), ())
+        return self.hom_row(i).get(j, ())
 
     def hom_matrix(self) -> tuple[tuple[int, ...], ...]:
         """H[i][j] = dim Hom(member_i, member_j): a dense view of `hom_rows`."""
         n = len(self.members)
-        return tuple(tuple(len(row.get(j, ())) for j in range(n)) for row in map(dict, self.hom_rows()))
+        return tuple(tuple(len(self.hom_row(i).get(j, ())) for j in range(n)) for i in range(n))
 
 
 def builtin_family(poset: Poset, name: str, cap: int = DEFAULT_CAP) -> Family:
@@ -155,10 +173,33 @@ def builtin_family(poset: Poset, name: str, cap: int = DEFAULT_CAP) -> Family:
     return Family(poset, enumerate_spreads(poset, name, cap))
 
 
-@dataclass(frozen=True)
 class FamilyDiagnostics:
-    topo_order: tuple[int, ...] | None   # members ordered so Hom(i,j) != 0 => i first
-    hom_cycle: tuple[int, ...] | None    # member indices of one directed cycle
+    """The member Hom digraph of a family: a topological order, or one directed cycle."""
+
+    __slots__ = ("topo_order", "hom_cycle")
+
+    def __init__(self, topo_order, hom_cycle):
+        object.__setattr__(self, "topo_order", topo_order)  # members ordered so Hom(i,j) != 0 => i first
+        object.__setattr__(self, "hom_cycle", hom_cycle)    # member indices of one directed cycle
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.topo_order, self.hom_cycle) == (other.topo_order, other.hom_cycle)
+
+    def __hash__(self):
+        return hash((self.topo_order, self.hom_cycle))
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, since fields cannot be assigned
+        return self.__class__, (self.topo_order, self.hom_cycle)
+
+    def __repr__(self):
+        return f"FamilyDiagnostics(topo_order={self.topo_order!r}, hom_cycle={self.hom_cycle!r})"
 
     @property
     def hom_acyclic(self) -> bool:
@@ -204,7 +245,7 @@ def _require_coverage(x: Family):
 
 
 def _require_same_poset(x: Family, m: PersistenceModule):
-    if m.poset is not x.poset and m.poset != x.poset:  # identity first: this runs per kernel
+    if m.poset is not x.poset and m.poset != x.poset:  # identity first: the common case
         raise PosetMismatchError("the module and the family live over different posets")
 
 
@@ -238,64 +279,176 @@ def minimal_approximation(x: Family, m: PersistenceModule):
     """Multiplicity vector and morphism of the minimal right approximation.
 
     Multiplicity at member R is dim Hom(R,m) minus the rank of the span of
-    composites R -> R' -> m over the other members R'.  That span is reduced
-    column by column over the `Family.radical_generators` of R only, and only
-    until it fills Hom(R, m); the representatives are the basis columns that
-    then still leave it, each joining it in turn.  Everything runs in the
-    source coordinates ⊕_{a in sources(R)} m_a of Hom(R, m): for the
-    indicator h of a component X and g in Hom(R', m), g∘h has the value of g
-    at each source a of R in X and 0 at the others.
+    composites R -> R' -> m over the other members R' (`_approximate`), in
+    the source coordinates ⊕_{a in sources(R)} m_a of Hom(R, m).
     """
     _require_coverage(x)
-    return _approximate(x, m, _member_homs(x, m))
+    homs = _member_homs(x, m)
+    picked = _approximate(x, m.field, _source_coordinates(x, m, homs))
+    return _multiplicities(x, picked), _assemble(x, m, {i: homs[i].columns(cols) for i, cols in picked.items()})
 
 
-def _approximate(x: Family, m: PersistenceModule, homs):
-    """`minimal_approximation` of m, given its `_member_homs`."""
-    field = m.field
-    members = x.members
+def _multiplicities(x: Family, picked) -> tuple[int, ...]:
+    out = [0] * len(x)
+    for i, cols in picked.items():
+        out[i] = len(cols)
+    return tuple(out)
+
+
+def _approximate(x: Family, field: PrimeField, target) -> dict[int, list[int]]:
+    """{i: the basis columns of Hom(R_i, T) that the minimal approximation of T picks}, where any are picked.
+
+    target is (basis, composites) for a module T, in any coordinates: basis[j]
+    lists the columns of a basis of each nonzero Hom(R_j, T), and
+    composites(i, j, mask) lists g∘h for each column g of basis[j], where h
+    is the indicator R_i -> R_j whose sources of R_i are mask.  The span of
+    those composites over the `Family.radical_generators` of R_i is reduced
+    column by column, each block evaluated only when reached, and only until
+    it fills Hom(R_i, T): the multiplicity is then 0.  Otherwise the picks
+    are the basis columns that still leave it, each joining it in turn.
+    """
+    basis, composites = target
     generators = x.radical_generators()
+    picked = {}
+    for i, columns in basis.items():
+        span = Span(field)
+        for v in (v for j, mask in generators[i] if j in basis for v in composites(i, j, mask)):
+            if span.add(v) and len(span) == len(columns):
+                break  # the radical is all of Hom(R_i, T): multiplicity 0
+        else:
+            if cols := [c for c, v in enumerate(columns) if span.add(v)]:
+                picked[i] = cols
+    return picked
+
+
+def _source_coordinates(x: Family, m: PersistenceModule, homs):
+    """Hom(X, m) in source coordinates, as `_approximate` reads a target.
+
+    For the indicator h of a component X and g in Hom(R_j, m), g∘h has the
+    value of g at each source a of R_i in X and 0 at the other sources.
+    """
+    members, dims = x.members, m.dims
     values = {}  # (j, a) -> the basis of Hom(R_j, m) evaluated at a
 
-    def value_at(j, a):
-        out = values.get((j, a))
-        if out is None:
-            out = values[(j, a)] = yoneda_values(members[j], m, homs[j], a)
-        return out
+    def composites(i, j, mask):
+        rows = []
+        for a in iter_mask(members[i].sources):
+            if mask >> a & 1:
+                if (j, a) not in values:
+                    values[(j, a)] = yoneda_values(members[j], m, homs[j], a).rows
+                rows += values[(j, a)]
+            else:
+                rows += [[0] * homs[j].shape[1]] * dims[a]
+        return list(zip(*rows))
 
-    def radical_columns(i):
-        """The columns of member i's radical blocks, in generator order; each block built when reached."""
-        own = tuple(iter_mask(members[i].sources))
-        for j, sources in generators[i]:
-            if j in homs:
-                block = []
-                for a in own:  # zeros at the sources of R_i outside the component
-                    block += value_at(j, a).rows if sources >> a & 1 else [[0] * homs[j].shape[1]] * m.dims[a]
-                yield from zip(*block)
-
-    multiplicities = [0] * len(members)
-    chosen = {}  # i -> the picked columns of the basis
-    for i, w in homs.items():
-        span = Span(field)
-        full = w.shape[1]  # dim Hom(R_i, m), which holds the radical
-        for v in radical_columns(i):
-            if span.add(v) and len(span) == full:
-                break  # the radical is all of Hom(R_i, m): multiplicity 0
-        else:  # the columns of the basis w that leave the span
-            cols = [c for c, v in enumerate(zip(*w.rows)) if span.add(v)]
-            multiplicities[i] = len(cols)
-            if cols:
-                chosen[i] = w.columns(cols)
-    return tuple(multiplicities), _assemble(x, m, chosen)
+    return {j: list(zip(*w.rows)) for j, w in homs.items()}, composites
 
 
-@dataclass
+def _indicator_coordinates(x: Family, js, layouts, basis):
+    """Hom(X, K) for K ⊆ P = ⊕_s R_{js[s]}, in indicator coordinates, as `_approximate` reads a target.
+
+    Coordinate (s, W) of basis[l], listed in layouts[l], is the indicator
+    R_l -> R_{js[s]} of a component W in `pair_hom(l, js[s])`.  A morphism
+    out of a spread module is fixed by its values at the sources, so the
+    coefficient of (s, W) in g∘h, for h the indicator R_l -> R_j whose
+    sources of R_l are mask, is [a ∈ mask] · g[s, Y ∋ a] at any source a of
+    R_l in W; this reads the least one.
+    """
+    members = x.members
+    anchors = {}  # l -> [(s, the least source of R_l in W)] over layouts[l], as bits
+    spots = {}    # j -> [[(Y, its position in layouts[j])] for each summand s]
+
+    def composites(l, j, mask):
+        if l not in anchors:
+            sources = members[l].sources
+            anchors[l] = [(s, sources & w & -(sources & w)) for s, w in layouts[l]]
+        if j not in spots:
+            spots[j] = [[] for _ in js]
+            for n, (s, y) in enumerate(layouts[j]):
+                spots[j][s].append((y, n))
+        spot = spots[j]
+        gather = []
+        for s, a in anchors[l]:
+            n = -1
+            if a & mask:
+                for y, k in spot[s]:
+                    if y & a:
+                        n = k
+                        break
+            gather.append(n)
+        return [[g[n] if n >= 0 else 0 for n in gather] for g in basis[j]]
+
+    return basis, composites
+
+
+def _kernel_homs(x: Family, field: PrimeField, target, picked, dims, projectives):
+    """Hom(X, K) and dims(K) for the kernel K of the approximation P -> T that `picked` gives; dims = dims(T).
+
+    P = ⊕_t R_{j_t}, one summand per pick (j_t, c_t), maps by g_t, column c_t
+    of the basis of Hom(R_{j_t}, T).  P is onto T, so dim K_a is dim P_a, the
+    number of summands whose support holds a, minus dim T_a.  Hom(R_l, K) is
+    the kernel of Hom(R_l, P) -> Hom(R_l, T): its column (t, Z) is g_t∘h_Z,
+    and it is all of Hom(R_l, P) when Hom(R_l, T) = 0.  It is solved only
+    where a source of R_l lies in supp K, else it is 0, and at the principal
+    up-set P_a = projectives[a] of each a: Hom(P_a, K) = K_a, so a width
+    other than dim K_a means that P -> T is not onto at a.
+    """
+    basis, composites = target
+    members = x.members
+    summands = [(j, c) for j, cols in picked.items() for c in cols]
+    js = [j for j, _ in summands]
+    kernel_dims = [-d for d in dims]
+    for j in js:
+        for a in iter_mask(members[j].support):
+            kernel_dims[a] += 1
+    supp = sum(1 << a for a, d in enumerate(kernel_dims) if d)
+    checked = set(projectives)
+    kernel, layouts = {}, {}
+    for l, s in enumerate(members):
+        if not (s.sources & supp or l in checked):
+            continue
+        row = x.hom_row(l)
+        layout = [(t, z) for t, j in enumerate(js) for z in row.get(j, ())]
+        if not layout:
+            continue
+        if l in basis:
+            blocks = {}
+            cols = []
+            for t, z in layout:
+                key = (js[t], z & s.sources)
+                if key not in blocks:
+                    blocks[key] = composites(l, *key)
+                cols.append(blocks[key][summands[t][1]])
+            columns = list(zip(*field.kernel_basis(Matrix(list(zip(*cols)), len(cols))).rows))
+        else:
+            columns = field.eye(len(layout)).rows
+        if columns:
+            kernel[l], layouts[l] = columns, layout
+    for a, d in enumerate(kernel_dims):
+        if len(kernel.get(projectives[a], ())) != d:
+            raise SpreadHomError(f"approximation fails to be onto at {x.poset.label(a)}")
+    return _indicator_coordinates(x, js, layouts, kernel), tuple(kernel_dims)
+
+
 class Resolution:
     """The terms of the minimal resolution of a module, as far as it was computed."""
 
-    terms: tuple[tuple[int, ...], ...]          # multiplicity vector per degree
-    status: str                                 # "finite" | "truncated"
-    periodicity: tuple[int, int] | None = None  # kernels with matching signatures
+    __slots__ = ("terms", "status", "periodicity")
+
+    def __init__(self, terms, status, periodicity=None):
+        self.terms: tuple[tuple[int, ...], ...] = terms      # multiplicity vector per degree
+        self.status: str = status                            # "finite" | "truncated"
+        self.periodicity: tuple[int, int] | None = periodicity  # kernels with matching signatures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.terms, self.status, self.periodicity) == (other.terms, other.status, other.periodicity)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Resolution(terms={self.terms!r}, status={self.status!r}, periodicity={self.periodicity!r})"
 
     @property
     def depth(self) -> int:
@@ -305,32 +458,40 @@ class Resolution:
 def resolve(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH) -> Resolution:
     """Resolve m by minimal approximations until the kernel dies or depth runs out.
 
-    The Hom spaces from the members into each module of the sequence are
-    solved once.  They give its approximation and, for a kernel K, its
-    periodicity signature: dims(K) and the width of each nonzero Hom(R_j, K).
-    A truncated run solves them for its last kernel too, to sign it.
+    X holds the projectives, so Hom(X, -) takes the minimal X-resolution of m
+    to the minimal projective resolution of the End(X)-module Hom(X, m)
+    (Auslander-Solberg, Relative homology and representation theory I, 1993).
+    Only Hom(X, m) is solved by Yoneda (`_member_homs`).  Every kernel K,
+    inside P = ⊕ R_j, is kept as its Hom spaces Hom(R_l, K) ⊆ Hom(R_l, P) in
+    indicator coordinates (`_kernel_homs`), and dims(K) is dims(P) minus the
+    dimensions of the module P maps onto; no module is built.  A kernel is
+    signed by dims(K) and the width of each nonzero Hom(R_j, K).
     """
     max_depth = index(max_depth)
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     _require_same_poset(x, m)
     _require_coverage(x)
+    if m.is_zero():
+        return Resolution((), "finite")
+    if not max_depth:
+        return Resolution((), "truncated")
+    index_of = {s.support: i for i, s in enumerate(x.members)}
+    projectives = [index_of[x.poset.up_mask(a)] for a in range(x.poset.n)]
+    target = _source_coordinates(x, m, _member_homs(x, m))
+    dims = m.dims
     terms = []
     sigs = []  # one per kernel
-    current = m
-    while not current.is_zero():
-        if not max_depth:
-            return Resolution((), "truncated")
-        homs = _member_homs(x, current)
-        if terms:
-            sigs.append((current.dims, {j: w.shape[1] for j, w in homs.items()}))
+    while True:
+        picked = _approximate(x, m.field, target)
+        terms.append(_multiplicities(x, picked))
+        target, dims = _kernel_homs(x, m.field, target, picked, dims, projectives)
+        if not any(dims):
+            return Resolution(tuple(terms), "finite")
+        sigs.append((dims, {j: len(columns) for j, columns in target[0].items()}))
         if len(terms) == max_depth:
             periodicity = next(((i, j) for i, j in combinations(range(len(sigs)), 2) if sigs[i] == sigs[j]), None)
             return Resolution(tuple(terms), "truncated", periodicity)
-        mult, f = _approximate(x, current, homs)
-        terms.append(mult)
-        current, _ = kernel_module(f)
-    return Resolution(tuple(terms), "finite")
 
 
 def x_dimension(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH) -> int | None:

@@ -8,7 +8,6 @@ order, the type-A barcode, and comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .approx import DEFAULT_MAX_DEPTH, Family, _member_homs, _require_coverage, builtin_family, check_family, resolve
@@ -30,16 +29,25 @@ from .poset import DEFAULT_CAP, Spread, iter_mask
 COMPARE_KINDS = ("dimvec", "rank", "class", "dimhom", "genrank", "diagram")
 
 
-@dataclass
 class GrothClass:
     """An integer combination of spreads: a class relative to a family, a barcode or a signed diagram."""
 
-    spreads: tuple[Spread, ...]
-    coeffs: tuple[int, ...]
+    __slots__ = ("spreads", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != len(self.spreads):
+    def __init__(self, spreads: tuple[Spread, ...], coeffs: tuple[int, ...]):
+        if len(coeffs) != len(spreads):
             raise ValueError("one coefficient per spread expected")
+        self.spreads, self.coeffs = spreads, coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spreads, self.coeffs) == (other.spreads, other.coeffs)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"GrothClass(spreads={self.spreads!r}, coeffs={self.coeffs!r})"
 
     def __add__(self, other: "GrothClass") -> "GrothClass":
         if other.spreads != self.spreads:

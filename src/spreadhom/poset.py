@@ -11,7 +11,6 @@ as ↑A ∩ ↓B, and min S as S minus the strict up-sets of its elements.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from operator import index
 from typing import Iterable, Iterator
 
@@ -363,14 +362,31 @@ class SubPoset:
         return self.elements[i]
 
 
-@dataclass(frozen=True)
 class Spread:
-    """A convex subset recorded as [sources, targets] antichains (bitmasks)."""
+    """A convex subset recorded as [sources, targets] antichains (bitmasks); immutable."""
 
-    poset: Poset
-    support: int
-    sources: int
-    targets: int
+    __slots__ = ("poset", "support", "sources", "targets")
+
+    def __init__(self, poset: Poset, support: int, sources: int, targets: int):
+        for name, value in zip(self.__slots__, (poset, support, sources, targets)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return self.poset, self.support, self.sources, self.targets
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, since fields cannot be assigned
+        return self.__class__, self._key()
 
     def __len__(self):
         return bin(self.support).count("1")

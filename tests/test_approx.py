@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreadhom import (
@@ -11,8 +11,10 @@ from spreadhom import (
     MissingProjectivesError,
     Morphism,
     NotConnectedError,
+    PersistenceModule,
     PrimeField,
     Spread,
+    SpreadHomError,
     builtin_family,
     check_family,
     class_via_resolution,
@@ -38,8 +40,8 @@ from spreadhom.gallery import (
     grid,
     equal_rank_pair,
 )
-from spreadhom import approx
-from spreadhom.approx import BUILTIN_FAMILIES, _member_homs
+from spreadhom import approx, hom, modules
+from spreadhom.approx import BUILTIN_FAMILIES, Family, _member_homs
 from spreadhom.hom import spread_hom_components
 from spreadhom.poset import iter_mask, kahn_order, mask_of
 from spreadhom.randmod import random_module
@@ -409,9 +411,11 @@ def test_radical_generators_drop_maps_through_a_third_member():
 
 
 def test_a_resolution_step_eliminates_once_per_quantity(field, monkeypatch):
-    # one rref per Yoneda system and per approximation component, and no
-    # solve: the radical is reduced column by column, not by an rref, and
-    # kernel coordinates are read off free rows
+    # one rref per Yoneda system on the input module M, at most one per member
+    # with a source in supp M, and one per kernel Hom space Hom(R_l, K) whose
+    # map into Hom(R_l, T) is not zero, that is, where Hom(R_l, T) != 0, for
+    # each module T that is approximated; and no solve: the radical is
+    # reduced column by column, not by an rref, and no kernel is built
     p = grid(4, 4)
     x = builtin_family(p, "intervals")
     rng = random.Random(4)
@@ -428,9 +432,8 @@ def test_a_resolution_step_eliminates_once_per_quantity(field, monkeypatch):
     for m, res in zip(mods, resolutions):
         assert res.status == "finite" and res.depth >= 2
         _, steps = module_route(x, m)
-        for stage in (m, *[step.kernel for step in steps[:-1]]):
-            supp = stage.support_mask()
-            budget += sum(1 for s in x.members if s.sources & supp) + p.n
+        budget += sum(1 for s in x.members if s.sources & m.support_mask())
+        budget += sum(len(_member_homs(x, stage)) for stage in (m, *[step.kernel for step in steps[:-1]]))
     assert calls["solve"] == 0
     assert 0 < calls["rref"] <= budget
 
@@ -442,7 +445,6 @@ def test_an_approximation_stops_reading_the_radical_once_it_fills_hom(field, mon
     calls = []
     yoneda_values = approx.yoneda_values
     monkeypatch.setattr(approx, "yoneda_values", lambda *args: calls.append(args) or yoneda_values(*args))
-    monkeypatch.setattr(approx, "_assemble", lambda x, m, coords: None)  # its evaluations are not counted
     rng = random.Random(4)
     for _ in range(3):
         m = random_module(p, field, rng)
@@ -451,7 +453,7 @@ def test_an_approximation_stops_reading_the_radical_once_it_fills_hom(field, mon
         # each block reads Hom(R_j, M) at the sources it holds, evaluated once per (j, a)
         values = {(j, a) for j, sources in radical for a in iter_mask(sources)}
         calls.clear()
-        approx._approximate(x, m, homs)
+        approx._approximate(x, field, approx._source_coordinates(x, m, homs))
         assert 0 < len(calls) < min(len(values), len(radical))
 
 
@@ -553,14 +555,17 @@ def test_truncation_and_periodicity(field):
     assert x_dimension(x, m, max_depth=12) is None
 
 
-# every covering builtin family on the small posets, and the cyclic atilde5 family
+# every covering builtin family on the small posets and on grid(3, 3) (multi-source
+# connected_spreads among them), the benchmark's grid(4, 4) intervals and hooks,
+# and the cyclic atilde5 family, whose truncated runs are signed and compared
 RESOLVE_FAMILIES = [
-    x for _, p in generator_posets(5) for kind in BUILTIN_FAMILIES
+    x for p in [p for _, p in generator_posets(5)] + [grid(3, 3)] for kind in BUILTIN_FAMILIES
     if not (x := builtin_family(p, kind)).missing_projectives()
-] + [atilde5_family()[1]]
+] + [builtin_family(grid(4, 4), kind) for kind in ("intervals", "hooks")] + [atilde5_family()[1]]
 
 
-@given(st.sampled_from(range(len(RESOLVE_FAMILIES))), st.integers(0, 8), st.integers(0, 10_000))
+@settings(max_examples=200)
+@given(st.sampled_from(range(len(RESOLVE_FAMILIES))), st.integers(0, 12), st.integers(0, 10_000))
 def test_resolve_matches_the_module_route(k, depth, seed):
     x = RESOLVE_FAMILIES[k]
     m = random_module(x.poset, PrimeField(), random.Random(seed))
@@ -568,22 +573,68 @@ def test_resolve_matches_the_module_route(k, depth, seed):
     assert (res.terms, res.status, res.periodicity) == module_route(x, m, depth)[0]
 
 
+def test_resolve_matches_the_module_route_deep_in_a_periodic_resolution(field):
+    # M_[1,6] over atilde5 never resolves: every depth to 12 is truncated and
+    # signed, and from depth 4 two kernels match
+    p, x = atilde5_family()
+    m = spread_module(spread_from_antichains(p, ["1"], ["6"]), field)
+    for depth in range(13):
+        res = resolve(x, m, depth)
+        assert (res.terms, res.status, res.periodicity) == module_route(x, m, depth)[0]
+        assert res.status == "truncated" and (res.periodicity is not None) == (depth >= 4)
+
+
 def test_resolve_solves_the_homs_into_each_module_once(field, rng, monkeypatch):
-    # one `_member_homs` per approximated module, and one more to sign the
-    # last kernel of a truncated run
+    # one `_member_homs`, on the input module, whatever the depth: no kernel
+    # is solved by Yoneda, and depth 0 solves nothing
     calls = []
     member_homs = approx._member_homs
     monkeypatch.setattr(approx, "_member_homs", lambda x, k: calls.append(k) or member_homs(x, k))
     p, x = atilde5_family()
     m = spread_module(spread_from_antichains(p, ["1"], ["6"]), field)
-    for depth in (0, 1, 6):
+    for depth in (0, 1, 6, 12):
         calls.clear()
         res = resolve(x, m, max_depth=depth)
         assert res.status == "truncated" and res.depth == depth
-        assert len(calls) == (depth + 1 if depth else 0)
+        assert calls == ([m] if depth else [])
     x = builtin_family(grid(2, 2), "single_source")
     for _ in range(3):
         calls.clear()
-        res = resolve(x, random_module(grid(2, 2), field, rng))
-        assert res.status == "finite" and len(calls) == res.depth
+        m = random_module(grid(2, 2), field, rng)
+        res = resolve(x, m)
+        assert res.status == "finite" and res.depth >= 1 and calls == [m]
 
+
+def test_resolve_builds_no_module(field, rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("resolve built a module")
+
+    cases = [(builtin_family(grid(4, 4), "hooks"), random_module(grid(4, 4), field, rng), 16)]
+    p, x = atilde5_family()
+    cases.append((x, spread_module(spread_from_antichains(p, ["1"], ["6"]), field), 8))
+    want = [module_route(x, m, depth)[0] for x, m, depth in cases]
+    for target, name in ((approx, "_assemble"), (hom, "kernel_module"), (modules, "direct_sum"),
+                         (approx, "direct_sum"), (Family, "member_module"),
+                         (PersistenceModule, "__init__"), (PersistenceModule, "_build"), (Morphism, "_build")):
+        monkeypatch.setattr(target, name, refuse)
+    for (x, m, depth), (terms, status, periodicity) in zip(cases, want):
+        res = resolve(x, m, depth)
+        assert (res.terms, res.status, res.periodicity) == (terms, status, periodicity)
+        assert res.depth >= 2
+
+
+@pytest.mark.parametrize("coordinates", ["_source_coordinates", "_indicator_coordinates"])
+def test_a_broken_composition_rule_fails_the_self_check(field, monkeypatch, coordinates):
+    # each composite read with its anchor shifted down one element: the kernel
+    # widths at the principal up-sets then miss dims(K), and resolve refuses
+    build = getattr(approx, coordinates)
+
+    def shifted(*args):
+        basis, composites = build(*args)
+        return basis, lambda l, j, mask: composites(l, j, mask << 1)
+
+    monkeypatch.setattr(approx, coordinates, shifted)
+    p = grid(4, 4)
+    m = random_module(p, field, random.Random(4))
+    with pytest.raises(SpreadHomError, match="fails to be onto"):
+        resolve(builtin_family(p, "intervals"), m)
