@@ -6,22 +6,23 @@ Multiplicities of the minimal approximation of M are computed as
 dim Hom(R, M) minus the dimension of the span of all composites through the
 other members; representatives of a complement realize the approximation.
 
-The member Hom digraph is computed once per family and kept sparse: row i
-lists the members j with Hom(R_i, R_j) != 0.  Two exact tests keep the work
-small.  Hom(R_i, R_j) is 0 unless a source of R_i lies in R_j and a target
-of R_j lies in R_i, because every component that carries a morphism holds
-one of each (`spread_hom_components`).  Hom(R, M) is 0 unless M is nonzero
-at a source of R, because it embeds in ⊕ M_a over those sources; a minimal
-approximation does Hom work only for the members that pass.
+The member Hom digraph is computed row by row, on first use, and kept
+sparse: row i holds the members j with Hom(R_i, R_j) != 0.  Two exact tests
+keep the work small.  Hom(R_i, R_j) is 0 unless a source of R_i lies in R_j
+and a target of R_j lies in R_i, because every component that carries a
+morphism holds one of each (`spread_hom_components`).  Hom(R, M) is 0
+unless M is nonzero at a source of R, because it embeds in ⊕ M_a over those
+sources; a minimal approximation does Hom work only for the members that
+pass.
 
 The span of the composites is the radical of Hom(R, M), and the radical of
 End(⊕X) for a finite family X of bricks is generated by irreducible maps
 (Auslander-Reiten-Smalø, Representation Theory of Artin Algebras, ch. V).
-So each member keeps, once per family, only the radical generators that do
-not visibly factor through a third member (`Family.radical_generators`):
-the indicator of a component that is itself a member's support, R_K, is the
-composite R_i ->> R_K >-> R_j.  The span, and every pivot read off it, is
-the same as over all basis maps.
+So each member keeps, derived once from its row, only the radical
+generators that do not visibly factor through a third member
+(`Family.radical_generators`): the indicator of a component that is itself
+a member's support, R_K, is the composite R_i ->> R_K >-> R_j.  The span,
+and every pivot read off it, is the same as over all basis maps.
 
 The span lies in Hom(R, M), so it is reduced one column at a time (`Span`),
 each block evaluated only when reached.  Once the span is as wide as
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from operator import index
+from typing import NamedTuple
 
 from .errors import (
     DuplicateSpreadError,
@@ -87,9 +89,8 @@ class Family:
         self.members = members
         self._supports = frozenset(seen)
         self._modules: dict[tuple[int, int], PersistenceModule] = {}  # (p, i) -> module
-        self._rows: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...] | None = None
-        self._row_dicts: dict[int, dict[int, tuple[int, ...]]] = {}  # i -> `hom_row(i)`
-        self._radical: tuple[tuple[tuple[int, int], ...], ...] | None = None
+        self._rows: dict[int, dict[int, tuple[int, ...]]] = {}  # i -> `hom_row(i)`
+        self._radical: dict[int, tuple[tuple[int, int], ...]] = {}  # i -> `radical_generators(i)`
         self._diagnostics: FamilyDiagnostics | None = None
 
     def __len__(self):
@@ -115,48 +116,42 @@ class Family:
     def member_modules(self, field: PrimeField) -> list[PersistenceModule]:
         return [self.member_module(i, field) for i in range(len(self.members))]
 
-    def hom_rows(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
-        """Row i: (j, `pair_hom(i, j)`) for each j with Hom(member_i, member_j) != 0, by j.
+    def hom_row(self, i: int) -> dict[int, tuple[int, ...]]:
+        """{j: `pair_hom(i, j)`} for each j with Hom(member_i, member_j) != 0, by j.
 
-        The sparse member Hom digraph, combinatorial and field-free; built on
-        first use.
+        Row i of the sparse member Hom digraph, combinatorial and field-free;
+        computed on first read, against every member.
         """
-        if self._rows is None:
-            members = self.members
-            self._rows = tuple(
-                tuple((j, comps) for j, t in enumerate(members)
-                      if (comps := spread_hom_components(s, t)))
-                for s in members
-            )
-        return self._rows
+        row = self._rows.get(i)
+        if row is None:
+            s = self.members[i]
+            row = self._rows[i] = {
+                j: comps for j, t in enumerate(self.members) if (comps := spread_hom_components(s, t))
+            }
+        return row
 
-    def radical_generators(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Row i: pairs (j, sources of member i in X) whose composites span rad(R_i, -).
+    def hom_rows(self) -> tuple[dict[int, tuple[int, ...]], ...]:
+        """Every `hom_row`, in member order: the whole member Hom digraph."""
+        return tuple(map(self.hom_row, range(len(self.members))))
+
+    def radical_generators(self, i: int) -> tuple[tuple[int, int], ...]:
+        """Pairs (j, sources of member i in X) whose composites span rad(R_i, -).
 
         One pair per basis map R_i -> R_j (j != i), the indicator of a
         component X; g∘h_X depends only on the pair, so each is kept once.  An
         X that is the support of a third member is left out (see the module
-        docstring).  Field-free; built on first use.
+        docstring).  Field-free; derived from `hom_row(i)` on first use.
         """
-        if self._radical is None:
-            members, supports = self.members, self._supports
-            self._radical = tuple(
-                tuple(dict.fromkeys(
-                    (j, s.sources & comp)
-                    for j, comps in row if j != i
-                    for comp in comps
-                    if comp not in supports or comp in (s.support, members[j].support)
-                ))
-                for i, (s, row) in enumerate(zip(members, self.hom_rows()))
-            )
-        return self._radical
-
-    def hom_row(self, i: int) -> dict[int, tuple[int, ...]]:
-        """{j: `pair_hom(i, j)`} over row i of `hom_rows`, built on first use."""
-        row = self._row_dicts.get(i)
-        if row is None:
-            row = self._row_dicts[i] = dict(self.hom_rows()[i])
-        return row
+        gens = self._radical.get(i)
+        if gens is None:
+            s, members, supports = self.members[i], self.members, self._supports
+            gens = self._radical[i] = tuple(dict.fromkeys(
+                (j, s.sources & comp)
+                for j, comps in self.hom_row(i).items() if j != i
+                for comp in comps
+                if comp not in supports or comp in (s.support, members[j].support)
+            ))
+        return gens
 
     def pair_hom(self, i: int, j: int) -> tuple[int, ...]:
         """Supports of the indicator basis of Hom(member_i, member_j), field-free."""
@@ -165,7 +160,7 @@ class Family:
     def hom_matrix(self) -> tuple[tuple[int, ...], ...]:
         """H[i][j] = dim Hom(member_i, member_j): a dense view of `hom_rows`."""
         n = len(self.members)
-        return tuple(tuple(len(self.hom_row(i).get(j, ())) for j in range(n)) for i in range(n))
+        return tuple(tuple(len(row.get(j, ())) for j in range(n)) for row in self.hom_rows())
 
 
 def builtin_family(poset: Poset, name: str, cap: int = DEFAULT_CAP) -> Family:
@@ -173,33 +168,11 @@ def builtin_family(poset: Poset, name: str, cap: int = DEFAULT_CAP) -> Family:
     return Family(poset, enumerate_spreads(poset, name, cap))
 
 
-class FamilyDiagnostics:
+class FamilyDiagnostics(NamedTuple):
     """The member Hom digraph of a family: a topological order, or one directed cycle."""
 
-    __slots__ = ("topo_order", "hom_cycle")
-
-    def __init__(self, topo_order, hom_cycle):
-        object.__setattr__(self, "topo_order", topo_order)  # members ordered so Hom(i,j) != 0 => i first
-        object.__setattr__(self, "hom_cycle", hom_cycle)    # member indices of one directed cycle
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.topo_order, self.hom_cycle) == (other.topo_order, other.hom_cycle)
-
-    def __hash__(self):
-        return hash((self.topo_order, self.hom_cycle))
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, since fields cannot be assigned
-        return self.__class__, (self.topo_order, self.hom_cycle)
-
-    def __repr__(self):
-        return f"FamilyDiagnostics(topo_order={self.topo_order!r}, hom_cycle={self.hom_cycle!r})"
+    topo_order: tuple[int, ...] | None  # members ordered so Hom(i,j) != 0 => i first
+    hom_cycle: tuple[int, ...] | None   # member indices of one directed cycle
 
     @property
     def hom_acyclic(self) -> bool:
@@ -207,9 +180,9 @@ class FamilyDiagnostics:
 
 
 def _hom_digraph_topo(rows) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
-    """Topological order of i -> j whenever row i lists j (i != j), or a cycle."""
+    """Topological order of i -> j whenever row i holds j (i != j), or a cycle."""
     n = len(rows)
-    succs = [[j for j, _ in row if j != i] for i, row in enumerate(rows)]
+    succs = [[j for j in row if j != i] for i, row in enumerate(rows)]
     order, indeg = kahn_order(succs)
     if len(order) == n:
         return tuple(order), None
@@ -220,7 +193,7 @@ def _hom_digraph_topo(rows) -> tuple[tuple[int, ...] | None, tuple[int, ...] | N
     seen = {start: 0}
     while True:
         cur = walk[-1]
-        prev = next(i for i in range(n) if indeg[i] > 0 and cur in succs[i])
+        prev = next(i for i in range(n) if i != cur and indeg[i] > 0 and cur in rows[i])
         if prev in seen:
             cycle = walk[seen[prev]:][::-1]
             k = cycle.index(min(cycle))  # start at the least index
@@ -308,11 +281,10 @@ def _approximate(x: Family, field: PrimeField, target) -> dict[int, list[int]]:
     are the basis columns that still leave it, each joining it in turn.
     """
     basis, composites = target
-    generators = x.radical_generators()
     picked = {}
     for i, columns in basis.items():
         span = Span(field)
-        for v in (v for j, mask in generators[i] if j in basis for v in composites(i, j, mask)):
+        for v in (v for j, mask in x.radical_generators(i) if j in basis for v in composites(i, j, mask)):
             if span.add(v) and len(span) == len(columns):
                 break  # the radical is all of Hom(R_i, T): multiplicity 0
         else:
@@ -430,25 +402,12 @@ def _kernel_homs(x: Family, field: PrimeField, target, picked, dims, projectives
     return _indicator_coordinates(x, js, layouts, kernel), tuple(kernel_dims)
 
 
-class Resolution:
+class Resolution(NamedTuple):
     """The terms of the minimal resolution of a module, as far as it was computed."""
 
-    __slots__ = ("terms", "status", "periodicity")
-
-    def __init__(self, terms, status, periodicity=None):
-        self.terms: tuple[tuple[int, ...], ...] = terms      # multiplicity vector per degree
-        self.status: str = status                            # "finite" | "truncated"
-        self.periodicity: tuple[int, int] | None = periodicity  # kernels with matching signatures
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.terms, self.status, self.periodicity) == (other.terms, other.status, other.periodicity)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"Resolution(terms={self.terms!r}, status={self.status!r}, periodicity={self.periodicity!r})"
+    terms: tuple[tuple[int, ...], ...]          # multiplicity vector per degree
+    status: str                                 # "finite" | "truncated"
+    periodicity: tuple[int, int] | None = None  # kernels with matching signatures
 
     @property
     def depth(self) -> int:

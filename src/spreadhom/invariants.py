@@ -117,7 +117,7 @@ def class_via_hom_matrix(x: Family, m: PersistenceModule) -> GrothClass:
     if not diag.hom_acyclic:
         cycle = " -> ".join(x.members[i].render() for i in diag.hom_cycle)
         raise HomMatrixSingularError(f"Hom digraph has a cycle: {cycle} -> ...")
-    rows = [[(j, len(comps)) for j, comps in row] for row in x.hom_rows()]
+    rows = [[(j, len(comps)) for j, comps in row.items()] for row in x.hom_rows()]
     c = _back_substitute(dim_hom_vector(x, m), rows, reversed(diag.topo_order))
     return GrothClass(x.members, c)
 

@@ -109,7 +109,11 @@ class PersistenceModule:
             b = p
         out = self._along.get((a, b))
         if out is None:
-            out = self._along[(a, a)] = self.field.eye(self.dims[a])
+            if not path:
+                out = self._along[(a, a)] = self.field.eye(self.dims[a])
+            else:  # the first step is the cover map itself: a Matrix is immutable, so share it
+                p, c = path.pop()
+                out = self._along[(a, c)] = self.maps[(p, c)]
         for p, c in reversed(path):
             out = self._along[(a, c)] = self.field.matmul(self.maps[(p, c)], out)
         return out

@@ -336,9 +336,9 @@ def unreduced_limit_colimit(m, s):
 def full_row_minimal_approximation(x, m):
     """`minimal_approximation` composing every basis map R_i -> R_j (j != i).
 
-    One block per component of each row of `Family.hom_rows`, none dropped
-    or merged, as before `Family.radical_generators`.  A block is laid out
-    in the source coordinates of Hom(R_i, m) by `stacked_offsets`.
+    One block per component of each `Family.hom_row`, none dropped or
+    merged, as before `Family.radical_generators`.  A block is laid out in
+    the source coordinates of Hom(R_i, m) by `stacked_offsets`.
     """
     field = m.field
     homs = _member_homs(x, m)
@@ -347,7 +347,7 @@ def full_row_minimal_approximation(x, m):
     for i, w in homs.items():
         offsets, _ = stacked_offsets(x.members[i].sources, m)
         blocks = []
-        for j, comps in x.hom_rows()[i]:
+        for j, comps in x.hom_row(i).items():
             if j == i or j not in homs:
                 continue
             for comp in comps:

@@ -165,7 +165,8 @@ def _assert_rows_match_unfiltered(x):
     h = x.hom_matrix()
     for i, s in enumerate(x.members):
         want = [(j, _all_components(s, t)) for j, t in enumerate(x.members)]
-        assert rows[i] == tuple((j, c) for j, c in want if c), s.render()
+        assert rows[i] == {j: c for j, c in want if c}, s.render()
+        assert list(rows[i]) == sorted(rows[i])  # by j
         for j, comps in want:
             assert spread_hom_components(s, x.members[j]) == x.pair_hom(i, j) == comps
             assert h[i][j] == len(comps)
@@ -181,10 +182,45 @@ def test_hom_rows_match_unfiltered_components_on_small_posets():
 GRID33_SPREADS = enumerate_spreads(grid(3, 3), "connected_spreads")
 
 
+def _covering_grid33_members(picks):
+    """The `GRID33_SPREADS` picks, in that order, then the principal up-sets of grid(3, 3) they lack."""
+    p = grid(3, 3)
+    members = [GRID33_SPREADS[k] for k in picks]
+    supports = {s.support for s in members}
+    return members + [spread_from_convex(p, p.up_mask(a)) for a in range(p.n) if p.up_mask(a) not in supports]
+
+
 @given(st.lists(st.integers(0, len(GRID33_SPREADS) - 1), min_size=1, max_size=40, unique=True))
 def test_hom_rows_match_unfiltered_components_on_random_families(picks):
     # members in a random order and subset, so both acyclic and cyclic digraphs occur
     _assert_rows_match_unfiltered(Family(grid(3, 3), [GRID33_SPREADS[k] for k in picks]))
+
+
+@given(st.lists(st.integers(0, len(GRID33_SPREADS) - 1), min_size=1, max_size=40, unique=True),
+       st.integers(0, 10_000))
+def test_rows_on_demand_change_no_resolution(picks, seed):
+    # a fresh family builds the rows it reads; its twin builds them all first
+    p = grid(3, 3)
+    members = _covering_grid33_members(picks)
+    fresh, twin = Family(p, members), Family(p, members)
+    check_family(twin)
+    m = random_module(p, PrimeField(), random.Random(seed))
+    assert resolve(fresh, m, max_depth=8) == resolve(twin, m, max_depth=8)
+    full = twin.hom_rows()
+    assert fresh._rows and all(row == full[i] for i, row in fresh._rows.items())
+
+
+def test_one_resolve_builds_only_the_rows_it_reads(field, monkeypatch):
+    # one module over a fresh grid(4, 4) connected_spreads family (678
+    # members) reads some of the member Hom rows, each built once
+    x = builtin_family(grid(4, 4), "connected_spreads")
+    pairs = []
+    components = approx.spread_hom_components
+    monkeypatch.setattr(approx, "spread_hom_components",
+                        lambda s, t: pairs.append((s.support, t.support)) or components(s, t))
+    resolve(x, random_module(x.poset, field, random.Random(0)), max_depth=16)
+    assert len(x) == 678 and 0 < len(pairs) < 678 ** 2
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_coverage_guard(field):
@@ -378,11 +414,8 @@ def test_minimal_approximation_matches_full_row_oracle_on_the_funnel(field, rng)
 def test_minimal_approximation_matches_full_row_oracle_on_random_families(picks, seed):
     # a random sub-family in a random order, completed by the principal up-sets it lacks
     p = grid(3, 3)
-    members = [GRID33_SPREADS[k] for k in picks]
-    supports = {s.support for s in members}
-    members += [spread_from_convex(p, p.up_mask(a)) for a in range(p.n) if p.up_mask(a) not in supports]
     m = random_module(p, PrimeField(), random.Random(seed))
-    _assert_matches_full_row_oracle(Family(p, members), m)
+    _assert_matches_full_row_oracle(Family(p, _covering_grid33_members(picks)), m)
 
 
 @given(st.integers(0, 10_000))
@@ -405,9 +438,9 @@ def test_radical_generators_drop_maps_through_a_third_member():
     for kind, kept, total in (("intervals", 600, 1125), ("hooks", 800, 1775)):
         x = builtin_family(grid(4, 4), kind)
         rows = x.hom_rows()
-        assert sum(len(comps) for i, row in enumerate(rows) for j, comps in row if j != i) == total
-        assert sum(map(len, x.radical_generators())) == kept
-        assert x.radical_generators() is x.radical_generators()
+        assert sum(len(comps) for i, row in enumerate(rows) for j, comps in row.items() if j != i) == total
+        assert sum(len(x.radical_generators(i)) for i in range(len(x))) == kept
+        assert all(x.radical_generators(i) is x.radical_generators(i) for i in range(len(x)))
 
 
 def test_a_resolution_step_eliminates_once_per_quantity(field, monkeypatch):
@@ -449,7 +482,7 @@ def test_an_approximation_stops_reading_the_radical_once_it_fills_hom(field, mon
     for _ in range(3):
         m = random_module(p, field, rng)
         homs = _member_homs(x, m)
-        radical = [(j, sources) for i in homs for j, sources in x.radical_generators()[i] if j in homs]
+        radical = [(j, sources) for i in homs for j, sources in x.radical_generators(i) if j in homs]
         # each block reads Hom(R_j, M) at the sources it holds, evaluated once per (j, a)
         values = {(j, a) for j, sources in radical for a in iter_mask(sources)}
         calls.clear()

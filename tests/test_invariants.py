@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spreadhom import (
@@ -248,7 +248,7 @@ def test_an_integral_hom_matrix_solution_is_not_a_class(field, name):
     m = PersistenceModule(p, field, dims, {tuple(map(p.element, k.split("->"))): v for k, v in maps.items()})
     h = np.zeros((len(x), len(x)), dtype=np.int64)
     for i, row in enumerate(x.hom_rows()):
-        for j, comps in row:
+        for j, comps in row.items():
             h[i, j] = len(comps)
     # H is invertible over Q, so the solution is the rational one, and it is integral
     assert np.linalg.matrix_rank(h) == len(x) == 9
@@ -278,6 +278,43 @@ def test_both_class_routes_need_the_principal_up_sets(field):
                     except (HomMatrixSingularError, ResolutionTruncatedError):
                         missing = False
                     assert missing == bool(x.missing_projectives()), (name, kind, route, m.dims)
+
+
+# every builtin family that covers, on the small posets and grid(3, 3), with
+# whether it holds every hook as a member
+COVERING_FAMILIES = [
+    (p, x, {s.support for s in enumerate_spreads(p, "hooks")} <= {s.support for s in x.members})
+    for p in [p for _, p in generator_posets(max_n=5)] + [grid(3, 3)]
+    for x in [builtin_family(p, kind) for kind in BUILTIN_FAMILIES]
+    if not x.missing_projectives()
+]
+
+
+@settings(max_examples=8)
+@given(st.integers(0, 10_000))
+def test_a_class_recovers_dims_and_ranks_linearly(seed):
+    # the class c of M satisfies dim Hom(R, M) = Σ_j c_j dim Hom(R, R_j) for
+    # every member R; dim M_a is dim Hom(P_a, M) and rank M(a -> b) is
+    # dim Hom(P_a, M) - dim Hom(hook(a, b), M), so both are linear in c when
+    # the principal up-sets, and then the hooks, are members
+    field = PrimeField()
+    rng = random.Random(seed)
+    checked = 0
+    for p, x, holds_hooks in COVERING_FAMILIES:
+        m = random_module(p, field, rng)
+        try:
+            c = invariant_key("class", m, family=x).coeffs
+        except ResolutionTruncatedError:  # no class to read
+            continue
+        members = [spread_module(s, field) for s in x.members]
+        assert m.dims == tuple(sum(cj * r.dims[a] for cj, r in zip(c, members)) for a in range(p.n))
+        if holds_hooks:
+            ranks = [rank_invariant(r) for r in members]
+            assert rank_invariant(m) == {
+                ab: sum(cj * rank[ab] for cj, rank in zip(c, ranks)) for ab in ranks[0]
+            }
+        checked += 1
+    assert checked >= len(COVERING_FAMILIES) - 1
 
 # -- rank invariants -------------------------------------------------------
 

@@ -233,6 +233,23 @@ def test_map_along_a_long_chain(field):
     assert m.map_along(1, p.n - 1).tolist() == [[pow(2, p.n - 2, field.p)]]
 
 
+def test_map_along_one_cover_is_the_cover_map(field, monkeypatch):
+    # no product with the identity: the map along one cover is the cover map
+    # itself, and a chain of two covers takes one product
+    p = chain(3)
+    m = PersistenceModule(p, field, [2, 3, 1], {(0, 1): [[1, 2], [3, 4], [5, 6]], (1, 2): [[1, 1, 1]]})
+    calls = collections.Counter()
+    for name in ("matmul", "eye"):
+        def counted(self, *args, _name=name, _orig=getattr(PrimeField, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(PrimeField, name, counted)
+    assert m.map_along(0, 2).tolist() == [[9, 12]]
+    assert calls == {"matmul": 1}
+    assert m.map_along(0, 1) is m.maps[(0, 1)] and m.map_along(1, 2) is m.maps[(1, 2)]
+    assert calls == {"matmul": 1}
+
+
 def test_map_along_is_path_product(field, rng):
     p = funnel()
     for _ in range(10):
