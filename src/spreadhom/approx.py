@@ -5,6 +5,8 @@ pairwise non-isomorphic, which the minimality formula below relies on).
 Multiplicities of the minimal approximation of M are computed as
 dim Hom(R, M) minus the dimension of the span of all composites through the
 other members; representatives of a complement realize the approximation.
+They are kept as coordinates, the picked columns of each Hom(R, M), which
+fix the morphism ⊕ R -> M: no approximation builds a module or a morphism.
 
 The member Hom digraph is computed row by row, on first use, and kept
 sparse: row i holds the members j with Hom(R_i, R_j) != 0.  Two exact tests
@@ -30,7 +32,8 @@ Hom(R, M) it is all of it: the multiplicity is 0, and the blocks left are
 never evaluated.  Otherwise the representatives are the basis columns that
 leave the span, the pivots an rref of [radical | basis] would give.  This
 pick reads Hom(X, M) through its composites only (`_approximate`), so it
-runs in any coordinates.
+runs in any coordinates: `minimal_approximation` is the first stage of
+`resolve`, in the source coordinates of the Yoneda bases.
 
 X holds the projectives, so Hom(X, -) takes the minimal X-resolution of M
 to the minimal projective resolution of the End(X)-module Hom(X, M)
@@ -54,15 +57,9 @@ from .errors import (
     PosetMismatchError,
     SpreadHomError,
 )
-from .field import Matrix, PrimeField, Span, hstack
+from .field import Matrix, PrimeField, Span
 from .hom import spread_hom_components, yoneda_basis, yoneda_values
-from .modules import (
-    Morphism,
-    PersistenceModule,
-    direct_sum,
-    spread_module,
-    zero_module,
-)
+from .modules import PersistenceModule, spread_module
 from .poset import BUILTIN_FAMILIES, DEFAULT_CAP, Poset, enumerate_spreads, iter_mask, kahn_order
 
 DEFAULT_MAX_DEPTH = 32  # most terms one resolution computes before it is truncated
@@ -88,7 +85,6 @@ class Family:
             seen.add(s.support)
         self.members = members
         self._supports = frozenset(seen)
-        self._modules: dict[tuple[int, int], PersistenceModule] = {}  # (p, i) -> module
         self._rows: dict[int, dict[int, tuple[int, ...]]] = {}  # i -> `hom_row(i)`
         self._radical: dict[int, tuple[tuple[int, int], ...]] = {}  # i -> `radical_generators(i)`
         self._diagnostics: FamilyDiagnostics | None = None
@@ -106,15 +102,8 @@ class Family:
             if self.poset.up_mask(a) not in self._supports
         )
 
-    def member_module(self, i: int, field: PrimeField) -> PersistenceModule:
-        """The spread module of member i over `field`, built on first use."""
-        mod = self._modules.get((field.p, i))
-        if mod is None:
-            mod = self._modules[(field.p, i)] = spread_module(self.members[i], field)
-        return mod
-
     def member_modules(self, field: PrimeField) -> list[PersistenceModule]:
-        return [self.member_module(i, field) for i in range(len(self.members))]
+        return [spread_module(s, field) for s in self.members]
 
     def hom_row(self, i: int) -> dict[int, tuple[int, ...]]:
         """{j: `pair_hom(i, j)`} for each j with Hom(member_i, member_j) != 0, by j.
@@ -138,19 +127,21 @@ class Family:
         """Pairs (j, sources of member i in X) whose composites span rad(R_i, -).
 
         One pair per basis map R_i -> R_j (j != i), the indicator of a
-        component X; g∘h_X depends only on the pair, so each is kept once.  An
-        X that is the support of a third member is left out (see the module
-        docstring).  Field-free; derived from `hom_row(i)` on first use.
+        component X; g∘h_X depends only on the pair.  The components are
+        disjoint and each holds a source of member i, so no two basis maps
+        share a pair.  An X that is the support of a third member is left out
+        (see the module docstring).  Field-free; derived from `hom_row(i)` on
+        first use.
         """
         gens = self._radical.get(i)
         if gens is None:
             s, members, supports = self.members[i], self.members, self._supports
-            gens = self._radical[i] = tuple(dict.fromkeys(
+            gens = self._radical[i] = tuple(
                 (j, s.sources & comp)
                 for j, comps in self.hom_row(i).items() if j != i
                 for comp in comps
                 if comp not in supports or comp in (s.support, members[j].support)
-            ))
+            )
         return gens
 
     def pair_hom(self, i: int, j: int) -> tuple[int, ...]:
@@ -212,9 +203,12 @@ def check_family(x: Family) -> FamilyDiagnostics:
     return x._diagnostics
 
 
-def _require_coverage(x: Family):
+def _projectives(x: Family) -> list[int]:
+    """The member index of the principal up-set P_a, for each element a; refuses a family that lacks one."""
     if missing := x.missing_projectives():
         raise MissingProjectivesError(f"family lacks the principal up-sets at {{{', '.join(missing)}}}")
+    index_of = {s.support: i for i, s in enumerate(x.members)}
+    return [index_of[x.poset.up_mask(a)] for a in range(x.poset.n)]
 
 
 def _require_same_poset(x: Family, m: PersistenceModule):
@@ -231,34 +225,23 @@ def _member_homs(x: Family, m: PersistenceModule) -> dict[int, Matrix]:
     return {j: w for j, w in homs.items() if w.shape[1]}
 
 
-def _assemble(x: Family, m: PersistenceModule, coords) -> Morphism:
-    """The epimorphism ⊕_j R_j^{k_j} -> m with the k_j source-coordinate columns of coords[j]."""
-    field = m.field
-    summands = [x.member_module(j, field) for j, w in coords.items() for _ in range(w.shape[1])]
-    dom = direct_sum(summands) if summands else zero_module(m.poset, field)
-    comps = []
-    for a in range(m.poset.n):
-        blocks = [yoneda_values(x.members[j], m, w, a)
-                  for j, w in coords.items() if x.members[j].support >> a & 1]
-        comps.append(hstack(blocks) if blocks else field.zeros(m.dims[a], 0))
-    f = Morphism._build(dom, m, comps)
-    for a, (_, pivots) in enumerate(f.reduced()):
-        if len(pivots) != m.dims[a]:
-            raise SpreadHomError(f"approximation fails to be onto at {m.poset.label(a)}")
-    return f
-
-
 def minimal_approximation(x: Family, m: PersistenceModule):
-    """Multiplicity vector and morphism of the minimal right approximation.
+    """Multiplicity vector and picked maps of the minimal right approximation of m.
 
+    Returns (multiplicities, {i: the picked columns of the `yoneda_basis` of
+    Hom(R_i, m)}): one summand R_i per column, mapped to m by it.
     Multiplicity at member R is dim Hom(R,m) minus the rank of the span of
     composites R -> R' -> m over the other members R' (`_approximate`), in
-    the source coordinates ⊕_{a in sources(R)} m_a of Hom(R, m).
+    the source coordinates ⊕_{a in sources(R)} m_a of Hom(R, m).  The picks
+    are checked onto m by the kernel widths at the principal up-sets
+    (`_kernel_homs`), as in every stage of `resolve`.
     """
-    _require_coverage(x)
+    projectives = _projectives(x)
     homs = _member_homs(x, m)
-    picked = _approximate(x, m.field, _source_coordinates(x, m, homs))
-    return _multiplicities(x, picked), _assemble(x, m, {i: homs[i].columns(cols) for i, cols in picked.items()})
+    target = _source_coordinates(x, m, homs)
+    picked = _approximate(x, m.field, target)
+    _kernel_homs(x, m.field, target, picked, m.dims, projectives)
+    return _multiplicities(x, picked), {i: homs[i].columns(cols) for i, cols in picked.items()}
 
 
 def _multiplicities(x: Family, picked) -> tuple[int, ...]:
@@ -430,13 +413,11 @@ def resolve(x: Family, m: PersistenceModule, max_depth: int = DEFAULT_MAX_DEPTH)
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     _require_same_poset(x, m)
-    _require_coverage(x)
+    projectives = _projectives(x)
     if m.is_zero():
         return Resolution((), "finite")
     if not max_depth:
         return Resolution((), "truncated")
-    index_of = {s.support: i for i, s in enumerate(x.members)}
-    projectives = [index_of[x.poset.up_mask(a)] for a in range(x.poset.n)]
     target = _source_coordinates(x, m, _member_homs(x, m))
     dims = m.dims
     terms = []

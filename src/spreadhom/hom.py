@@ -204,13 +204,15 @@ def _subfunctor(m: PersistenceModule, bases, coords, what: str):
 def kernel_module(f: Morphism):
     """The kernel subfunctor of a morphism; returns (module, inclusion).
 
-    The kernel bases come from `f.reduced()`.  Each is the identity on its
-    free rows, so the coordinates of columns v in the basis at b are the free
-    rows of v; one product checks that v lies in the kernel's span.
+    The kernel bases come from one rref of each component.  Each is the
+    identity on its free rows, so the coordinates of columns v in the basis
+    at b are the free rows of v; one product checks that v lies in the
+    kernel's span.
     """
     field = f.source.field
-    bases = [field.kernel_of_rref(red, pivots) for red, pivots in f.reduced()]
-    free = [free_columns(red.shape[1], pivots) for red, pivots in f.reduced()]
+    reduced = [field.rref(c) for c in f.components]
+    bases = [field.kernel_of_rref(red, pivots) for red, pivots in reduced]
+    free = [free_columns(red.shape[1], pivots) for red, pivots in reduced]
 
     def coords(b, v):
         x = Matrix([v.rows[i] for i in free[b]], v.shape[1])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .approx import DEFAULT_MAX_DEPTH, Family, _member_homs, _require_coverage, builtin_family, check_family, resolve
+from .approx import DEFAULT_MAX_DEPTH, Family, _member_homs, _projectives, builtin_family, check_family, resolve
 from .errors import (
     DuplicateSpreadError,
     HomMatrixSingularError,
@@ -112,7 +112,7 @@ def class_via_hom_matrix(x: Family, m: PersistenceModule) -> GrothClass:
     acyclic member-to-member Hom digraph: the matrix is then unitriangular in
     a topological order and back-substitution is exact.
     """
-    _require_coverage(x)
+    _projectives(x)
     diag = check_family(x)
     if not diag.hom_acyclic:
         cycle = " -> ".join(x.members[i].render() for i in diag.hom_cycle)

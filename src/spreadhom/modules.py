@@ -161,14 +161,14 @@ class Morphism:
                     f"expected {(target.dims[a], source.dims[a])}"
                 )
             comps.append(c)
-        self.source, self.target, self.components, self._reduced = source, target, tuple(comps), None
+        self.source, self.target, self.components = source, target, tuple(comps)
         self._validate_naturality()
 
     @classmethod
     def _build(cls, source: PersistenceModule, target: PersistenceModule, components):
         """Reduced components of the right shapes, unchecked."""
         out = cls.__new__(cls)
-        out.source, out.target, out.components, out._reduced = source, target, tuple(components), None
+        out.source, out.target, out.components = source, target, tuple(components)
         return out
 
     def _validate_naturality(self):
@@ -181,12 +181,6 @@ class Morphism:
                     f"naturality fails on cover "
                     f"{self.source.poset.label(a)}->{self.source.poset.label(b)}"
                 )
-
-    def reduced(self) -> tuple[tuple[Matrix, tuple[int, ...]], ...]:
-        """(rref, pivot columns) of each component, by one elimination each on first use."""
-        if self._reduced is None:
-            self._reduced = tuple(map(self.source.field.rref, self.components))
-        return self._reduced
 
     def __matmul__(self, other: "Morphism") -> "Morphism":
         if other.target is not self.source and other.target != self.source:

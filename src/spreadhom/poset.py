@@ -231,9 +231,9 @@ class Poset:
         )
 
     def subset_mask(self, ids) -> int:
-        """Bitmask from element ids or labels (mixed is fine)."""
-        m = mask_of(self.element(x) if isinstance(x, str) else index(x) for x in ids)
-        if m & ~self.full_mask:
+        """Bitmask from a bitmask, or from element ids or labels (mixed is fine)."""
+        m = ids if isinstance(ids, int) else mask_of(self.element(x) if isinstance(x, str) else index(x) for x in ids)
+        if m & ~self.full_mask:  # a negative mask has every high bit set
             raise ValueError("subset contains out-of-range elements")
         return m
 
@@ -407,8 +407,7 @@ class Spread:
 
 def spread_from_antichains(p: Poset, sources, targets) -> Spread:
     """Build the spread [A, B] from antichains with A <= B."""
-    amask = sources if isinstance(sources, int) else p.subset_mask(sources)
-    bmask = targets if isinstance(targets, int) else p.subset_mask(targets)
+    amask, bmask = p.subset_mask(sources), p.subset_mask(targets)
     if amask == 0 or bmask == 0:
         raise NotAntichainError("source/target antichains must be nonempty")
     if not p.is_antichain(amask):
@@ -424,7 +423,7 @@ def spread_from_antichains(p: Poset, sources, targets) -> Spread:
 
 def spread_from_convex(p: Poset, subset) -> Spread:
     """Canonical spread presentation [min S, max S] of a convex subset S."""
-    mask = subset if isinstance(subset, int) else p.subset_mask(subset)
+    mask = p.subset_mask(subset)
     if mask == 0:
         raise NotConvexError("the empty subset is not a spread")
     if not p.is_convex(mask):

@@ -9,7 +9,8 @@ spread-level Hom routes (held against `hom_basis`, whose columns
 `hom_morphisms` reads back) are used by tests only.
 The module route keeps every approximation, kernel and inclusion of a
 resolution; it is the oracle of `resolve`, which keeps only the terms, and
-its steps give the connecting maps.
+its steps give the connecting maps.  Its approximations are the morphisms
+that `assemble` builds from the picks of `minimal_approximation`.
 The commutativity oracle checks every parent of c above a, for every
 a < c, where the validator checks one square per pair of parents of a
 join.  The limit and colimit oracle writes every equation out, at every
@@ -37,10 +38,11 @@ from spreadhom import (
     morphism_from_vec,
     spread_from_antichains,
     spread_module,
+    zero_module,
 )
-from spreadhom.approx import DEFAULT_MAX_DEPTH, _assemble, _member_homs
+from spreadhom.approx import DEFAULT_MAX_DEPTH, _member_homs
 from spreadhom.gallery import atilde5, crown, funnel, grid
-from spreadhom.field import Matrix
+from spreadhom.field import Matrix, hstack
 from spreadhom.hom import spread_hom_components, stacked_offsets, yoneda_basis, yoneda_values
 from spreadhom.poset import elements_of, iter_mask
 
@@ -223,10 +225,36 @@ def every_parent_failure(m):
 Step = namedtuple("Step", "approximation kernel inclusion")
 
 
+def assemble(x, m, coords):
+    """The epimorphism ⊕_j R_j^{k_j} -> m with the k_j source-coordinate columns of coords[j].
+
+    coords is what `minimal_approximation` returns beside the multiplicities;
+    each component of the morphism is checked onto by its rank.
+    """
+    field = m.field
+    summands = [spread_module(x.members[j], field) for j, w in coords.items() for _ in range(w.shape[1])]
+    dom = direct_sum(summands) if summands else zero_module(m.poset, field)
+    comps = []
+    for a in range(m.poset.n):
+        blocks = [yoneda_values(x.members[j], m, w, a)
+                  for j, w in coords.items() if x.members[j].support >> a & 1]
+        comps.append(hstack(blocks) if blocks else field.zeros(m.dims[a], 0))
+    for a, c in enumerate(comps):
+        if field.rank(c) != m.dims[a]:
+            raise SpreadHomError(f"approximation fails to be onto at {m.poset.label(a)}")
+    return Morphism._build(dom, m, comps)
+
+
+def approximation_morphism(x, m):
+    """The multiplicities of `minimal_approximation` and the morphism its picks fix."""
+    mult, coords = minimal_approximation(x, m)
+    return mult, assemble(x, m, coords)
+
+
 def module_route(x, m, max_depth=DEFAULT_MAX_DEPTH):
     """The resolution of m with every module and map kept: the oracle of `resolve`.
 
-    `minimal_approximation`, then `kernel_module`, until the kernel dies or
+    `approximation_morphism`, then `kernel_module`, until the kernel dies or
     depth runs out; each kernel of a truncated run is signed by a second
     `_member_homs`, and the first two kernels with equal signatures are the
     periodicity.  Returns ((terms, status, periodicity), steps), with one
@@ -235,7 +263,7 @@ def module_route(x, m, max_depth=DEFAULT_MAX_DEPTH):
     terms, steps = [], []
     current = m
     while not current.is_zero() and len(terms) < max_depth:
-        mult, f = minimal_approximation(x, current)
+        mult, f = approximation_morphism(x, current)
         current, incl = kernel_module(f)
         terms.append(mult)
         steps.append(Step(f, current, incl))
@@ -338,7 +366,8 @@ def full_row_minimal_approximation(x, m):
 
     One block per component of each `Family.hom_row`, none dropped or
     merged, as before `Family.radical_generators`.  A block is laid out in
-    the source coordinates of Hom(R_i, m) by `stacked_offsets`.
+    the source coordinates of Hom(R_i, m) by `stacked_offsets`.  Returns the
+    multiplicities and the picked columns of each Yoneda basis.
     """
     field = m.field
     homs = _member_homs(x, m)
@@ -362,7 +391,7 @@ def full_row_minimal_approximation(x, m):
         multiplicities[i] = len(cols)
         if cols:
             chosen[i] = w.columns(cols)
-    return tuple(multiplicities), _assemble(x, m, chosen)
+    return tuple(multiplicities), chosen
 
 
 def numpy_rref(a, p):

@@ -46,7 +46,14 @@ from spreadhom.hom import spread_hom_components
 from spreadhom.poset import iter_mask, kahn_order, mask_of
 from spreadhom.randmod import random_module
 
-from helpers import connecting, full_row_minimal_approximation, hom_morphisms, module_route
+from helpers import (
+    approximation_morphism,
+    assemble,
+    connecting,
+    full_row_minimal_approximation,
+    hom_morphisms,
+    module_route,
+)
 
 
 # -- family construction and diagnostics -------------------------------------
@@ -315,7 +322,7 @@ def test_minimal_approximation_factors_everything(field, rng):
     # a spread module as a target too, next to the random ones
     targets.append(spread_module(spread_from_antichains(p, ["00"], ["01", "10"]), field))
     for m in targets:
-        mult, f = minimal_approximation(x, m)
+        mult, f = approximation_morphism(x, m)
         # pointwise surjective
         for a in range(m.poset.n):
             assert field.rank(f.components[a]) == m.dims[a]
@@ -331,7 +338,7 @@ def test_minimal_approximation_of_member_is_itself(field):
     for fam in ("single_source", "hooks"):
         x = builtin_family(grid(2, 2), fam)
         for i, s in enumerate(x.members):
-            mult, f = minimal_approximation(x, spread_module(s, field))
+            mult, _ = minimal_approximation(x, spread_module(s, field))
             want = [0] * len(x)
             want[i] = 1
             assert mult == tuple(want), (fam, s.render())
@@ -361,7 +368,7 @@ def test_minimal_matches_greedy_oracle(field, rng):
         assert len(x) <= 13
         for _ in range(4):
             m = random_module(p, field, rng)
-            mult, f = minimal_approximation(x, m)
+            mult, f = approximation_morphism(x, m)
             assert mult == _greedy_minimal(x, m), (fam, m.dims)
             # domain multiplicities are what the vector says
             dom_dim = sum(
@@ -376,9 +383,11 @@ def _assert_matches_full_row_oracle(x, m, depth=3):
     for _ in range(depth):
         if m.is_zero():
             return
-        mult, f = minimal_approximation(x, m)
-        want_mult, want = full_row_minimal_approximation(x, m)
+        mult, coords = minimal_approximation(x, m)
+        want_mult, want_coords = full_row_minimal_approximation(x, m)
         assert mult == want_mult
+        assert coords == want_coords
+        f, want = assemble(x, m, coords), assemble(x, m, want_coords)
         assert f.source == want.source
         for got_c, want_c in zip(f.components, want.components):
             assert (got_c.shape, got_c.rows) == (want_c.shape, want_c.rows)
@@ -434,7 +443,8 @@ def test_minimal_approximation_matches_full_row_oracle_deep_in_a_periodic_resolu
 
 def test_radical_generators_drop_maps_through_a_third_member():
     # on grid(4, 4) the indicator of a member's support, between two other
-    # members, adds nothing; nor does a second component with the same sources
+    # members, adds nothing; no two components share their sources, since
+    # they are disjoint and each holds a source
     for kind, kept, total in (("intervals", 600, 1125), ("hooks", 800, 1775)):
         x = builtin_family(grid(4, 4), kind)
         rows = x.hom_rows()
@@ -638,28 +648,49 @@ def test_resolve_solves_the_homs_into_each_module_once(field, rng, monkeypatch):
         assert res.status == "finite" and res.depth >= 1 and calls == [m]
 
 
-def test_resolve_builds_no_module(field, rng, monkeypatch):
+def _refuse_module_building(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("resolve built a module")
+        raise AssertionError("a module or morphism was built")
 
+    for target, name in ((hom, "kernel_module"), (modules, "direct_sum"), (modules, "spread_module"),
+                         (approx, "spread_module"), (PersistenceModule, "__init__"),
+                         (PersistenceModule, "_build"), (Morphism, "_build")):
+        monkeypatch.setattr(target, name, refuse)
+
+
+def test_resolve_builds_no_module(field, rng, monkeypatch):
     cases = [(builtin_family(grid(4, 4), "hooks"), random_module(grid(4, 4), field, rng), 16)]
     p, x = atilde5_family()
     cases.append((x, spread_module(spread_from_antichains(p, ["1"], ["6"]), field), 8))
     want = [module_route(x, m, depth)[0] for x, m, depth in cases]
-    for target, name in ((approx, "_assemble"), (hom, "kernel_module"), (modules, "direct_sum"),
-                         (approx, "direct_sum"), (Family, "member_module"),
-                         (PersistenceModule, "__init__"), (PersistenceModule, "_build"), (Morphism, "_build")):
-        monkeypatch.setattr(target, name, refuse)
+    _refuse_module_building(monkeypatch)
     for (x, m, depth), (terms, status, periodicity) in zip(cases, want):
         res = resolve(x, m, depth)
         assert (res.terms, res.status, res.periodicity) == (terms, status, periodicity)
         assert res.depth >= 2
 
 
-@pytest.mark.parametrize("coordinates", ["_source_coordinates", "_indicator_coordinates"])
-def test_a_broken_composition_rule_fails_the_self_check(field, monkeypatch, coordinates):
+def test_minimal_approximation_builds_no_module(field, rng, monkeypatch):
+    # the picks are coordinates: no module, direct sum, spread module or morphism is built
+    cases = [(builtin_family(grid(4, 4), "hooks"), random_module(grid(4, 4), field, rng))]
+    p, x = atilde5_family()
+    cases.append((x, spread_module(spread_from_antichains(p, ["1"], ["6"]), field)))
+    want = [full_row_minimal_approximation(x, m) for x, m in cases]
+    _refuse_module_building(monkeypatch)
+    got = [minimal_approximation(x, m) for x, m in cases]
+    assert got == want
+    assert all(coords for _, coords in got)
+
+
+@pytest.mark.parametrize("coordinates, call", [
+    pytest.param("_source_coordinates", resolve, id="_source_coordinates"),
+    pytest.param("_indicator_coordinates", resolve, id="_indicator_coordinates"),
+    pytest.param("_source_coordinates", minimal_approximation, id="minimal_approximation"),
+])
+def test_a_broken_composition_rule_fails_the_self_check(field, monkeypatch, coordinates, call):
     # each composite read with its anchor shifted down one element: the kernel
-    # widths at the principal up-sets then miss dims(K), and resolve refuses
+    # widths at the principal up-sets then miss dims(K), and resolve refuses,
+    # as does minimal_approximation, whose one onto check is the same
     build = getattr(approx, coordinates)
 
     def shifted(*args):
@@ -670,4 +701,4 @@ def test_a_broken_composition_rule_fails_the_self_check(field, monkeypatch, coor
     p = grid(4, 4)
     m = random_module(p, field, random.Random(4))
     with pytest.raises(SpreadHomError, match="fails to be onto"):
-        resolve(builtin_family(p, "intervals"), m)
+        call(builtin_family(p, "intervals"), m)

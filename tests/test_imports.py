@@ -1,7 +1,8 @@
 """Every name a library module imports is read, there or by a module that imports it from there.
 
 The package exports exactly what it imports, imports only at module level,
-raises every error class it declares, and starts the CLI without `dataclasses`.
+raises every error class it declares, and starts the CLI without `dataclasses`;
+the approximations import nothing of the morphism layer.
 """
 
 import ast
@@ -116,6 +117,15 @@ def test_the_raise_check_sees_a_dead_error(tmp_path):
     (tmp_path / "a.py").write_text("from .errors import A, B, C\nraise A\n\n\ndef f():\n    raise B('x') from None\n")
     # C is imported but never raised
     assert unraised_errors(tmp_path) == ["C"]
+
+
+# the morphism layer: the test oracles build modules and morphisms from the
+# approximations' coordinates, and no approximation does
+MORPHISM_LAYER = {"Morphism", "direct_sum", "zero_module", "kernel_module", "morphism_from_vec"}
+
+
+def test_approximations_import_nothing_of_the_morphism_layer():
+    assert sorted(MORPHISM_LAYER & set(_imports(ast.parse((SRC / "approx.py").read_text())))) == []
 
 
 def test_library_modules_import_only_at_module_level():

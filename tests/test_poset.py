@@ -347,6 +347,17 @@ def test_spread_from_convex():
         spread_from_convex(p, ["00", "11"])
 
 
+@pytest.mark.parametrize("mask", [1 << 4, -1])
+def test_a_mask_outside_the_poset_is_refused_by_both_builders(mask):
+    # bit 4 is one past grid(2, 2), and -1 sets every bit
+    p = grid(2, 2)
+    assert p.subset_mask(0b1011) == 0b1011
+    for build in (lambda: spread_from_convex(p, mask), lambda: spread_from_antichains(p, 1, mask),
+                  lambda: spread_from_antichains(p, mask, 1 << 3), lambda: p.subset_mask(mask)):
+        with pytest.raises(ValueError, match="out-of-range elements"):
+            build()
+
+
 def test_spread_canonical_antichains():
     # a spread built from antichains equals the one rebuilt from its support
     for name, p in generator_posets(max_n=6):
