@@ -235,11 +235,7 @@ def main(argv=None) -> int:
             if not spec and option == wanted:
                 raise FileFormatError(f"kind {args.kind!r} needs --{option}")
         return args.fn(args)
-    except ResolutionTruncatedError as e:
-        partial = f"; partial terms: {[list(t) for t in e.terms]}" if e.terms else ""
-        print(f"undecided: {e}{partial}", file=sys.stderr)
-        return 2
-    except CapExceededError as e:
+    except (ResolutionTruncatedError, CapExceededError) as e:
         print(f"undecided: {e}", file=sys.stderr)
         return 2
     except NotTypeAError as e:

@@ -1,12 +1,14 @@
 """Exact linear algebra over a prime field F_p.
 
 Matrices are `Matrix` values: rows of Python ints reduced into [0, p), and
-the shape, so that a matrix with no rows still knows its columns.  Every
-matrix the library meets is small (at most a few hundred cells), where a
-loop over Python ints costs less than an array library's per-call overhead
-and needs no import.  All eliminations use Gauss-Jordan with first-nonzero
-pivoting, so every basis this module hands out is deterministic for a given
-input.
+the shape, so that a matrix with no rows still knows its columns.  Data from
+outside is reduced once, where it enters (`PrimeField.arr`, and through it
+the `PersistenceModule` constructor); every operation keeps entries in
+[0, p), so `rref` copies a `Matrix` without reducing it again.  Every matrix
+the library meets is small (at most a few hundred cells), where a loop over
+Python ints costs less than an array library's per-call overhead and needs
+no import.  All eliminations use Gauss-Jordan with first-nonzero pivoting,
+so every basis this module hands out is deterministic for a given input.
 """
 from __future__ import annotations
 
@@ -41,8 +43,10 @@ def free_columns(cols: int, pivots) -> list[int]:
 class Matrix:
     """A matrix over F_p: `rows`, lists of ints in [0, p), and its `shape`.
 
-    A Matrix is not changed once made: every operation returns a new one,
-    and two matrices may share rows.
+    The constructor checks nothing: whoever builds one keeps its entries in
+    [0, p), which `PrimeField.rref` relies on (`PrimeField.arr` reduces data
+    from outside).  A Matrix is not changed once made: every operation returns
+    a new one, and two matrices may share rows.
     """
 
     __slots__ = ("rows", "shape")
@@ -138,9 +142,12 @@ class PrimeField:
         """Reduced row echelon form and the tuple of pivot columns.
 
         Pivot choice: scan columns left to right, take the first row with a
-        nonzero entry at or below the working row.  The input is left alone.
+        nonzero entry at or below the working row.  The input is left alone:
+        a `Matrix` has its rows copied as they are, relying on its entries
+        lying in [0, p); anything else is reduced by `arr`.
         """
-        out = self.arr(m)  # fresh rows, eliminated in place
+        # fresh rows, eliminated in place
+        out = Matrix([list(row) for row in m.rows], m.shape[1]) if isinstance(m, Matrix) else self.arr(m)
         rows, cols = out.shape
         if not rows or not cols:
             return out, ()
@@ -149,20 +156,24 @@ class PrimeField:
         pivots = []
         r = 0
         for c in range(cols):
-            if r == rows:
-                break
-            i = next((i for i in range(r, rows) if a[i][c]), None)
-            if i is None:
+            for i in range(r, rows):
+                if a[i][c]:
+                    break
+            else:
                 continue
             a[r], a[i] = a[i], a[r]
-            inv = pow(a[r][c], -1, p)
-            row = a[r] = [x * inv % p for x in a[r]]
+            row = a[r]
+            if row[c] != 1:
+                inv = pow(row[c], -1, p)
+                row = a[r] = [x * inv % p for x in row]
             for k in range(rows):
                 f = a[k][c]
                 if f and k != r:
                     a[k] = [(x - f * y) % p for x, y in zip(a[k], row)]
             pivots.append(c)
             r += 1
+            if r == rows:
+                break
         return out, tuple(pivots)
 
     def rank(self, m) -> int:
@@ -181,8 +192,10 @@ class PrimeField:
 
         The basis is the identity on the free rows (the non-pivot columns).
         """
-        p = self.p
         cols = red.shape[1]
+        if len(pivots) == cols:  # trivial kernel
+            return Matrix([[] for _ in range(cols)], 0)
+        p = self.p
         free = free_columns(cols, pivots)
         basis = [[0] * len(free) for _ in range(cols)]
         for k, fc in enumerate(free):

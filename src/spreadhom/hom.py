@@ -71,7 +71,12 @@ def stacked_offsets(mask: int, n: PersistenceModule) -> tuple[dict[int, int], in
 
 
 def _placed(total: int, blocks) -> list[list[int]]:
-    """Rows of width total, zero but for each (column offset, matrix) block; the blocks share a height."""
+    """Rows of width total, zero but for each (column offset, matrix) block; the blocks share a height.
+
+    One block as wide as total is its own rows, shared, not copied.
+    """
+    if len(blocks) == 1 and blocks[0][1].shape[1] == total:
+        return blocks[0][1].rows
     out = []
     for i in range(blocks[0][1].shape[0]):
         row = [0] * total
@@ -131,11 +136,15 @@ def yoneda_basis(s: Spread, n: PersistenceModule) -> Matrix:
 
 
 def yoneda_values(s: Spread, n: PersistenceModule, w: Matrix, x: int) -> Matrix:
-    """Components at x in supp(s), pushed from its least source below x, of the columns of w."""
+    """Components at x in supp(s), pushed from its least source below x, of the columns of w.
+
+    At a source x itself that is the block of w at x, sharing its rows.
+    """
     offset = 0
     for a in iter_mask(s.sources):
         if s.poset.leq(a, x):
-            return n.field.matmul(n.map_along(a, x), Matrix(w.rows[offset:offset + n.dims[a]], w.shape[1]))
+            block = Matrix(w.rows[offset:offset + n.dims[a]], w.shape[1])
+            return block if a == x else n.field.matmul(n.map_along(a, x), block)
         offset += n.dims[a]
     raise ValueError(f"{s.poset.label(x)} lies above no source of the spread {s.render()}")
 

@@ -79,8 +79,11 @@ def class_via_resolution(x: Family, m: PersistenceModule, max_depth: int = DEFAU
     """Alternating sum of the terms of the minimal resolution; x must hold the principal up-sets."""
     res = resolve(x, m, max_depth)
     if res.status != "finite":
+        dims = {m.poset.label(a): d for a, d in enumerate(m.dims) if d}
+        terms = [{s.render(): c for s, c in zip(x.members, term) if c} for term in res.terms]
         raise ResolutionTruncatedError(
-            f"resolution of {m!r} did not terminate within depth {max_depth}",
+            f"resolution of the module with dims {dims} did not terminate within depth {max_depth}"
+            f"; partial terms: {terms}",
             terms=res.terms,
         )
     coeffs = [0] * len(x)

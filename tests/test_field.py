@@ -1,3 +1,4 @@
+import random
 import time
 
 import numpy as np
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spreadhom import PrimeField
-from spreadhom.field import Span
+from spreadhom import PersistenceModule, PrimeField, builtin_family, resolve
+from spreadhom.field import Matrix, Span
+from spreadhom.gallery import grid
+from spreadhom.randmod import random_module
 
-from helpers import numpy_rref, to_np
+from helpers import module_route, numpy_rref, to_np
 
 matrices = st.integers(1, 12).flatmap(
     lambda r: st.integers(1, 12).flatmap(
@@ -171,13 +174,31 @@ def prime_matrices(draw):
     return p, np.array(cells, dtype=np.int64).reshape(rows, cols)
 
 
+def _kernel_written_out(red, pivots, p):
+    """The canonical kernel basis of an rref: the identity on the free rows, the negated free entries of
+    each pivot row on its pivot's row."""
+    cols = red.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = [[int(c == fc) for fc in free] for c in range(cols)]
+    for row, pc in zip(red.rows, pivots):
+        basis[pc] = [-row[fc] % p for fc in free]
+    return Matrix(basis, len(free))
+
+
 @given(prime_matrices())
 def test_the_two_rref_loops_agree(pm):
-    # the Python loop of PrimeField.rref against the numpy reference loop
+    # the Python loop of PrimeField.rref against the numpy reference loop, on an array, which `arr`
+    # reduces, and on a Matrix, whose rows are copied as they are
     p, m = pm
     f = PrimeField(p)
     red, pivots = f.rref(m)
     assert red.shape == m.shape
+    given_matrix = f.arr(m)
+    before = given_matrix.tolist()
+    copied, copied_pivots = f.rref(given_matrix)
+    assert given_matrix.tolist() == before
+    assert not any(out is row for out in copied.rows for row in given_matrix.rows)
+    assert (copied, copied_pivots) == (red, pivots)
     if not m.size:  # returns at once
         assert pivots == ()
         return
@@ -186,7 +207,36 @@ def test_the_two_rref_loops_agree(pm):
     assert (red.shape, red.rows) == (wide.shape, wide.tolist())
     kernel = f.kernel_of_rref(red, pivots)
     assert kernel == f.kernel_of_rref(f.arr(wide), wide_pivots) == f.kernel_basis(m)
+    assert kernel == _kernel_written_out(red, pivots, p)
     assert not np.mod(m @ to_np(kernel), p).any()
+    # the pivot columns have full column rank: kernel_of_rref returns the (cols, 0) matrix at once
+    full = f.arr(m[:, list(pivots)])
+    full_red, full_pivots = f.rref(full)
+    assert full_pivots == tuple(range(len(pivots)))
+    full_kernel = f.kernel_of_rref(full_red, full_pivots)
+    assert full_kernel == _kernel_written_out(full_red, full_pivots, p) == Matrix([[]] * len(pivots), 0)
+
+
+def test_resolving_reduces_no_matrix_again(monkeypatch):
+    # data from outside is reduced where it enters: the module constructor reduces these maps, which
+    # are written with entries outside [0, p); after that the resolution never calls `arr`
+    p, field = grid(4, 4), PrimeField()
+    x = builtin_family(p, "hooks")
+    drawn = random_module(p, field, random.Random(3))
+    maps = {cover: [[v - field.p for v in row] for row in mat.rows] for cover, mat in drawn.maps.items()}
+    m = PersistenceModule(p, field, drawn.dims, maps)
+    assert m.maps == drawn.maps
+    want = module_route(x, m, 8)[0]
+    assert len(want[0]) > 1
+
+    def refuse(self, data):
+        raise AssertionError("PrimeField.arr reached")
+
+    monkeypatch.setattr(PrimeField, "arr", refuse)
+    with pytest.raises(AssertionError, match="arr reached"):
+        PersistenceModule(p, field, drawn.dims, maps)
+    res = resolve(x, m, 8)
+    assert (res.terms, res.status, res.periodicity) == want
 
 
 @given(prime_matrices(), st.data())

@@ -37,9 +37,10 @@ from spreadhom.gallery import (
     grid,
     equal_rank_pair,
 )
+from spreadhom.approx import BUILTIN_FAMILIES
 from spreadhom.field import Matrix
 from spreadhom.files import dump_module
-from spreadhom.hom import _subfunctor, agreement_system, yoneda_basis, yoneda_values
+from spreadhom.hom import _subfunctor, agreement_system, stacked_offsets, yoneda_basis, yoneda_values
 from spreadhom.poset import elements_of
 from spreadhom.randmod import random_module
 
@@ -262,6 +263,29 @@ def test_spread_level_solvers_refuse_a_module_over_another_poset(field):
     n = spread_module(spread_from_antichains(grid(2, 2), ["00"], ["00"]), field)
     assert n.poset is not s.poset
     assert yoneda_basis(s, n).shape == (1, 1)
+
+
+YONEDA_FAMILIES = [
+    x for p in [p for _, p in generator_posets(5)] + [grid(3, 3)] for kind in BUILTIN_FAMILIES
+    if not (x := builtin_family(p, kind)).missing_projectives()
+]
+
+
+@given(st.sampled_from(range(len(YONEDA_FAMILIES))), st.integers(0, 10_000))
+def test_yoneda_values_match_the_product_route(k, seed):
+    # at a source the values are the basis block itself, with no product by the identity, and a
+    # one-source basis is solved from the exit maps' own rows; both against the product with
+    # n(a -> x) at the least source a <= x, for every member, multi-source connected spreads included
+    x = YONEDA_FAMILIES[k]
+    field = PrimeField()
+    n = random_module(x.poset, field, random.Random(seed))
+    for s in x.members:
+        w = yoneda_basis(s, n)
+        offsets, _ = stacked_offsets(s.sources, n)
+        for e in elements_of(s.support):
+            a = next(a for a in elements_of(s.sources) if x.poset.leq(a, e))
+            block = Matrix(w.rows[offsets[a]:offsets[a] + n.dims[a]], w.shape[1])
+            assert yoneda_values(s, n, w, e) == field.matmul(n.map_along(a, e), block), (s.render(), e)
 
 
 def test_yoneda_values_refuses_an_element_above_no_source(field):

@@ -396,7 +396,9 @@ def test_cli_class_on_cyclic_family_reports_undecided(capsys):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("undecided: ")
-    assert "; partial terms: [[" in err
+    # the module by its labelled dims, each partial term by its spreads
+    assert err.startswith("undecided: resolution of the module with dims {'1': 1, '6': 1} did not terminate")
+    assert "; partial terms: [{'[{1,2},{4,6}]': 1}, " in err
 
 
 def test_cli_rejects_negative_max_depth(capsys):
