@@ -3,8 +3,8 @@
 Grothendieck-style classes relative to a family (two independent algorithms,
 one of which `class_route` picks), dim-hom vectors, the classical rank
 invariant (directly and from hook Hom spaces), generalized ranks over
-connected spreads, signed diagrams by back-substitution in the containment
-order, the type-A barcode, and comparison.
+connected spreads, signed diagrams, the type-A barcode, and comparison; each
+unitriangular integer system is solved in place, where its rows are stored.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from .errors import (
     NotTypeAError,
     PosetMismatchError,
     ResolutionTruncatedError,
-    SpreadHomError,
     UnknownInvariantError,
 )
 from .field import Matrix, hstack
@@ -95,34 +94,25 @@ def class_via_resolution(x: Family, m: PersistenceModule, max_depth: int = DEFAU
     return GrothClass(x.members, tuple(coeffs))
 
 
-def _back_substitute(b, rows, order) -> tuple[int, ...]:
-    """The exact integer c with Σ_{(j, w) in rows[i]} w · c_j = b_i for all i, re-checked.
-
-    Row i includes (i, 1); `order` visits each i after every other j it names.
-    """
-    c = [0] * len(b)
-    for i in order:
-        c[i] = b[i] - sum(w * c[j] for j, w in rows[i] if j != i)
-    if any(sum(w * c[j] for j, w in row) != bi for row, bi in zip(rows, b)):
-        raise SpreadHomError("back-substitution failed to verify")
-    return tuple(c)
-
-
 def class_via_hom_matrix(x: Family, m: PersistenceModule) -> GrothClass:
     """Solve dim Hom(R', m) = Σ_R c_R dim Hom(R', R) over the integers.
 
     Needs the principal up-sets in x (else a solution is no class) and an
     acyclic member-to-member Hom digraph: the matrix is then unitriangular in
-    a topological order and back-substitution is exact.
+    a topological order, solved in reverse along each `Family.hom_row`.
     """
     _projectives(x)
     diag = check_family(x)
     if not diag.hom_acyclic:
         cycle = " -> ".join(x.members[i].render() for i in diag.hom_cycle)
         raise HomMatrixSingularError(f"Hom digraph has a cycle: {cycle} -> ...")
-    rows = [[(j, len(comps)) for j, comps in row.items()] for row in x.hom_rows()]
-    c = _back_substitute(dim_hom_vector(x, m), rows, reversed(diag.topo_order))
-    return GrothClass(x.members, c)
+    b = dim_hom_vector(x, m)
+    c = {}  # member -> c, for each nonzero c; row i names no unsolved j != i
+    for i in reversed(diag.topo_order):
+        row = x.hom_row(i)
+        if ci := b[i] - sum(len(row[j]) * cj for j, cj in c.items() if j in row):
+            c[i] = ci
+    return GrothClass(x.members, tuple(c.get(i, 0) for i in range(len(x))))
 
 
 def class_route(x: Family) -> str:
@@ -165,12 +155,14 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
     one pulled back along m(x' -> x), so the relations span the same
     subspace as with every pair at every x.  The canonical map reads the
     limit at a target, pushed from a source below it (`yoneda_values`; any
-    pair will do, by connectedness).
+    pair will do, by connectedness).  It is 0, unsolved, when S ⊄ supp m.
     """
     if s.poset is not m.poset and s.poset != m.poset:
         raise PosetMismatchError("the spread and the module live over different posets")
     if not s.is_connected():
         raise NotConnectedError(f"spread {s.render()} has disconnected support")
+    if s.support & ~m.support_mask():
+        return 0
     field = m.field
     p = m.poset
     lim = field.kernel_basis(agreement_system(s, m))
@@ -199,16 +191,19 @@ def generalized_rank_vector(m: PersistenceModule, collection) -> tuple[int, ...]
 
 
 def signed_diagram(m: PersistenceModule, collection) -> GrothClass:
-    """The δ with rk(m, X) = Σ_{Y ⊇ X in the collection} δ(Y), largest X first."""
+    """The δ with rk(m, X) = Σ_{Y ⊇ X in the collection} δ(Y): 0 unless X ⊆ supp m, largest X first."""
     collection = tuple(collection)
     supports = [s.support for s in collection]
     if len(set(supports)) < len(supports):
         dup = next(s for i, s in enumerate(collection) if s.support in supports[:i])
         raise DuplicateSpreadError(f"spread {dup.render()} appears twice")
-    rows = [[(j, 1) for j, y in enumerate(supports) if x & y == x] for x in supports]
-    order = sorted(range(len(supports)), key=lambda i: -supports[i].bit_count())
-    coeffs = _back_substitute(generalized_rank_vector(m, collection), rows, order)
-    return GrothClass(collection, coeffs)
+    supp = m.support_mask()
+    inside = [(x, r) for x, r in zip(supports, generalized_rank_vector(m, collection)) if not x & ~supp]
+    delta = {}  # support -> δ, for each nonzero δ
+    for x, r in sorted(inside, key=lambda xr: -xr[0].bit_count()):
+        if d := r - sum(v for y, v in delta.items() if x & y == x):
+            delta[x] = d
+    return GrothClass(collection, tuple(delta.get(x, 0) for x in supports))
 
 
 def barcode(m: PersistenceModule, cap: int = DEFAULT_CAP) -> GrothClass:
@@ -262,5 +257,7 @@ def compare(kind: str, m: PersistenceModule, n: PersistenceModule, **options) ->
     """
     if m.poset != n.poset:
         raise PosetMismatchError("modules being compared live over different posets")
+    if options.get("collection") is not None:
+        options["collection"] = tuple(options["collection"])  # a generator would run dry on its second read
     same = invariant_key(kind, m, **options) == invariant_key(kind, n, **options)
     return "equal" if same else "distinguished"

@@ -102,6 +102,8 @@ class Poset:
         if len(set(names)) != n:
             raise ValueError("element labels must be distinct")
         for lbl in names:  # a module file's map key 'a->b' is split at its first '->' and each side stripped
+            if not isinstance(lbl, str):
+                raise ValueError(f"element label {lbl!r} is not a string")
             if "->" in lbl or lbl != lbl.strip():
                 raise ValueError(f"no map key can name label {lbl!r}: "
                                  "it holds '->' or starts or ends with whitespace")

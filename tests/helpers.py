@@ -16,7 +16,9 @@ a < c, where the validator checks one square per pair of parents of a
 join.  The limit and colimit oracle writes every equation out, at every
 element of the spread.  The approximation oracle is the earlier production
 route, kept to hold its replacement to the same bytes, and the numpy
-elimination at the end is the reference for `PrimeField.rref`.
+elimination at the end is the reference for `PrimeField.rref`.  The dense
+back-substitution, which re-checks every row, is the reference for the
+in-place solves of `class_via_hom_matrix` and `signed_diagram`.
 """
 
 import itertools
@@ -421,3 +423,16 @@ def numpy_rref(a, p):
         pivots.append(c)
         r += 1
     return a, tuple(pivots)
+
+
+def back_substitute(b, rows, order):
+    """The exact integer c with Σ_{(j, w) in rows[i]} w · c_j = b_i for all i, re-checked.
+
+    Row i includes (i, 1); `order` visits each i after every other j it names.
+    """
+    c = [0] * len(b)
+    for i in order:
+        c[i] = b[i] - sum(w * c[j] for j, w in rows[i] if j != i)
+    if any(sum(w * c[j] for j, w in row) != bi for row, bi in zip(rows, b)):
+        raise SpreadHomError("back-substitution failed to verify")
+    return tuple(c)

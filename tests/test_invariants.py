@@ -80,6 +80,7 @@ from spreadhom.randmod import base_change, random_module, random_spread_sum
 from helpers import (
     ORACLE_POSETS,
     ORACLE_SPREADS,
+    back_substitute,
     branching_vertex,
     principal_upsets_totally_ordered,
     rank_blind_pair,
@@ -667,6 +668,61 @@ def test_signed_diagram_matches_mobius_inversion(name, seed):
     assert signed_diagram(m, collection).coeffs == want
 
 
+def test_signed_diagram_solves_no_limit_outside_the_support(field, rng, monkeypatch):
+    # a spread not inside supp m has rank 0 and coefficient 0, read without
+    # its limit; every spread inside supp m is still solved
+    p = grid(3, 3)
+    spreads = enumerate_spreads(p, "connected_spreads")
+    row, column = spread_from_convex(p, ["00", "01", "02"]), spread_from_convex(p, ["01", "11"])
+    m = base_change(direct_sum([spread_module(row, field), spread_module(column, field)]), rng)
+    seen = []
+    solve = invariants.agreement_system
+
+    def record(s, mod):
+        seen.append(s.support)
+        return solve(s, mod)
+
+    monkeypatch.setattr(invariants, "agreement_system", record)
+    d = signed_diagram(m, spreads)
+    assert d.nonzero() == {row.render(): 1, column.render(): 1}
+    supp = m.support_mask()
+    assert sorted(seen) == [s.support for s in spreads if not s.support & ~supp]
+
+
+SOLVE_POSETS = dict(generator_posets(5), grid3x3=grid(3, 3))
+SOLVE_SPREADS = {k: enumerate_spreads(p, "connected_spreads") for k, p in SOLVE_POSETS.items()}
+SOLVE_FAMILIES = {  # every builtin family that covers its poset and has an acyclic Hom digraph
+    name: [x for kind in BUILTIN_FAMILIES
+           if not (x := builtin_family(p, kind)).missing_projectives() and check_family(x).hom_acyclic]
+    for name, p in SOLVE_POSETS.items()
+}
+
+
+@given(st.sampled_from(sorted(SOLVE_POSETS)), st.sampled_from(["zero", "spread", "random"]), st.integers(0, 10_000))
+def test_class_and_diagram_match_the_dense_back_substitution(name, shape, seed):
+    # the in-place solves against the dense solver that re-checks every row:
+    # the class over a random such family, the diagram over a random
+    # duplicate-free sub-collection of the connected spreads, maybe empty
+    field = PrimeField()
+    rng = random.Random(seed)
+    p, spreads, x = SOLVE_POSETS[name], SOLVE_SPREADS[name], rng.choice(SOLVE_FAMILIES[name])
+    if shape == "zero":
+        m = zero_module(p, field)
+    elif shape == "spread":
+        m = spread_module(rng.choice([s for s in spreads if s.support != p.full_mask] or spreads), field)
+    else:
+        m = random_module(p, field, rng)
+    rows = [[(j, len(comps)) for j, comps in row.items()] for row in x.hom_rows()]
+    want = back_substitute(dim_hom_vector(x, m), rows, reversed(check_family(x).topo_order))
+    assert class_via_hom_matrix(x, m).coeffs == want
+    collection = rng.sample(spreads, rng.randint(0, len(spreads)))
+    supports = [s.support for s in collection]
+    rows = [[(j, 1) for j, b in enumerate(supports) if a & b == a] for a in supports]
+    order = sorted(range(len(supports)), key=lambda i: -supports[i].bit_count())
+    want = back_substitute(generalized_rank_vector(m, collection), rows, order)
+    assert signed_diagram(m, collection).coeffs == want
+
+
 def test_grid2x3_diagram_collision(field):
     g = grid23_diagram_modules(field)
     collection = enumerate_spreads(g["poset"], "connected_spreads")
@@ -826,6 +882,14 @@ def test_invariant_key_is_the_value_compare_tests(field):
             invariant_key(kind, m)
     with pytest.raises(UnknownInvariantError):
         invariant_key("frobnicate", m)
+
+
+def test_compare_reads_a_one_use_collection_once(field):
+    # invariant_key runs once per module: a generator must not be read dry by the first
+    p, m, _ = equal_rank_pair(field)
+    for kind in ("genrank", "diagram"):
+        collection = (s for s in enumerate_spreads(p, "connected_spreads"))
+        assert compare(kind, m, m, collection=collection) == "equal", kind
 
 
 def test_compare_class_falls_back_to_resolution(field):

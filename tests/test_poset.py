@@ -72,6 +72,12 @@ def test_bad_labels_rejected():
         Poset(2, [(0, 3)])
 
 
+def test_a_label_that_is_no_string_is_refused():
+    # refused by name, like every other bad label, not by a TypeError from the '->' test
+    with pytest.raises(ValueError, match=r"element label 1 is not a string"):
+        Poset(2, [(0, 1)], [1, 2])
+
+
 def test_empty_and_singleton():
     p0 = Poset(0, [])
     assert p0.n == 0
