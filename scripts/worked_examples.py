@@ -22,7 +22,6 @@ from spreadhom import (
     class_via_hom_matrix,
     compare,
     direct_sum,
-    enumerate_spreads,
     hom_dim,
     rank_invariant,
     resolve,
@@ -78,9 +77,10 @@ def main():
     xdim = x_dimension(x, mprime)
     print(f"  minimal interval resolution of M' ({res.status}, x-dimension {xdim}):")
     show_terms(x, res)
-    spreads = enumerate_spreads(p, "connected_spreads")
+    spreads = builtin_family(p, "connected_spreads")
+    families = {"genrank": spreads, "diagram": spreads, "dimhom": x, "class": x}
     for kind in ("dimvec", "rank", "genrank", "diagram", "dimhom", "class"):
-        verdict = compare(kind, m, mprime, family=x, collection=spreads)
+        verdict = compare(kind, m, mprime, family=families.get(kind))
         print(f"  compare {kind:8s}: {verdict}")
 
     heading("A family whose Hom digraph has a cycle")
@@ -101,10 +101,10 @@ def main():
 
     heading("Signed diagram over all connected spreads (2x3 grid)")
     g = grid23_diagram_modules(FIELD)
-    collection = enumerate_spreads(g["poset"], "connected_spreads")
-    d = signed_diagram(g["m"], collection)
+    spreads = builtin_family(g["poset"], "connected_spreads")
+    d = signed_diagram(g["m"], spreads)
     print(f"  delta(M) = {d.render()}")
-    dn, dl = signed_diagram(g["n"], collection), signed_diagram(g["l"], collection)
+    dn, dl = signed_diagram(g["n"], spreads), signed_diagram(g["l"], spreads)
     print(f"  delta(N) == delta(L): {dn.coeffs == dl.coeffs}  "
           "(same diagram, non-isomorphic modules)")
     print(f"  witness X separates them: dim Hom(X, N) = {hom_dim(g['x'], g['n'])}, "

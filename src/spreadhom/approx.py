@@ -66,7 +66,7 @@ DEFAULT_MAX_DEPTH = 32  # most terms one resolution computes before it is trunca
 
 
 class Family:
-    """An ordered set of pairwise-distinct connected spreads over one poset.
+    """An ordered set of pairwise-distinct connected spreads over one poset, checked here once.
 
     Coverage and the Hom digraph are derived from the members.
     """

@@ -83,8 +83,7 @@ def cmd_invariant(args) -> int:
     if kind == "barcode":
         value = barcode(module, args.cap)
     elif kind != "resolve":
-        value = invariant_key(kind, module, family=family, max_depth=args.max_depth,
-                              collection=None if family is None else family.members)
+        value = invariant_key(kind, module, family=family, max_depth=args.max_depth)
 
     if kind == "dimvec":
         dims = {poset.label(a): int(d) for a, d in enumerate(value)}
@@ -152,9 +151,7 @@ def cmd_compare(args) -> int:
             m = modules[path]
             if m.poset not in families:
                 families[m.poset] = _family(args, m.poset)
-            fam = families[m.poset]
-            keys[path] = invariant_key(args.kind, m, family=fam, max_depth=args.max_depth,
-                                       collection=None if fam is None else fam.members)
+            keys[path] = invariant_key(args.kind, m, family=families[m.poset], max_depth=args.max_depth)
         return keys[path]
 
     for path_a, path_b in pairs:

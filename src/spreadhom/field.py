@@ -4,11 +4,12 @@ Matrices are `Matrix` values: rows of Python ints reduced into [0, p), and
 the shape, so that a matrix with no rows still knows its columns.  Data from
 outside is reduced once, where it enters (`PrimeField.arr`, and through it
 the `PersistenceModule` constructor); every operation keeps entries in
-[0, p), so `rref` copies a `Matrix` without reducing it again.  Every matrix
-the library meets is small (at most a few hundred cells), where a loop over
-Python ints costs less than an array library's per-call overhead and needs
-no import.  All eliminations use Gauss-Jordan with first-nonzero pivoting,
-so every basis this module hands out is deterministic for a given input.
+[0, p), so `rref` copies a `Matrix` without reducing it again.  Spread Hom
+spaces and resolutions meet small matrices, where a loop over Python ints
+costs less than an array library's per-call overhead and needs no import;
+a module file may hold up to `files.MAX_DENSE_CELLS` (10**7) cells.  All
+eliminations use Gauss-Jordan with first-nonzero pivoting, so every basis
+this module hands out is deterministic for a given input.
 """
 from __future__ import annotations
 

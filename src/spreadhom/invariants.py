@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .approx import DEFAULT_MAX_DEPTH, Family, _member_homs, _projectives, builtin_family, check_family, resolve
+from .approx import (DEFAULT_MAX_DEPTH, Family, _member_homs, _projectives, _require_same_poset,
+                     builtin_family, check_family, resolve)
 from .errors import (
-    DuplicateSpreadError,
     HomMatrixSingularError,
     NotConnectedError,
     NotTypeAError,
@@ -124,9 +124,9 @@ def class_route(x: Family) -> str:
 
 
 def rank_invariant(m: PersistenceModule) -> dict[tuple[int, int], int]:
-    """{(a, b): rank m(a -> b)} over all comparable pairs a <= b."""
+    """{(a, b): rank m(a -> b)} over all comparable pairs a <= b; m(a -> a) is the identity."""
     return {
-        (a, b): m.field.rank(m.map_along(a, b))
+        (a, b): m.dims[a] if a == b else m.field.rank(m.map_along(a, b))
         for a, b in m.poset.comparable_pairs()
     }
 
@@ -148,6 +148,19 @@ def rank_via_hooks(m: PersistenceModule) -> dict[tuple[int, int], int]:
 def generalized_rank(m: PersistenceModule, s: Spread) -> int:
     """Rank of the canonical map from the limit to the colimit of m over the spread.
 
+    The checked entry for one spread (`_limit_to_colimit_rank` solves it): it
+    refuses a spread over another poset or with disconnected support.
+    """
+    if s.poset is not m.poset and s.poset != m.poset:
+        raise PosetMismatchError("the spread and the module live over different posets")
+    if not s.is_connected():
+        raise NotConnectedError(f"spread {s.render()} has disconnected support")
+    return _limit_to_colimit_rank(m, s, m.support_mask())
+
+
+def _limit_to_colimit_rank(m: PersistenceModule, s: Spread, supp: int) -> int:
+    """Rank of the canonical map from the limit to the colimit of m over a connected spread, unchecked.
+
     The limit is the kernel of the agreement system in ⊕_{a ∈ min S} m_a.  The
     colimit is ⊕_{b ∈ max S} m_b modulo m(x -> b) w - m(x -> c) w, written
     once for each pair of targets b, c and each maximal x of
@@ -155,13 +168,10 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
     one pulled back along m(x' -> x), so the relations span the same
     subspace as with every pair at every x.  The canonical map reads the
     limit at a target, pushed from a source below it (`yoneda_values`; any
-    pair will do, by connectedness).  It is 0, unsolved, when S ⊄ supp m.
+    pair will do, by connectedness).  It is 0, unsolved, when S ⊄ supp, the
+    support of m.
     """
-    if s.poset is not m.poset and s.poset != m.poset:
-        raise PosetMismatchError("the spread and the module live over different posets")
-    if not s.is_connected():
-        raise NotConnectedError(f"spread {s.render()} has disconnected support")
-    if s.support & ~m.support_mask():
+    if s.support & ~supp:
         return 0
     field = m.field
     p = m.poset
@@ -186,24 +196,20 @@ def generalized_rank(m: PersistenceModule, s: Spread) -> int:
     return sum(j >= rel.shape[1] for j in pivots)
 
 
-def generalized_rank_vector(m: PersistenceModule, collection) -> tuple[int, ...]:
-    return tuple(generalized_rank(m, s) for s in collection)
-
-
-def signed_diagram(m: PersistenceModule, collection) -> GrothClass:
-    """The δ with rk(m, X) = Σ_{Y ⊇ X in the collection} δ(Y): 0 unless X ⊆ supp m, largest X first."""
-    collection = tuple(collection)
-    supports = [s.support for s in collection]
-    if len(set(supports)) < len(supports):
-        dup = next(s for i, s in enumerate(collection) if s.support in supports[:i])
-        raise DuplicateSpreadError(f"spread {dup.render()} appears twice")
+def generalized_rank_vector(m: PersistenceModule, x: Family) -> tuple[int, ...]:
+    """The generalized rank of m over each member of x, whose members were checked where x was built."""
+    _require_same_poset(x, m)
     supp = m.support_mask()
-    inside = [(x, r) for x, r in zip(supports, generalized_rank_vector(m, collection)) if not x & ~supp]
+    return tuple(_limit_to_colimit_rank(m, s, supp) for s in x.members)
+
+
+def signed_diagram(m: PersistenceModule, x: Family) -> GrothClass:
+    """The δ with rk(m, X) = Σ_{Y ⊇ X in x} δ(Y): 0 unless X ⊆ supp m, largest X first."""
     delta = {}  # support -> δ, for each nonzero δ
-    for x, r in sorted(inside, key=lambda xr: -xr[0].bit_count()):
-        if d := r - sum(v for y, v in delta.items() if x & y == x):
-            delta[x] = d
-    return GrothClass(collection, tuple(delta.get(x, 0) for x in supports))
+    for s, r in sorted(zip(x.members, generalized_rank_vector(m, x)), key=lambda sr: -sr[0].support.bit_count()):
+        if d := r - sum(v for y, v in delta.items() if s.support & y == s.support):
+            delta[s.support] = d
+    return GrothClass(x.members, tuple(delta.get(s.support, 0) for s in x.members))
 
 
 def barcode(m: PersistenceModule, cap: int = DEFAULT_CAP) -> GrothClass:
@@ -219,17 +225,15 @@ def barcode(m: PersistenceModule, cap: int = DEFAULT_CAP) -> GrothClass:
 
 
 def invariant_key(kind: str, m: PersistenceModule, *, family: Family | None = None,
-                  collection=None, max_depth: int = DEFAULT_MAX_DEPTH):
+                  max_depth: int = DEFAULT_MAX_DEPTH):
     """The value of the named invariant of m that `compare` tests for equality.
 
-    kind: dimvec | rank | class | dimhom | genrank | diagram.  class and
-    dimhom need family=, genrank and diagram need collection=.  A class is
-    read by the route that `class_route` names.
+    kind: dimvec | rank | class | dimhom | genrank | diagram.  Every kind but
+    dimvec and rank is taken over family=.  A class is read by the route that
+    `class_route` names.
     """
-    if kind in ("class", "dimhom") and family is None:
+    if kind in ("class", "dimhom", "genrank", "diagram") and family is None:
         raise ValueError(f"kind {kind!r} needs family=")
-    if kind in ("genrank", "diagram") and collection is None:
-        raise ValueError(f"kind {kind!r} needs collection=")
     if kind == "dimvec":
         return m.dims
     if kind == "rank":
@@ -241,9 +245,9 @@ def invariant_key(kind: str, m: PersistenceModule, *, family: Family | None = No
     if kind == "dimhom":
         return dim_hom_vector(family, m)
     if kind == "genrank":
-        return generalized_rank_vector(m, collection)
+        return generalized_rank_vector(m, family)
     if kind == "diagram":
-        return signed_diagram(m, collection)
+        return signed_diagram(m, family)
     raise UnknownInvariantError(
         f"unknown invariant {kind!r}; expected one of {COMPARE_KINDS}"
     )
@@ -252,12 +256,9 @@ def invariant_key(kind: str, m: PersistenceModule, *, family: Family | None = No
 def compare(kind: str, m: PersistenceModule, n: PersistenceModule, **options) -> str:
     """'equal' or 'distinguished' under the named invariant.
 
-    The options (family=, collection=, max_depth=) are those of
-    `invariant_key`.
+    The options (family=, max_depth=) are those of `invariant_key`.
     """
     if m.poset != n.poset:
         raise PosetMismatchError("modules being compared live over different posets")
-    if options.get("collection") is not None:
-        options["collection"] = tuple(options["collection"])  # a generator would run dry on its second read
     same = invariant_key(kind, m, **options) == invariant_key(kind, n, **options)
     return "equal" if same else "distinguished"

@@ -107,7 +107,7 @@ class PersistenceModule:
             p = next(q for q in self.poset.parents(b) if self.poset.leq(a, q))
             path.append((p, b))
             b = p
-        out = self._along.get((a, b))
+        out = None if b == a else self._along[(a, b)]  # a cached identity at a is never multiplied
         if out is None:
             if not path:
                 out = self._along[(a, a)] = self.field.eye(self.dims[a])

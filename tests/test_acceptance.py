@@ -229,13 +229,13 @@ def test_criterion_05_single_source_classes_refine_rank(capsys):
 def test_criterion_06_grid2x3_signed_diagram(capsys):
     t0 = time.perf_counter()
     g = grid23_diagram_modules(FIELD)
-    collection = enumerate_spreads(g["poset"], "connected_spreads")
-    d = signed_diagram(g["m"], collection)
+    spreads = builtin_family(g["poset"], "connected_spreads")
+    d = signed_diagram(g["m"], spreads)
     got = d.nonzero()
     want = {"[12,12]": 1, "[11,{12,21}]": -1, "[11,{13,21}]": 1, "[11,22]": 1}
     diagram_ok = got == want
-    dn = signed_diagram(g["n"], collection)
-    dl = signed_diagram(g["l"], collection)
+    dn = signed_diagram(g["n"], spreads)
+    dl = signed_diagram(g["l"], spreads)
     collide_ok = dn.coeffs == dl.coeffs
     hom_ok = hom_dim(g["x"], g["n"]) == 1 and hom_dim(g["x"], g["l"]) == 0
     ok = diagram_ok and collide_ok and hom_ok
@@ -352,14 +352,14 @@ def test_criterion_10_property_suites(capsys):
 
     # containment Möbius inversion round trip
     for q in (grid(2, 2), grid(2, 3)):
-        collection = enumerate_spreads(q, "connected_spreads")
+        spreads = builtin_family(q, "connected_spreads")
         for _ in range(5):
             m = random_module(q, FIELD, rng)
-            d = signed_diagram(m, collection)
-            for s in collection:
+            d = signed_diagram(m, spreads)
+            for s in spreads.members:
                 back = sum(
                     c
-                    for t, c in zip(collection, d.coeffs)
+                    for t, c in zip(spreads.members, d.coeffs)
                     if s.support | t.support == t.support
                 )
                 if back != generalized_rank(m, s):

@@ -362,7 +362,7 @@ def _label_values(x, m, depth):
         cls = by_label(c.spreads, c.coeffs)
     except ResolutionTruncatedError:
         cls = None
-    diagram = signed_diagram(m, x.members)
+    diagram = signed_diagram(m, x)
     return ([by_label(x.members, t) for t in res.terms], res.status, res.periodicity, cls,
             by_label(diagram.spreads, diagram.coeffs))
 
@@ -476,6 +476,16 @@ def test_rank_via_hooks_matches_linear_algebra(field, rng):
         for _ in range(8):
             m = random_module(p, field, rng)
             assert rank_via_hooks(m) == rank_invariant(m)
+
+
+def test_rank_invariant_eliminates_no_identity(field, monkeypatch):
+    # rank m(a -> a) is dim m_a: on chain(2) only the cover map is eliminated
+    m = PersistenceModule(chain(2), field, [2, 3], {(0, 1): [[1, 2], [3, 4], [5, 6]]})
+    shapes = []
+    rref = PrimeField.rref
+    monkeypatch.setattr(PrimeField, "rref", lambda self, a: shapes.append(a.shape) or rref(self, a))
+    assert rank_invariant(m) == {(0, 0): 2, (0, 1): 2, (1, 1): 3}
+    assert shapes == [(3, 2)]
 
 
 def test_rank_monotone_and_submultiplicative(field, rng):
@@ -602,52 +612,78 @@ def test_generalized_rank_additive(field, rng):
         ) + generalized_rank(n, s)
 
 
+@given(st.sampled_from(sorted(GENRANK_POSETS)), st.sampled_from(["zero", "spreads", "random"]), st.integers(0, 10_000))
+def test_generalized_rank_vector_is_the_rank_of_each_member(name, shape, seed):
+    # the vector reads a member outside supp m as 0 and solves the rest
+    # unchecked; each entry is the checked rank of that one spread
+    field = PrimeField()
+    rng = random.Random(seed)
+    p, spreads = GENRANK_POSETS[name], GENRANK_SPREADS[name]
+    if shape == "zero":
+        m = zero_module(p, field)
+    elif shape == "spreads":  # the full spread, at least, lies outside supp m
+        proper = [s for s in spreads if s.support != p.full_mask]
+        m = base_change(direct_sum([spread_module(rng.choice(proper), field) for _ in range(rng.randint(1, 2))]), rng)
+    else:
+        m = random_module(p, field, rng, spreads)
+    x = Family(p, rng.sample(spreads, rng.randint(0, len(spreads))))
+    assert generalized_rank_vector(m, x) == tuple(generalized_rank(m, s) for s in x.members)
+
+
 # -- signed diagrams ---------------------------------------------------
 
 
 def test_signed_diagram_of_collection_member_sum(field):
     p = grid(2, 2)
-    collection = enumerate_spreads(p, "connected_spreads")
+    x = builtin_family(p, "connected_spreads")
+    members = x.members
     m = direct_sum([
-        spread_module(collection[0], field),
-        spread_module(collection[0], field),
-        spread_module(collection[3], field),
+        spread_module(members[0], field),
+        spread_module(members[0], field),
+        spread_module(members[3], field),
     ])
-    d = signed_diagram(m, collection)
-    want = {collection[0].render(): 2, collection[3].render(): 1}
+    d = signed_diagram(m, x)
+    want = {members[0].render(): 2, members[3].render(): 1}
     assert d.nonzero() == want
 
 
 def test_signed_diagram_inverts_generalized_rank(field, rng):
     # Möbius round trip: summing the diagram over supersets returns the rank
     p = grid(2, 2)
-    collection = enumerate_spreads(p, "connected_spreads")
+    x = builtin_family(p, "connected_spreads")
     for _ in range(4):
         m = random_module(p, field, rng)
-        ranks = generalized_rank_vector(m, collection)
-        d = signed_diagram(m, collection)
-        for i, s in enumerate(collection):
+        ranks = generalized_rank_vector(m, x)
+        d = signed_diagram(m, x)
+        for i, s in enumerate(x.members):
             back = sum(
-                c for t, c in zip(collection, d.coeffs)
+                c for t, c in zip(x.members, d.coeffs)
                 if s.support | t.support == t.support
             )
             assert back == ranks[i], s.render()
 
 
 def test_signed_diagram_duplicate_collection(field):
+    # a diagram is taken over a Family, which refuses a bad collection where
+    # it is built; the diagram itself refuses only a Family over another poset
     p = grid(2, 2)
     m = zero_module(p, field)
     s = spread_from_convex(p, ["00"])
     with pytest.raises(DuplicateSpreadError, match=r"spread \[00,00\] appears twice"):
-        signed_diagram(m, [s, s])
-    # the duplicate is reported before any generalized rank rejects a spread
+        Family(p, [s, s])
+    # the members are refused in order: a repeat before a later disconnected
+    # member, a disconnected member before its own repeat
     tops = mask_of([p.element("01"), p.element("10")])
     disconnected = Spread(p, tops, tops, tops)
     with pytest.raises(DuplicateSpreadError):
-        signed_diagram(m, [disconnected, s, disconnected])
+        Family(p, [s, s, disconnected])
+    with pytest.raises(NotConnectedError):
+        Family(p, [disconnected, s, disconnected])
     with pytest.raises(PosetMismatchError):
-        signed_diagram(m, [s, spread_from_antichains(chain(4), ["1"], ["4"])])
-    assert signed_diagram(m, []).coeffs == ()
+        Family(p, [s, spread_from_antichains(chain(4), ["1"], ["4"])])
+    with pytest.raises(PosetMismatchError):
+        signed_diagram(m, builtin_family(chain(4), "connected_spreads"))
+    assert signed_diagram(m, Family(p, [])).coeffs == ()
 
 
 @given(st.sampled_from(sorted(GENRANK_POSETS)), st.integers(0, 10_000))
@@ -657,22 +693,23 @@ def test_signed_diagram_matches_mobius_inversion(name, seed):
     field = PrimeField()
     rng = random.Random(seed)
     spreads = GENRANK_SPREADS[name]
-    m = random_module(GENRANK_POSETS[name], field, rng, spreads)
-    collection = rng.sample(spreads, rng.randint(0, len(spreads)))
-    ranks = generalized_rank_vector(m, collection)
-    q = containment_poset(collection)
+    p = GENRANK_POSETS[name]
+    m = random_module(p, field, rng, spreads)
+    x = Family(p, rng.sample(spreads, rng.randint(0, len(spreads))))
+    ranks = generalized_rank_vector(m, x)
+    q = containment_poset(x.members)
     want = tuple(
         sum(q.mobius(i, j) * ranks[j] for j in elements_of(q.up_mask(i)))
-        for i in range(len(collection))
+        for i in range(len(x))
     )
-    assert signed_diagram(m, collection).coeffs == want
+    assert signed_diagram(m, x).coeffs == want
 
 
 def test_signed_diagram_solves_no_limit_outside_the_support(field, rng, monkeypatch):
     # a spread not inside supp m has rank 0 and coefficient 0, read without
     # its limit; every spread inside supp m is still solved
     p = grid(3, 3)
-    spreads = enumerate_spreads(p, "connected_spreads")
+    x = builtin_family(p, "connected_spreads")
     row, column = spread_from_convex(p, ["00", "01", "02"]), spread_from_convex(p, ["01", "11"])
     m = base_change(direct_sum([spread_module(row, field), spread_module(column, field)]), rng)
     seen = []
@@ -683,10 +720,25 @@ def test_signed_diagram_solves_no_limit_outside_the_support(field, rng, monkeypa
         return solve(s, mod)
 
     monkeypatch.setattr(invariants, "agreement_system", record)
-    d = signed_diagram(m, spreads)
+    d = signed_diagram(m, x)
     assert d.nonzero() == {row.render(): 1, column.render(): 1}
     supp = m.support_mask()
-    assert sorted(seen) == [s.support for s in spreads if not s.support & ~supp]
+    assert sorted(seen) == [s.support for s in x.members if not s.support & ~supp]
+
+
+def test_a_diagram_over_a_family_tests_no_connectivity(field, rng, monkeypatch):
+    # the members were checked where the Family was built; only the checked
+    # single-spread entry tests a spread again
+    p = grid(3, 3)
+    x = builtin_family(p, "connected_spreads")
+    m = random_module(p, field, rng)
+    tested = []
+    is_connected = Poset.is_connected
+    monkeypatch.setattr(Poset, "is_connected", lambda self, mask: tested.append(mask) or is_connected(self, mask))
+    assert any(signed_diagram(m, x).coeffs)
+    assert tested == []
+    generalized_rank(m, x.members[0])
+    assert tested == [x.members[0].support]
 
 
 SOLVE_POSETS = dict(generator_posets(5), grid3x3=grid(3, 3))
@@ -715,19 +767,19 @@ def test_class_and_diagram_match_the_dense_back_substitution(name, shape, seed):
     rows = [[(j, len(comps)) for j, comps in row.items()] for row in x.hom_rows()]
     want = back_substitute(dim_hom_vector(x, m), rows, reversed(check_family(x).topo_order))
     assert class_via_hom_matrix(x, m).coeffs == want
-    collection = rng.sample(spreads, rng.randint(0, len(spreads)))
-    supports = [s.support for s in collection]
+    y = Family(p, rng.sample(spreads, rng.randint(0, len(spreads))))
+    supports = [s.support for s in y.members]
     rows = [[(j, 1) for j, b in enumerate(supports) if a & b == a] for a in supports]
     order = sorted(range(len(supports)), key=lambda i: -supports[i].bit_count())
-    want = back_substitute(generalized_rank_vector(m, collection), rows, order)
-    assert signed_diagram(m, collection).coeffs == want
+    want = back_substitute(generalized_rank_vector(m, y), rows, order)
+    assert signed_diagram(m, y).coeffs == want
 
 
 def test_grid2x3_diagram_collision(field):
     g = grid23_diagram_modules(field)
-    collection = enumerate_spreads(g["poset"], "connected_spreads")
-    dn = signed_diagram(g["n"], collection)
-    dl = signed_diagram(g["l"], collection)
+    spreads = builtin_family(g["poset"], "connected_spreads")
+    dn = signed_diagram(g["n"], spreads)
+    dl = signed_diagram(g["l"], spreads)
     assert dn.coeffs == dl.coeffs
     x = g["x"]
     assert hom_dim(x, g["n"]) == 1
@@ -844,13 +896,13 @@ def test_class_equal_implies_rank_equal(field, rng):
 def test_compare_kinds(field):
     p, m, mprime = equal_rank_pair(field)
     x = builtin_family(p, "single_source")
-    collection = enumerate_spreads(p, "connected_spreads")
+    spreads = builtin_family(p, "connected_spreads")
     assert compare("dimvec", m, mprime) == "equal"
     assert compare("rank", m, mprime) == "equal"
     # over all connected spreads the generalized rank already separates the
     # pair (the wide spread at the corner has rank 0 vs 1), so the diagram does too
-    assert compare("genrank", m, mprime, collection=collection) == "distinguished"
-    assert compare("diagram", m, mprime, collection=collection) == "distinguished"
+    assert compare("genrank", m, mprime, family=spreads) == "distinguished"
+    assert compare("diagram", m, mprime, family=spreads) == "distinguished"
     assert compare("dimhom", m, mprime, family=x) == "distinguished"
     assert compare("class", m, mprime, family=x) == "distinguished"
     wide = spread_from_antichains(p, ["00"], ["01", "10"])
@@ -865,31 +917,24 @@ def test_compare_kinds(field):
 def test_invariant_key_is_the_value_compare_tests(field):
     p, m, mprime = equal_rank_pair(field)
     x = builtin_family(p, "single_source")
-    collection = enumerate_spreads(p, "connected_spreads")
+    spreads = builtin_family(p, "connected_spreads")
     assert invariant_key("dimvec", m) == m.dims
     assert invariant_key("rank", m) == rank_invariant(m)
     assert invariant_key("class", m, family=x) == class_via_hom_matrix(x, m)
     assert invariant_key("dimhom", m, family=x) == dim_hom_vector(x, m)
-    assert invariant_key("genrank", m, collection=collection) == generalized_rank_vector(m, collection)
-    assert invariant_key("diagram", m, collection=collection) == signed_diagram(m, collection)
+    assert invariant_key("genrank", m, family=spreads) == generalized_rank_vector(m, spreads)
+    assert invariant_key("diagram", m, family=spreads) == signed_diagram(m, spreads)
+    families = {"class": x, "dimhom": x, "genrank": spreads, "diagram": spreads}
     for kind in COMPARE_KINDS:
-        key_m = invariant_key(kind, m, family=x, collection=collection)
-        key_n = invariant_key(kind, mprime, family=x, collection=collection)
+        key_m = invariant_key(kind, m, family=families.get(kind))
+        key_n = invariant_key(kind, mprime, family=families.get(kind))
         want = "equal" if key_m == key_n else "distinguished"
-        assert compare(kind, m, mprime, family=x, collection=collection) == want
+        assert compare(kind, m, mprime, family=families.get(kind)) == want
     for kind in ("class", "dimhom", "genrank", "diagram"):
         with pytest.raises(ValueError, match="needs"):
             invariant_key(kind, m)
     with pytest.raises(UnknownInvariantError):
         invariant_key("frobnicate", m)
-
-
-def test_compare_reads_a_one_use_collection_once(field):
-    # invariant_key runs once per module: a generator must not be read dry by the first
-    p, m, _ = equal_rank_pair(field)
-    for kind in ("genrank", "diagram"):
-        collection = (s for s in enumerate_spreads(p, "connected_spreads"))
-        assert compare(kind, m, m, collection=collection) == "equal", kind
 
 
 def test_compare_class_falls_back_to_resolution(field):

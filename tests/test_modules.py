@@ -238,6 +238,7 @@ def test_map_along_one_cover_is_the_cover_map(field, monkeypatch):
     # itself, and a chain of two covers takes one product
     p = chain(3)
     m = PersistenceModule(p, field, [2, 3, 1], {(0, 1): [[1, 2], [3, 4], [5, 6]], (1, 2): [[1, 1, 1]]})
+    short = PersistenceModule(chain(2), field, [2, 3], {(0, 1): [[1, 2], [3, 4], [5, 6]]})
     calls = collections.Counter()
     for name in ("matmul", "eye"):
         def counted(self, *args, _name=name, _orig=getattr(PrimeField, name)):
@@ -248,6 +249,11 @@ def test_map_along_one_cover_is_the_cover_map(field, monkeypatch):
     assert calls == {"matmul": 1}
     assert m.map_along(0, 1) is m.maps[(0, 1)] and m.map_along(1, 2) is m.maps[(1, 2)]
     assert calls == {"matmul": 1}
+    # M(a -> a) read first, and cached: the cover above a is still shared, not multiplied
+    calls.clear()
+    assert short.map_along(0, 0).tolist() == [[1, 0], [0, 1]]
+    assert short.map_along(0, 1) is short.maps[(0, 1)]
+    assert calls == {"eye": 1}
 
 
 def test_map_along_is_path_product(field, rng):
