@@ -68,23 +68,24 @@ DEFAULT_MAX_DEPTH = 32  # most terms one resolution computes before it is trunca
 class Family:
     """An ordered set of pairwise-distinct connected spreads over one poset, checked here once.
 
-    Coverage and the Hom digraph are derived from the members.
+    The duplicate check leaves one map from each support to its member
+    index, which coverage and `radical_generators` read; the Hom digraph is
+    derived from the members.
     """
 
     def __init__(self, poset: Poset, members):
         self.poset = poset
         members = tuple(members)
-        seen = set()
-        for s in members:
+        index: dict[int, int] = {}  # support -> member index
+        for i, s in enumerate(members):
             if s.poset != poset:
                 raise PosetMismatchError(f"member {s.render()} lives over a different poset")
             if not s.is_connected():
                 raise NotConnectedError(f"member {s.render()} has disconnected support")
-            if s.support in seen:
+            if index.setdefault(s.support, i) != i:
                 raise DuplicateSpreadError(f"spread {s.render()} appears twice")
-            seen.add(s.support)
         self.members = members
-        self._supports = frozenset(seen)
+        self._index = index
         self._rows: dict[int, dict[int, tuple[int, ...]]] = {}  # i -> `hom_row(i)`
         self._radical: dict[int, tuple[tuple[int, int], ...]] = {}  # i -> `radical_generators(i)`
         self._diagnostics: FamilyDiagnostics | None = None
@@ -99,7 +100,7 @@ class Family:
         return tuple(
             self.poset.label(a)
             for a in range(self.poset.n)
-            if self.poset.up_mask(a) not in self._supports
+            if self.poset.up_mask(a) not in self._index
         )
 
     def member_modules(self, field: PrimeField) -> list[PersistenceModule]:
@@ -135,12 +136,12 @@ class Family:
         """
         gens = self._radical.get(i)
         if gens is None:
-            s, members, supports = self.members[i], self.members, self._supports
+            sources, index = self.members[i].sources, self._index
             gens = self._radical[i] = tuple(
-                (j, s.sources & comp)
+                (j, sources & comp)
                 for j, comps in self.hom_row(i).items() if j != i
                 for comp in comps
-                if comp not in supports or comp in (s.support, members[j].support)
+                if index.get(comp, i) in (i, j)  # no third member's support
             )
         return gens
 
@@ -207,8 +208,7 @@ def _projectives(x: Family) -> list[int]:
     """The member index of the principal up-set P_a, for each element a; refuses a family that lacks one."""
     if missing := x.missing_projectives():
         raise MissingProjectivesError(f"family lacks the principal up-sets at {{{', '.join(missing)}}}")
-    index_of = {s.support: i for i, s in enumerate(x.members)}
-    return [index_of[x.poset.up_mask(a)] for a in range(x.poset.n)]
+    return [x._index[x.poset.up_mask(a)] for a in range(x.poset.n)]
 
 
 def _require_same_poset(x: Family, m: PersistenceModule):
@@ -307,29 +307,22 @@ def _indicator_coordinates(x: Family, js, layouts, basis):
     out of a spread module is fixed by its values at the sources, so the
     coefficient of (s, W) in g∘h, for h the indicator R_l -> R_j whose
     sources of R_l are mask, is [a ∈ mask] · g[s, Y ∋ a] at any source a of
-    R_l in W; this reads the least one.
+    R_l in W.  Each call reads the least one, and the position of (s, Y) in
+    layouts[j], afresh: both lists are a few entries long.
     """
     members = x.members
-    anchors = {}  # l -> [(s, the least source of R_l in W)] over layouts[l], as bits
-    spots = {}    # j -> [[(Y, its position in layouts[j])] for each summand s]
 
     def composites(l, j, mask):
-        if l not in anchors:
-            sources = members[l].sources
-            anchors[l] = [(s, sources & w & -(sources & w)) for s, w in layouts[l]]
-        if j not in spots:
-            spots[j] = [[] for _ in js]
-            for n, (s, y) in enumerate(layouts[j]):
-                spots[j][s].append((y, n))
-        spot = spots[j]
+        sources, layout = members[l].sources, layouts[j]
         gather = []
-        for s, a in anchors[l]:
+        for s, w in layouts[l]:
+            a = sources & w
+            a &= -a & mask  # the least source of R_l in W, or 0 when mask leaves it out
             n = -1
-            if a & mask:
-                for y, k in spot[s]:
-                    if y & a:
-                        n = k
-                        break
+            for k, (t, y) in enumerate(layout):
+                if t == s and y & a:
+                    n = k
+                    break
             gather.append(n)
         return [[g[n] if n >= 0 else 0 for n in gather] for g in basis[j]]
 
@@ -343,10 +336,12 @@ def _kernel_homs(x: Family, field: PrimeField, target, picked, dims, projectives
     of the basis of Hom(R_{j_t}, T).  P is onto T, so dim K_a is dim P_a, the
     number of summands whose support holds a, minus dim T_a.  Hom(R_l, K) is
     the kernel of Hom(R_l, P) -> Hom(R_l, T): its column (t, Z) is g_t∘h_Z,
-    and it is all of Hom(R_l, P) when Hom(R_l, T) = 0.  It is solved only
-    where a source of R_l lies in supp K, else it is 0, and at the principal
-    up-set P_a = projectives[a] of each a: Hom(P_a, K) = K_a, so a width
-    other than dim K_a means that P -> T is not onto at a.
+    column c_t of the composites through the indicator h_Z, evaluated anew
+    for each column (the same composites rarely recur in one R_l), and it
+    is all of Hom(R_l, P) when Hom(R_l, T) = 0.  It is solved only where a
+    source of R_l lies in supp K, else it is 0, and at the principal up-set
+    P_a = projectives[a] of each a: Hom(P_a, K) = K_a, so a width other
+    than dim K_a means that P -> T is not onto at a.
     """
     basis, composites = target
     members = x.members
@@ -367,13 +362,7 @@ def _kernel_homs(x: Family, field: PrimeField, target, picked, dims, projectives
         if not layout:
             continue
         if l in basis:
-            blocks = {}
-            cols = []
-            for t, z in layout:
-                key = (js[t], z & s.sources)
-                if key not in blocks:
-                    blocks[key] = composites(l, *key)
-                cols.append(blocks[key][summands[t][1]])
+            cols = [composites(l, js[t], z & s.sources)[summands[t][1]] for t, z in layout]
             columns = list(zip(*field.kernel_basis(Matrix(list(zip(*cols)), len(cols))).rows))
         else:
             columns = field.eye(len(layout)).rows

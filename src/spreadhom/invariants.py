@@ -49,6 +49,8 @@ class GrothClass:
         return f"GrothClass(spreads={self.spreads!r}, coeffs={self.coeffs!r})"
 
     def __add__(self, other: "GrothClass") -> "GrothClass":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         if other.spreads != self.spreads:
             raise ValueError("classes over different spreads")
         return GrothClass(self.spreads, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))

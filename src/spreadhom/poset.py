@@ -505,7 +505,7 @@ def enumerate_spreads(p: Poset, kind: str, cap: int = DEFAULT_CAP) -> list[Sprea
                         nxt.append(grown)
             frontier = nxt
 
-    return [spread_from_convex(p, m) for m in sorted(supports)]
+    return [Spread(p, m, p.minimal_elements(m), p.maximal_elements(m)) for m in sorted(supports)]
 
 
 def containment_poset(spreads: list[Spread]) -> Poset:

@@ -543,6 +543,8 @@ def test_a_depth_that_is_not_an_integer_raises(field):
     for call in (resolve, x_dimension, class_via_resolution):
         with pytest.raises(TypeError):
             call(x, m, 2.5)
+    with pytest.raises(ValueError, match="max_depth must be non-negative, got -1"):
+        resolve(x, m, max_depth=-1)
 
 
 def test_resolution_is_exact(field, rng):

@@ -130,6 +130,8 @@ def test_solve_inconsistent_returns_none(field):
     a = field.arr([[1, 0], [0, 0]])
     b = field.arr([[0], [1]])
     assert field.solve(a, b) is None
+    with pytest.raises(ValueError, match="rhs has 1 rows, matrix has 2"):
+        field.solve(a, field.arr([[0]]))
 
 
 def test_pivot_columns_and_column_space(field):

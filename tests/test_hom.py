@@ -259,6 +259,8 @@ def test_spread_level_solvers_refuse_a_module_over_another_poset(field):
     for fn in (agreement_system, yoneda_basis):
         with pytest.raises(PosetMismatchError):
             fn(s, m)
+    with pytest.raises(PosetMismatchError, match="spreads live over different posets"):
+        spread_hom_dim(s, spread_from_antichains(chain(4), ["1"], ["4"]))
     # a module over an equal poset, built separately, is accepted
     n = spread_module(spread_from_antichains(grid(2, 2), ["00"], ["00"]), field)
     assert n.poset is not s.poset

@@ -198,6 +198,10 @@ def test_groth_class_is_its_spreads_and_coefficients():
         GrothClass(x.members, ones[1:])
     with pytest.raises(ValueError):
         GrothClass(x.members[:2], (1, 2)) + GrothClass(x.members[1:3], (1, 2))
+    # another operand is not a class: == is False and + raises TypeError, both through NotImplemented
+    assert (GrothClass(x.members, ones) == 1) is False
+    with pytest.raises(TypeError):
+        GrothClass(x.members, ones) + 1
 
 
 # every public route where a module meets a family

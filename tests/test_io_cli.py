@@ -285,6 +285,10 @@ def test_cli_rejects_bool_dimension(capsys, tmp_path):
     code, out, err = run_cli(capsys, "invariant", "dimvec", path)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "dims['11']" in err and len(err.splitlines()) == 1
+    path = _grid2x3_variant(tmp_path, 'dims: {"11": 1, "12": 2, "13": 1, "21": 1, "22": 1}', "dims: [1, 2]")
+    code, out, err = run_cli(capsys, "invariant", "dimvec", path)
+    _one_line_error(code, err, "m.yaml", "'dims' must map labels to counts")
+    assert out == ""
 
 
 def test_cli_rejects_fractional_entry(capsys, tmp_path):
@@ -515,7 +519,9 @@ def _one_line_error(code, err, *needles):
     ([], "required: command"),
     (["invariant", "dimvec", "m16.yaml", "--bogus"], "unrecognized arguments: --bogus"),
     (["compare"], "required: kind"),
-], ids=["unknown-kind", "depth-not-an-int", "no-command", "unknown-option", "compare-without-kind"])
+    (["compare", "class", "m16.yaml", "--family", "intervals"], "compare needs two module files (or --batch DIR)"),
+], ids=["unknown-kind", "depth-not-an-int", "no-command", "unknown-option", "compare-without-kind",
+        "compare-one-file"])
 def test_cli_usage_error_is_one_line_with_exit_1(capsys, argv, needle):
     # 2 means an undecided answer, so a usage error exits 1 like any bad input
     argv = [str(DATA / a) if a.endswith(".yaml") else a for a in argv]
@@ -688,6 +694,11 @@ def test_cli_rejects_two_keys_for_one_cover(capsys, tmp_path):
     code, out, err = run_cli(capsys, "invariant", "rank", path)
     _one_line_error(code, err, "m.yaml", "'11->12'", "'11 -> 12'", "same cover")
     assert out == ""
+    # nor may a key name a label the poset lacks
+    path = _grid2x3_variant(tmp_path, '"11->21": id', '"11->zz": id')
+    code, out, err = run_cli(capsys, "invariant", "rank", path)
+    _one_line_error(code, err, "m.yaml", "map key '11->zz': unknown element label 'zz'")
+    assert out == ""
 
 
 def test_cli_rejects_a_repeated_yaml_key(capsys, tmp_path):
@@ -751,6 +762,10 @@ def test_cli_rejects_wrong_shape_matrix(capsys, tmp_path):
     code, out, err = run_cli(capsys, "invariant", "dimvec", path)
     _one_line_error(code, err, "m.yaml", "'11->12'", "expected (2, 1)")
     assert out == ""
+    path = _grid2x3_variant(tmp_path, '"11->12": [[1], [1]]', '"11->12": 5')
+    code, out, err = run_cli(capsys, "invariant", "dimvec", path)
+    _one_line_error(code, err, "m.yaml", "map '11->12' must be a matrix (list of rows) or 'id'")
+    assert out == ""
 
 
 def test_a_map_of_height_zero_may_be_written_with_no_rows(capsys, tmp_path, field):
@@ -813,7 +828,9 @@ def test_cli_rejects_spread_sources_that_are_not_a_list(capsys, tmp_path):
     ('[{sources: ["01", "10"], targets: ["01", "10"]}]', "member [{01,10},{01,10}] has disconnected support"),
     ('[{sources: ["00", "00"], targets: ["11"]}]', "spread 'sources' lists label '00' twice"),
     ('[{sources: ["00"], targets: ["01", "10", "01"]}]', "spread 'targets' lists label '01' twice"),
-], ids=["not-an-antichain", "repeated-spread", "disconnected", "repeated-source", "repeated-target"])
+    ("{a: 1}", "'spreads' must be a list"),
+], ids=["not-an-antichain", "repeated-spread", "disconnected", "repeated-source", "repeated-target",
+        "spreads-not-a-list"])
 def test_cli_family_file_errors_name_the_file_once(capsys, tmp_path, spreads, needle):
     fam = tmp_path / "fam.yaml"
     fam.write_text(f"spreads: {spreads}\n")
@@ -1024,16 +1041,21 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
-def test_the_cli_runs_without_numpy(tmp_path):
-    # validate every poset with its modules, and compare --batch the modules
-    # of each poset that has several, as a normal run and with numpy refused
+def _modules_by_poset():
+    """{poset file name: the module files in data/ over it}."""
     groups = collections.defaultdict(list)
     for path in sorted(DATA.glob("*.yaml")):
         data = yaml.safe_load(path.read_text())
         if "poset" in data:
             groups[data["poset"]].append(path)
+    return groups
+
+
+def test_the_cli_runs_without_numpy(tmp_path):
+    # validate every poset with its modules, and compare --batch the modules
+    # of each poset that has several, as a normal run and with numpy refused
     runs = []
-    for poset, mods in groups.items():
+    for poset, mods in _modules_by_poset().items():
         runs.append(["validate", str(DATA / poset), *map(str, mods)])
         if len(mods) > 1:
             batch = tmp_path / Path(poset).stem
@@ -1073,13 +1095,14 @@ def test_cli_refuses_a_huge_prime_at_once():
 
 
 ALIAS_CHAIN = ", ".join(f"k{i}: &x{i} [{f'*x{i - 1}' if i else 1}]" for i in range(3000))
-
-
-@pytest.mark.parametrize("body,needle", [
+DEEP_OR_ALIASED_YAML = [
     ("elements: " + "[" * 30_000 + "]" * 30_000 + "\ncovers: []\n", "line 1: nested deeper than 16 levels"),
     ('elements: ["a"]\ncovers: ' + "[" * 1_000 + "]" * 1_000 + "\n", "line 2: nested deeper than 16 levels"),
     ('elements: ["a"]\ncovers: {' + ALIAS_CHAIN + "}\n", "line 2: YAML aliases are refused"),
-], ids=["30000-levels", "1000-levels", "alias-chain"])
+]
+
+
+@pytest.mark.parametrize("body,needle", DEEP_OR_ALIASED_YAML, ids=["30000-levels", "1000-levels", "alias-chain"])
 def test_cli_refuses_deep_or_aliased_yaml(tmp_path, body, needle):
     # libyaml composes a document recursively, so 30 000 levels would overflow
     # the C stack, and the loader's messages would repr a 1 000-level value or
@@ -1089,6 +1112,54 @@ def test_cli_refuses_deep_or_aliased_yaml(tmp_path, body, needle):
     proc = _run_entry_point("validate", str(path), timeout=60)
     assert proc.stdout == ""
     _one_line_error(proc.returncode, proc.stderr, "p.yaml", needle)
+
+
+# the CLI with an import hook that refuses libyaml, so that files._Loader
+# derives from the pure-Python SafeLoader
+CLI_WITHOUT_LIBYAML = """\
+import sys
+
+
+class RefuseLibyaml:
+    def find_spec(self, name, path=None, target=None):
+        if name in ("yaml._yaml", "_yaml"):
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, RefuseLibyaml())
+import yaml
+
+assert not yaml.__with_libyaml__
+from spreadhom.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_the_cli_reads_files_alike_without_libyaml(tmp_path):
+    # the data files validate, and the bounds and the repeated-key refusal
+    # print the same lines, with the pure-Python parser as with libyaml
+    runs = [["validate", str(DATA / poset), *map(str, mods)] for poset, mods in _modules_by_poset().items()]
+    bodies = [body for body, _ in DEEP_OR_ALIASED_YAML]
+    bodies.append('elements: ["a"]\nelements: ["b"]\ncovers: []\n')
+    for k, body in enumerate(bodies):
+        path = tmp_path / f"p{k}.yaml"
+        path.write_text(body)
+        runs.append(["validate", str(path)])
+    codes = []
+    for argv in runs:
+        want = _run_entry_point(*argv, timeout=60)
+        got = _run_python("-c", CLI_WITHOUT_LIBYAML, *argv, timeout=60)
+        assert (got.returncode, got.stdout, got.stderr) == (want.returncode, want.stdout, want.stderr), argv
+        codes.append(got.returncode)
+    assert codes == [0] * (len(runs) - len(bodies)) + [1] * len(bodies)
+    assert "found duplicate key 'elements'" in got.stderr
+    # only the parser's own words inside "not valid YAML (...)" differ
+    path = tmp_path / "malformed.yaml"
+    path.write_text('elements: ["a"\ncovers: []\n')
+    got = _run_python("-c", CLI_WITHOUT_LIBYAML, "validate", str(path), timeout=60)
+    assert got.stdout == ""
+    _one_line_error(got.returncode, got.stderr, f"error: {path}: not valid YAML (")
 
 
 def test_the_nesting_bound_counts_mappings_and_lists(capsys, tmp_path, monkeypatch):

@@ -324,6 +324,10 @@ def test_direct_sum_and_inclusions(field, rng):
         stacked = hstack([inc.components[a] for inc in incs])
         assert stacked.shape == (total.dims[a], total.dims[a])
         assert field.rank(stacked) == total.dims[a]
+    with pytest.raises(ValueError, match="use zero_module"):
+        direct_sum([])
+    with pytest.raises(PosetMismatchError, match="must share poset and prime"):
+        direct_sum([parts[0], random_module(chain(4), field, rng)])
 
 
 def test_zero_and_total_dim(field):
@@ -369,6 +373,13 @@ def test_morphism_validation(field):
         Morphism(m, top, [field.zeros(1, 1), field.arr([[1]])])
     with pytest.raises(PosetMismatchError):
         Morphism(m, interval_module(chain(3), field, 0, 0), [field.arr([[1]]), field.zeros(0, 1)])
+    with pytest.raises(PosetMismatchError, match="different primes"):
+        Morphism(m, interval_module(p, PrimeField(7), 0, 1), [[[1]], [[1]]])
+    inc = Morphism(top, m, [field.zeros(1, 0), field.arr([[1]])])
+    with pytest.raises(PosetMismatchError, match="composition endpoints do not match"):
+        inc @ Morphism(m, bottom, [field.arr([[1]]), field.zeros(0, 1)])
+    with pytest.raises(ShapeError, match="vector of length 2, expected 1"):
+        morphism_from_vec(m, bottom, [1, 0])
 
 
 def test_morphism_composition(field):

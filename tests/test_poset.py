@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -31,7 +33,7 @@ from spreadhom.gallery import (
     grid,
     path_poset,
 )
-from spreadhom.poset import elements_of, mask_of
+from spreadhom.poset import BUILTIN_FAMILIES, elements_of, mask_of
 
 from helpers import (
     closure_pairs,
@@ -70,6 +72,8 @@ def test_bad_labels_rejected():
         Poset(2, [], names=["a", "a"])
     with pytest.raises(ValueError):
         Poset(2, [(0, 3)])
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        Poset(-1, [])
 
 
 def test_a_label_that_is_no_string_is_refused():
@@ -329,6 +333,12 @@ def test_spread_from_antichains_support():
     s = spread_from_antichains(p, ["13", "41"], ["43"])
     assert set(p.label_set(s.support)) == {"13", "23", "33", "43", "41", "42"}
     assert s.render() == "[{13,41},43]"
+    # a spread is an immutable value: equal ones hash equal, and copies and pickles are equal
+    with pytest.raises(AttributeError, match="cannot assign to field 'support'"):
+        s.support = 0
+    again = spread_from_antichains(p, ["41", "13"], ["43"])
+    assert again is not s and again == s and hash(again) == hash(s)
+    assert copy.copy(s) == s and pickle.loads(pickle.dumps(s)) == s
 
 
 def test_spread_antichain_validation():
@@ -337,6 +347,8 @@ def test_spread_antichain_validation():
         spread_from_antichains(p, [], ["11"])
     with pytest.raises(NotAntichainError):
         spread_from_antichains(p, ["00", "01"], ["11"])
+    with pytest.raises(NotAntichainError, match="targets"):
+        spread_from_antichains(p, ["00"], ["01", "11"])
     with pytest.raises(AntichainOrderError):
         spread_from_antichains(p, ["11"], ["00"])
     with pytest.raises(AntichainOrderError):
@@ -351,6 +363,8 @@ def test_spread_from_convex():
     assert set(p.label_set(s.targets)) == {"01", "10"}
     with pytest.raises(NotConvexError):
         spread_from_convex(p, ["00", "11"])
+    with pytest.raises(NotConvexError, match="the empty subset is not a spread"):
+        spread_from_convex(p, [])
 
 
 @pytest.mark.parametrize("mask", [1 << 4, -1])
@@ -365,13 +379,14 @@ def test_a_mask_outside_the_poset_is_refused_by_both_builders(mask):
 
 
 def test_spread_canonical_antichains():
-    # a spread built from antichains equals the one rebuilt from its support
+    # every builtin spread equals the one rebuilt, convexity checked, from its support
     for name, p in generator_posets(max_n=6):
-        for s in enumerate_spreads(p, "connected_spreads"):
-            again = spread_from_convex(p, elements_of(s.support))
-            assert again == s, (name, s.render())
-            assert mask_to_set(s.sources) == mask_to_set(p.minimal_elements(s.support))
-            assert mask_to_set(s.targets) == mask_to_set(p.maximal_elements(s.support))
+        for kind in BUILTIN_FAMILIES:
+            for s in enumerate_spreads(p, kind):
+                again = spread_from_convex(p, elements_of(s.support))
+                assert again == s, (name, kind, s.render())
+                assert mask_to_set(s.sources) == mask_to_set(p.minimal_elements(s.support))
+                assert mask_to_set(s.targets) == mask_to_set(p.maximal_elements(s.support))
 
 
 @pytest.mark.parametrize("name,p", generator_posets(max_n=6))
@@ -430,6 +445,8 @@ def test_enumeration_cap():
     # the projectives obey the cap like every other builtin family
     with pytest.raises(CapExceededError):
         builtin_family(grid(3, 3), "projectives", cap=8)
+    with pytest.raises(ValueError, match="cap must be non-negative, got -1"):
+        enumerate_spreads(grid(2, 2), "intervals", cap=-1)
     assert len(builtin_family(grid(3, 3), "projectives", cap=9)) == 9
     for old in "connected_all interval hook connected_upset".split():
         with pytest.raises(ValueError, match="unknown spread kind"):
