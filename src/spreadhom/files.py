@@ -1,7 +1,10 @@
 """Declarative poset / module / family files.
 
-Parsing uses yaml's safe loader, on libyaml when PyYAML was built with it,
-and refuses a repeated key, an alias and nesting deeper than MAX_NESTING.
+A file in the plain subset that dump_poset and dump_module write is read
+line by line, its values by `json`; any other file is parsed with yaml's
+safe loader, on libyaml when PyYAML was built with it, which refuses a
+repeated key, an alias and nesting deeper than MAX_NESTING. PyYAML is
+loaded only when a file needs it.
 A module file is read one way: over the poset that its `poset:` reference
 names, relative to the module file.
 Serialization is a small canonical emitter (stable ordering, labels always
@@ -10,16 +13,28 @@ byte for byte.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
+import itertools
 import json
 import os
-
-import yaml
+import re
+import sys
 
 from .approx import BUILTIN_FAMILIES, Family, builtin_family
 from .errors import CommutativityError, FileFormatError, ShapeError, SpreadHomError
 from .field import PrimeField
 from .modules import PersistenceModule
 from .poset import DEFAULT_CAP, Poset, Spread, spread_from_antichains
+
+# PyYAML runs on first use: its import is most of the CLI's import time, and a
+# file in the plain subset (see _read_plain) never needs it
+yaml = sys.modules.get("yaml")
+if yaml is None:
+    _spec = importlib.util.find_spec("yaml")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    yaml = sys.modules["yaml"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(yaml)
 
 # Most dense matrix cells a module file may ask for, before any is built: a
 # d_b x d_a map per cover a -> b and a d_a x d_a identity per element a.
@@ -30,40 +45,125 @@ MAX_DENSE_CELLS = 10 ** 7
 # overflows the C stack, and the loader's own messages recurse on far less.
 MAX_NESTING = 16
 
+# yaml reads a mapping key only within 1024 characters of where it starts
+_PLAIN_STRING_MAX = 1000
+_PLAIN_REFUSED = re.compile(r"[^\n -~]|[\\#&*]")
+_PLAIN_TOP = re.compile(r"(poset|dims|maps|elements|covers):(?: (.*))?")
+_PLAIN_ENTRY = re.compile(rf'  "([^"]{{0,{_PLAIN_STRING_MAX}}})": (.*)')
+_PLAIN_BARE = re.compile(r'[-0-9\[\]{},: "]*')
+_PLAIN_BRACKETS = re.compile(r"[\[\]{}]")
 
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """yaml.safe_load, except that a mapping may not repeat a key (the last would win).
 
-    The C parser, when present, feeds the same Python constructor and
-    resolver, so every value keeps its type.
+def _unique_keys(pairs):
+    mapping = dict(pairs)
+    if len(mapping) < len(pairs):
+        raise ValueError("repeated key")
+    return mapping
+
+
+_PLAIN_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _plain_json(raw: str, depth: int):
+    """The JSON value `raw`, if yaml reads it alike inside `depth` enclosing mappings; else None.
+
+    Outside its strings it may hold only brackets, braces, commas, colons,
+    spaces and integers, with no space before a colon; it must nest within
+    MAX_NESTING and repeat no key.
     """
+    parts = raw.split('"')
+    bare = '""'.join(parts[::2])
+    if (len(parts) % 2 == 0 or any(len(s) > _PLAIN_STRING_MAX for s in parts[1::2])
+            or " :" in bare or not _PLAIN_BARE.fullmatch(bare)):
+        return None
+    steps = (1 if c in "[{" else -1 for c in _PLAIN_BRACKETS.findall(bare))
+    if max(itertools.accumulate(steps, initial=depth)) > MAX_NESTING:
+        return None
+    try:
+        return _PLAIN_JSON.decode(raw)
+    except ValueError:  # not one JSON value, a repeated key, or an integer too long to read
+        return None
 
-    def construct_mapping(self, node, deep=False):
-        mapping = super().construct_mapping(node, deep)
-        if len(mapping) < len(node.value):
-            keys = [self.construct_object(k, deep=deep) for k, _ in node.value]
-            dup = next(k for i, k in enumerate(keys) if k in keys[:i])
-            raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {dup!r}", node.start_mark)
-        return mapping
+
+def _read_plain(text: str):
+    """The file's mapping if `text` is in the plain subset that dump_poset and dump_module write; else None.
+
+    Each line is a top-level `poset`, `dims`, `maps`, `elements` or `covers`
+    key with ": " and one JSON value (see _plain_json), or such a key alone,
+    followed by at least one `  "a->b": <json>` or `  "a->b": id` line. No
+    key repeats, and the text is printable ASCII without backslash, `#`, `&`
+    or `*`. Wherever this returns a value, yaml.load with _Loader returns an
+    equal one without raising, nested no deeper than MAX_NESTING.
+    """
+    if _PLAIN_REFUSED.search(text):
+        return None
+    data, block = {}, None
+    for line in text.removesuffix("\n").split("\n"):
+        entry = block is not None and _PLAIN_ENTRY.fullmatch(line)
+        if entry:
+            mapping, key, value = block, entry[1], "id" if entry[2] == "id" else _plain_json(entry[2], 2)
+        elif block == {}:  # yaml reads a key with no value and no entries as null
+            return None
+        else:
+            top = _PLAIN_TOP.fullmatch(line)
+            if top is None:
+                return None
+            block = {} if top[2] is None else None
+            mapping, key, value = data, top[1], block if top[2] is None else _plain_json(top[2], 1)
+        if value is None or key in mapping:
+            return None
+        mapping[key] = value
+    return None if block == {} else data
+
+
+@functools.cache
+def _loader():
+    class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+        """yaml.safe_load, except that a mapping may not repeat a key (the last would win).
+
+        The C parser, when present, feeds the same Python constructor and
+        resolver, so every value keeps its type.
+        """
+
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep)
+            if len(mapping) < len(node.value):
+                keys = [self.construct_object(k, deep=deep) for k, _ in node.value]
+                dup = next(k for i, k in enumerate(keys) if k in keys[:i])
+                raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {dup!r}", node.start_mark)
+            return mapping
+
+    return _Loader
+
+
+def __getattr__(name):
+    """`files._Loader`, the yaml loader class, made when first asked for."""
+    if name == "_Loader":
+        return _loader()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_yaml(path: str):
-    """The file's one document, once its parse events show no alias and no nesting deeper than MAX_NESTING.
+    """The file's one document: by _read_plain, or by yaml once its parse events show no alias and no deep nesting.
 
     libyaml's event parser is iterative, so that walk is safe on any file.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            depth = 0
-            for event in yaml.parse(fh, Loader=_Loader):
-                if isinstance(event, yaml.AliasEvent):
-                    raise FileFormatError(f"{path}: line {event.start_mark.line + 1}: YAML aliases are refused")
-                depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
-                if depth > MAX_NESTING:
-                    raise FileFormatError(f"{path}: line {event.start_mark.line + 1}: "
-                                          f"nested deeper than {MAX_NESTING} levels")
-            fh.seek(0)
-            data = yaml.load(fh, Loader=_Loader)
+            # latin-1 reads each byte as one character, so a non-ASCII byte fails _read_plain
+            data = _read_plain(fh.buffer.read().decode("latin-1"))
+            if data is None:
+                fh.seek(0)
+                depth = 0
+                for event in yaml.parse(fh, Loader=_loader()):
+                    if isinstance(event, yaml.AliasEvent):
+                        raise FileFormatError(f"{path}: line {event.start_mark.line + 1}: YAML aliases are refused")
+                    depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+                    if depth > MAX_NESTING:
+                        raise FileFormatError(f"{path}: line {event.start_mark.line + 1}: "
+                                              f"nested deeper than {MAX_NESTING} levels")
+                fh.seek(0)
+                data = yaml.load(fh, Loader=_loader())
     except OSError as e:
         raise FileFormatError(f"{path}: {e.strerror or e}") from None
     except UnicodeDecodeError as e:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spreadhom
-from spreadhom import FileFormatError, ShapeError, dim_hom_vector, direct_sum
+from spreadhom import FileFormatError, PrimeField, ShapeError, dim_hom_vector, direct_sum
 from spreadhom import cli, files
 from spreadhom.cli import main
 from spreadhom.files import (
@@ -296,6 +296,7 @@ def test_cli_rejects_fractional_entry(capsys, tmp_path):
     code, out, err = run_cli(capsys, "invariant", "dimvec", path)
     assert code == 1 and out == ""
     assert err.startswith("error:") and "1.5" in err and len(err.splitlines()) == 1
+    _one_line_error(code, err, "m.yaml", "map '11->12' has entry 1.5, not an integer")
 
 
 def test_cli_reduces_huge_entry_exactly(capsys, tmp_path, field):
@@ -675,7 +676,7 @@ def test_null_covers_and_absent_or_null_maps_still_load(tmp_path, field):
     (tmp_path / "p.yaml").write_text('elements: ["a", "b"]\ncovers: null\n')
     assert load_poset(str(tmp_path / "p.yaml")).covers == ()
     (tmp_path / "q.yaml").write_text('elements: ["a", "b"]\ncovers: [["a", "b"]]\n')
-    for tail in ("", "maps: null\n", "maps: {}\n"):
+    for tail in ("", "maps: null\n", "maps: {}\n", "maps:\n"):
         (tmp_path / "m.yaml").write_text('poset: "q.yaml"\ndims: {"a": 1, "b": 1}\n' + tail)
         m = load_module(str(tmp_path / "m.yaml"), field)[0]
         assert m.dims == (1, 1) and m.maps[(0, 1)].rows == [[0]], tail
@@ -710,10 +711,12 @@ def test_cli_rejects_a_repeated_yaml_key(capsys, tmp_path):
 
 
 def test_cli_reports_invalid_yaml_on_one_line(capsys, tmp_path):
-    path = _grid2x3_variant(tmp_path, '"22": 1}', '"22": 1')
-    code, out, err = run_cli(capsys, "invariant", "rank", path)
-    _one_line_error(code, err, "m.yaml", "not valid YAML")
-    assert out == ""
+    # an unclosed mapping, and a key with no space before its value
+    for old, new in [('"22": 1}', '"22": 1'), ("dims: {", "dims:{")]:
+        path = _grid2x3_variant(tmp_path, old, new)
+        code, out, err = run_cli(capsys, "invariant", "rank", path)
+        _one_line_error(code, err, "m.yaml", "not valid YAML")
+        assert out == ""
 
 
 def test_files_parse_with_libyaml_when_present(capsys, tmp_path):
@@ -859,7 +862,11 @@ def test_cli_rejects_two_dims_keys_for_one_label(capsys, tmp_path):
     ('elements: ["a", "b"]\ncovers: false\n', ["'covers' must be a list", "False"]),
     ('elements: ["a", "b"]\ncovers: 0\n', ["'covers' must be a list", "got 0"]),
     ('elements: ["a", "b"]\ncovers: {}\n', ["'covers' must be a list", "{}"]),
-], ids=["covers-not-a-list", "list-as-label", "cyclic-covers", "covers-false", "covers-zero", "covers-empty-map"])
+    ("", ["expected a mapping at the top level"]),
+    ('elements: ["a"]\ncovers: []\ncovers: []\n', ["not valid YAML (found duplicate key 'covers'"]),
+    ('elements: ["a"]\ncovers: {"a": 1, "a": 2}\n', ["not valid YAML (found duplicate key 'a'"]),
+], ids=["covers-not-a-list", "list-as-label", "cyclic-covers", "covers-false", "covers-zero", "covers-empty-map",
+        "empty-file", "repeated-key", "repeated-json-key"])
 def test_cli_poset_file_errors_name_the_file(capsys, tmp_path, body, needles):
     path = tmp_path / "p.yaml"
     path.write_text(body)
@@ -941,6 +948,102 @@ def test_cli_survives_mutated_input_files(poset_ops, module_ops, family_ops):
             err = err.getvalue()
             assert code in (0, 1, 2, 3), (argv, err)
             assert len(err.splitlines()) <= 1 and "Traceback" not in err, (argv, err)
+
+
+# -- the plain reader ----------------------------------------------------------
+
+
+def _nesting(value):
+    if not isinstance(value, (dict, list)):
+        return 0
+    return 1 + max(map(_nesting, value.values() if isinstance(value, dict) else value), default=0)
+
+
+def _read_plain_alike(text):
+    """Whether the plain reader reads `text`; if it does, both yaml loaders read it alike without raising."""
+    got = files._read_plain(text)
+    if got is None:
+        return False
+    for loader in (files._Loader, yaml.SafeLoader):  # libyaml when present, and the pure-Python parser
+        assert repr(yaml.load(text, Loader=loader)) == repr(got), (loader, text)
+    assert _nesting(got) <= files.MAX_NESTING, text
+    return True
+
+
+LONG_KEY = "k" * 1000  # the longest key read: its ':' is 1 002 characters past its start, within yaml's 1 024
+PLAIN_CASES = [
+    ("", False),  # yaml reads an empty file as null
+    ('dims:{"00": 1}\n', False),  # yaml needs a space after a block key's ':'
+    ("maps:\n", False),  # yaml reads a key with neither value nor entries as null
+    ('maps:\ndims: {"00": 1}\n', False),
+    ('maps:\n  "00->01": id\n', True),
+    (f'dims: {{"{LONG_KEY}": 1}}\n', True),
+    (f'dims: {{"{LONG_KEY}k": 1}}\n', False),
+    (f'maps:\n  "{LONG_KEY}": id\n', True),
+    (f'maps:\n  "{LONG_KEY}k": id\n', False),
+    ('dims: {"00" : 1}\n', False),
+    ('covers: [[1.5]]\n', False),
+    ('covers: [true]\n', False),
+    ('poset: "p.yaml"\r\n', False),
+    ('poset: "p #1.yaml"\n', False),
+]
+
+
+def test_the_plain_reader_reads_what_dump_writes_as_yaml_does():
+    # the golden runs read the data files; of those and the fuzzing seeds, all but the family files are read
+    texts = {path.name: path.read_text() for path in sorted(DATA.glob("*.yaml"))}
+    texts.update(FUZZ_FILES)
+    assert {name: _read_plain_alike(text) for name, text in texts.items()} == {
+        name: "spreads" not in text for name, text in texts.items()}
+    assert [_read_plain_alike(text) for text, _ in PLAIN_CASES] == [read for _, read in PLAIN_CASES]
+
+
+# labels that yaml and json might read apart: quotes, backslashes, '->',
+# non-ASCII, YAML indicators and spaces
+PLAIN_LABELS = st.lists(st.sampled_from(["a", "0", '"', "\\", "->", "é", " ", ":", "#", "&", "*", "[", "{", ",", "'"]),
+                        max_size=4).map("".join)
+EDIT_CHARS = list(' :,"[]{}-01.ei\n\t\r\\#&*!?|>%@`\'é')
+PLAIN_EDITS = st.lists(
+    st.tuples(st.integers(0, 400), st.integers(0, 3), st.text(st.sampled_from(EDIT_CHARS), max_size=3)),
+    min_size=1, max_size=3,
+)
+
+
+@st.composite
+def plain_texts(draw):
+    """A poset or module file as dump_poset and dump_module write it, over drawn labels."""
+    labels = draw(st.lists(PLAIN_LABELS, min_size=1, max_size=4, unique=True))
+    dumps = draw(st.sampled_from([json.dumps, lambda x: json.dumps(x, ensure_ascii=False)]))
+    covers = list(zip(labels, labels[1:]))
+    if draw(st.booleans()):
+        return f"elements: {dumps(labels)}\ncovers: {dumps([list(c) for c in covers])}\n"
+    dims = {lbl: draw(st.integers(0, 2)) for lbl in labels}
+    lines = [f"poset: {dumps(draw(PLAIN_LABELS))}", f"dims: {dumps(dims)}"]
+    entries = []
+    for a, b in covers:
+        mat = [[draw(st.integers(-3, 10 ** 20)) for _ in range(dims[a])] for _ in range(dims[b])]
+        value = draw(st.sampled_from(["id", dumps(mat)]))
+        entries.append(f"  {dumps(a + '->' + b)}: {value}")
+    lines += ["maps:", *entries] if entries else ["maps: {}"]
+    return "\n".join(lines) + "\n"
+
+
+@given(plain_texts(), PLAIN_EDITS)
+def test_the_plain_reader_reads_only_what_yaml_reads_alike(text, ops):
+    _read_plain_alike(text)
+    _read_plain_alike(_mutated(text, ops))
+
+
+@given(st.lists(st.sampled_from(["a", "1", "x y", "é", "a:b"]), min_size=1, max_size=4, unique=True), PLAIN_EDITS)
+def test_the_plain_reader_reads_dumped_files_as_yaml_does(labels, ops):
+    # a chain over the labels with a random map on each cover, through the real emitters
+    p = Poset(len(labels), [(i, i + 1) for i in range(len(labels) - 1)], labels)
+    f = PrimeField(5)
+    dims = [(i * 7 + len(labels)) % 3 for i in range(p.n)]
+    maps = {(a, b): [[(a + 2 * b + i + j) % 5 for j in range(dims[a])] for i in range(dims[b])] for a, b in p.covers}
+    for text in (dump_poset(p), dump_module(PersistenceModule(p, f, dims, maps), "p.yaml")):
+        assert _read_plain_alike(text) == ("\\" not in text)  # json.dumps escapes non-ASCII
+        _read_plain_alike(_mutated(text, ops))
 
 
 def test_cli_jsonl_records(capsys):
@@ -1039,6 +1142,36 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     proc = _run_python("-c", "import sys, spreadhom, spreadhom.cli; "
                              "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy'))")
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+# a CLI run that then prints its exit code and which PyYAML parser modules it loaded
+CLI_THEN_YAML_MODULES = """\
+import sys
+
+from spreadhom.cli import main
+
+code = main(sys.argv[1:])
+print(code, sorted(m for m in ("yaml.constructor", "yaml.reader") if m in sys.modules))
+"""
+
+
+def test_canonical_files_never_run_pyyaml(tmp_path, field):
+    # the files dump_poset and dump_module write are read by json alone; a
+    # family file is outside the plain subset and still loads through yaml
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    (tmp_path / "grid2x3.yaml").write_text(dump_poset(load_poset(str(DATA / "grid2x3.yaml"))))
+    for name in ("diagram_l.yaml", "diagram_m.yaml", "diagram_n.yaml", "diagram_x.yaml"):
+        (batch / name).write_text(dump_module(load_module(str(DATA / name), field)[0], "../grid2x3.yaml"))
+    runs = [
+        (["validate", str(tmp_path / "grid2x3.yaml"), *sorted(map(str, batch.iterdir()))], "[]"),
+        (["compare", "class", "--batch", str(batch), "--family", "single_source"], "[]"),
+        (["invariant", "diagram", str(DATA / "m16.yaml"), "--collection", str(DATA / "atilde5_family.yaml")],
+         "['yaml.constructor', 'yaml.reader']"),
+    ]
+    for argv, loaded in runs:
+        proc = _run_python("-c", CLI_THEN_YAML_MODULES, *argv)
+        assert proc.stdout.splitlines()[-1] == f"0 {loaded}", (argv, proc.stderr)
 
 
 def _modules_by_poset():
@@ -1140,6 +1273,14 @@ def test_the_cli_reads_files_alike_without_libyaml(tmp_path):
     # the data files validate, and the bounds and the repeated-key refusal
     # print the same lines, with the pure-Python parser as with libyaml
     runs = [["validate", str(DATA / poset), *map(str, mods)] for poset, mods in _modules_by_poset().items()]
+    # the data files are in the plain subset, which skips both parsers; behind
+    # a comment line, which the plain reader declines, both parsers read them
+    commented = tmp_path / "commented"
+    commented.mkdir()
+    for path in DATA.glob("*.yaml"):
+        (commented / path.name).write_text("# outside the plain subset\n" + path.read_text())
+    runs += [["validate", str(commented / poset), *(str(commented / m.name) for m in mods)]
+             for poset, mods in _modules_by_poset().items()]
     bodies = [body for body, _ in DEEP_OR_ALIASED_YAML]
     bodies.append('elements: ["a"]\nelements: ["b"]\ncovers: []\n')
     for k, body in enumerate(bodies):
