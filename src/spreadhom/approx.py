@@ -12,7 +12,9 @@ The member Hom digraph is computed row by row, on first use, and kept
 sparse: row i holds the members j with Hom(R_i, R_j) != 0.  Two exact tests
 keep the work small.  Hom(R_i, R_j) is 0 unless a source of R_i lies in R_j
 and a target of R_j lies in R_i, because every component that carries a
-morphism holds one of each (`spread_hom_components`).  Hom(R, M) is 0
+morphism holds one of each (`spread_hom_components`); a row finds the j
+that pass, all at once, from two member bitsets per element, and decides
+each of them from masks.  Hom(R, M) is 0
 unless M is nonzero at a source of R, because it embeds in ⊕ M_a over those
 sources; a minimal approximation does Hom work only for the members that
 pass.
@@ -60,7 +62,7 @@ from .errors import (
 from .field import Matrix, PrimeField, Span
 from .hom import spread_hom_components, yoneda_basis, yoneda_values
 from .modules import PersistenceModule, spread_module
-from .poset import BUILTIN_FAMILIES, DEFAULT_CAP, Poset, enumerate_spreads, iter_mask, kahn_order
+from .poset import BUILTIN_FAMILIES, DEFAULT_CAP, Poset, enumerate_spreads, iter_mask, kahn_order, union_over
 
 DEFAULT_MAX_DEPTH = 32  # most terms one resolution computes before it is truncated
 
@@ -69,14 +71,19 @@ class Family:
     """An ordered set of pairwise-distinct connected spreads over one poset, checked here once.
 
     The duplicate check leaves one map from each support to its member
-    index, which coverage and `radical_generators` read; the Hom digraph is
-    derived from the members.
+    index, which coverage and `radical_generators` read.  Its loop also
+    keeps, for each element a, two member bitsets: `_holding[a]`, the
+    members whose support holds a, and `_ending[a]`, the members with a
+    target at a.  The Hom digraph is derived from the members, and each
+    `hom_row` decides only the pairs that these bitsets leave.
     """
 
     def __init__(self, poset: Poset, members):
         self.poset = poset
         members = tuple(members)
         index: dict[int, int] = {}  # support -> member index
+        holding = [0] * poset.n  # a -> the members whose support holds a, as a bitset
+        ending = [0] * poset.n   # a -> the members with a target at a, as a bitset
         for i, s in enumerate(members):
             if s.poset != poset:
                 raise PosetMismatchError(f"member {s.render()} lives over a different poset")
@@ -84,8 +91,14 @@ class Family:
                 raise NotConnectedError(f"member {s.render()} has disconnected support")
             if index.setdefault(s.support, i) != i:
                 raise DuplicateSpreadError(f"spread {s.render()} appears twice")
+            bit = 1 << i
+            for a in iter_mask(s.support):
+                holding[a] |= bit
+            for a in iter_mask(s.targets):
+                ending[a] |= bit
         self.members = members
         self._index = index
+        self._holding, self._ending = holding, ending
         self._rows: dict[int, dict[int, tuple[int, ...]]] = {}  # i -> `hom_row(i)`
         self._radical: dict[int, tuple[tuple[int, int], ...]] = {}  # i -> `radical_generators(i)`
         self._diagnostics: FamilyDiagnostics | None = None
@@ -110,13 +123,18 @@ class Family:
         """{j: `pair_hom(i, j)`} for each j with Hom(member_i, member_j) != 0, by j.
 
         Row i of the sparse member Hom digraph, combinatorial and field-free;
-        computed on first read, against every member.
+        computed on first read.  Hom(member_i, member_j) is 0 unless member_j
+        holds a source of member_i and has a target in it, so the union of
+        `_holding` over the sources of member_i, cut by the union of
+        `_ending` over its support, is every j worth deciding, and
+        `spread_hom_components` decides each from masks.
         """
         row = self._rows.get(i)
         if row is None:
-            s = self.members[i]
+            members, s = self.members, self.members[i]
+            candidates = union_over(self._holding, s.sources) & union_over(self._ending, s.support)
             row = self._rows[i] = {
-                j: comps for j, t in enumerate(self.members) if (comps := spread_hom_components(s, t))
+                j: comps for j in iter_mask(candidates) if (comps := spread_hom_components(s, members[j]))
             }
         return row
 

@@ -231,7 +231,14 @@ def main(argv=None) -> int:
                 raise ValueError(f"kind {args.kind!r} does not read --{option}")
             if not spec and option == wanted:
                 raise FileFormatError(f"kind {args.kind!r} needs --{option}")
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # as Python's SIGPIPE note advises: stdout goes to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: the reader closed the output pipe", file=sys.stderr)
+        return 1
     except (ResolutionTruncatedError, CapExceededError) as e:
         print(f"undecided: {e}", file=sys.stderr)
         return 2

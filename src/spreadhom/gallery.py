@@ -12,11 +12,16 @@ def chain(n: int) -> Poset:
 
 
 def grid(nx: int, ny: int, base: int = 0) -> Poset:
-    """The product of two chains; element (i, j) is labeled f"{i+base}{j+base}"."""
+    """The product of two chains; element (i, j) is labeled f"{i+base}{j+base}".
+
+    Once a coordinate can reach two digits the label puts a "-" between
+    them, since (1, 11) and (11, 1) would both read "111".
+    """
     def ident(i, j):
         return i * ny + j
 
-    names = [f"{i + base}{j + base}" for i in range(nx) for j in range(ny)]
+    sep = "-" if max(nx, ny) - 1 + base >= 10 else ""
+    names = [f"{i + base}{sep}{j + base}" for i in range(nx) for j in range(ny)]
     covers = []
     for i in range(nx):
         for j in range(ny):

@@ -11,6 +11,10 @@
     `spread_hom_dim` counts them.  Hom(M_S, M_T) is 0 unless a source of S
     lies in T and a target of T lies in S: a valid component contains the
     sources of S below it and the targets of T above it, hence one of each.
+    The intersection B is convex, so no other component of B lies below or
+    above a component: it is valid exactly when it misses
+    ↑(sources(S) ∖ T) ∪ ↓(targets(T) ∖ S), a test on masks, and B is one
+    component when S has one source or T one target.
   - into any N: Yoneda.  M_S is a quotient of ⊕_{a ∈ min S} P_a and
     Hom(P_a, N) = N_a, so a morphism is a column (v_a) of N_a stacked over
     the sources a of S by increasing id, its source coordinates, whose pushes
@@ -168,21 +172,38 @@ def hom_dim(m: PersistenceModule, n: PersistenceModule) -> int:
 def spread_hom_components(s: Spread, t: Spread) -> tuple[int, ...]:
     """Supports of the indicator basis of Hom(M_s, M_t), by largest element id.
 
-    A component X of the support intersection carries a morphism when every
+    A component X of B = supp s ∩ supp t carries a morphism when every
     source of s lying below X belongs to X and every target of t lying above
     X belongs to X.  Such an X holds a source of s and a target of t, so a
     pair without a source of s in t or a target of t in s is rejected before
     any component is computed.
+
+    B is convex, so b ≤ x in B puts the interval [b, x], and a Hasse path
+    from b to x, inside B: no other component of B lies below or above X.
+    The sources of s outside X that lie below X are therefore outside t, and
+    the targets of t outside X above it are outside s.  So X is valid exactly
+    when it misses bad = B ∩ (↑(sources(s) ∖ t) ∪ ↓(targets(t) ∖ s)), and
+    the search starts only at the sources of s in B ∖ bad.  A pair that
+    passes the rejection has a source of s in B, the least element of B when
+    s has no other, and a target of t in B, the greatest when t has no
+    other: then B is one component, and the answer is (B,) or ().
     """
     p = s.poset
     if t.poset is not p and t.poset != p:  # identity first: this runs per member pair
         raise PosetMismatchError("spreads live over different posets")
     if not (s.sources & t.support and t.targets & s.support):
         return ()
+    both = s.support & t.support
+    bad = both & (p.up_set(s.sources & ~t.support) | p.down_set(t.targets & ~s.support))
+    if s.sources.bit_count() == 1 or t.targets.bit_count() == 1:
+        return () if bad else (both,)
     out = []
-    for comp in p.connected_components(s.support & t.support):
-        if not p.up_set(s.sources & ~comp) & comp and not p.down_set(t.targets & ~comp) & comp:
+    starts = s.sources & both & ~bad  # a valid component holds a source of s
+    while starts:
+        comp = p.component_of((starts & -starts).bit_length() - 1, both)
+        if not comp & bad:
             out.append(comp)
+        starts &= ~comp
     if len(out) > 1:
         out.sort(key=int.bit_length)
     return tuple(out)

@@ -258,18 +258,15 @@ class Poset:
         if mask == 0:
             return False
         start = mask & -mask
-        comp = self._component_from(start.bit_length() - 1, mask)
+        comp = self.component_of(start.bit_length() - 1, mask)
         return comp == mask
 
-    def _component_from(self, a: int, mask: int) -> int:
-        comp = 1 << a
-        frontier = comp
+    def component_of(self, a: int, mask: int) -> int:
+        """The component of a in the Hasse graph restricted to mask; a must lie in mask."""
+        comp = frontier = 1 << a
         while frontier:
-            nxt = 0
-            for x in iter_mask(frontier):
-                nxt |= self._adj[x] & mask & ~comp
-            comp |= nxt
-            frontier = nxt
+            frontier = union_over(self._adj, frontier) & mask & ~comp
+            comp |= frontier
         return comp
 
     def connected_components(self, mask: int) -> tuple[int, ...]:
@@ -277,7 +274,7 @@ class Poset:
         rest = mask
         while rest:
             a = (rest & -rest).bit_length() - 1
-            comp = self._component_from(a, rest)
+            comp = self.component_of(a, rest)
             comps.append(comp)
             rest &= ~comp
         return tuple(comps)
@@ -365,7 +362,12 @@ class SubPoset:
 
 
 class Spread:
-    """A convex subset recorded as [sources, targets] antichains (bitmasks); immutable."""
+    """A convex subset recorded as [sources, targets] antichains (bitmasks); immutable.
+
+    Built directly, the support must be convex, with the sources as its
+    minimal elements and the targets as its maximal ones: `is_connected`
+    and the Hom routes read them so.  Every builder in this module gives that.
+    """
 
     __slots__ = ("poset", "support", "sources", "targets")
 
@@ -394,6 +396,9 @@ class Spread:
         return bin(self.support).count("1")
 
     def is_connected(self) -> bool:
+        """Connected support.  One source lies below, or one target above, every element: no search."""
+        if self.sources.bit_count() == 1 or self.targets.bit_count() == 1:
+            return True
         return self.poset.is_connected(self.support)
 
     def render(self) -> str:

@@ -34,6 +34,7 @@ from spreadhom import (
 )
 from spreadhom.gallery import (
     atilde5_family,
+    chain,
     fan,
     funnel,
     generator_posets,
@@ -47,6 +48,7 @@ from spreadhom.poset import iter_mask, kahn_order, mask_of
 from spreadhom.randmod import random_module
 
 from helpers import (
+    ORACLE_SPREADS,
     approximation_morphism,
     assemble,
     connecting,
@@ -182,8 +184,30 @@ def _assert_rows_match_unfiltered(x):
 
 
 def test_hom_rows_match_unfiltered_components_on_small_posets():
-    for name, p in generator_posets(max_n=5):
-        _assert_rows_match_unfiltered(Family(p, enumerate_spreads(p, "connected_spreads")))
+    # every builtin kind, so the one-source and one-target shortcuts and the
+    # member index meet single- and multi-source members alike
+    for p in [p for _, p in generator_posets(max_n=5)] + [grid(4, 4), chain(12)]:
+        for kind in BUILTIN_FAMILIES:
+            _assert_rows_match_unfiltered(builtin_family(p, kind))
+
+
+@given(st.sampled_from(sorted(ORACLE_SPREADS)), st.data())
+def test_spread_hom_components_match_the_unfiltered_search(name, data):
+    spreads = ORACLE_SPREADS[name]
+    s, t = (spreads[data.draw(st.integers(0, len(spreads) - 1))] for _ in range(2))
+    assert spread_hom_components(s, t) == _all_components(s, t), (s.render(), t.render())
+
+
+def test_spread_is_connected_matches_the_poset_search():
+    # the oracle spreads are connected; their support intersections are
+    # convex and often not, with several sources and targets
+    for name, spreads in ORACLE_SPREADS.items():
+        p = spreads[0].poset
+        convex = {s.support & t.support for s in spreads for t in spreads} - {0}
+        for mask in convex:
+            s = spread_from_convex(p, mask)
+            assert s.is_connected() == p.is_connected(mask), (name, s.render())
+        assert any(not p.is_connected(mask) for mask in convex) or name == "funnel", name
 
 
 GRID33_SPREADS = enumerate_spreads(grid(3, 3), "connected_spreads")

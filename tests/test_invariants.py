@@ -737,8 +737,8 @@ def test_a_diagram_over_a_family_tests_no_connectivity(field, rng, monkeypatch):
     x = builtin_family(p, "connected_spreads")
     m = random_module(p, field, rng)
     tested = []
-    is_connected = Poset.is_connected
-    monkeypatch.setattr(Poset, "is_connected", lambda self, mask: tested.append(mask) or is_connected(self, mask))
+    is_connected = Spread.is_connected
+    monkeypatch.setattr(Spread, "is_connected", lambda self: tested.append(self.support) or is_connected(self))
     assert any(signed_diagram(m, x).coeffs)
     assert tested == []
     generalized_rank(m, x.members[0])

@@ -1096,15 +1096,19 @@ def test_cli_jsonl_resolve_payload(capsys):
     assert body["periodicity"] is not None
 
 
+def _child_env():
+    """The environment of a child that imports the same spreadhom, installed or not."""
+    home = str(Path(spreadhom.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))}
+
+
 def _run_python(*args, timeout=None):
     """`python *args` in a child that imports the same spreadhom, installed or not."""
-    home = str(Path(spreadhom.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [home, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
         timeout=timeout,
     )
 
@@ -1118,6 +1122,24 @@ def test_cli_entry_point_runs():
     proc = _run_entry_point("invariant", "dimvec", str(DATA / "diagram_x.yaml"))
     assert proc.returncode == 0
     assert "dimension vector" in proc.stdout
+
+
+def test_cli_reader_that_leaves_early_gets_one_error_line(tmp_path):
+    # 1 770 verdict lines, far more than a pipe holds, so the writer meets the closed pipe
+    mods = tmp_path / "mods"
+    mods.mkdir()
+    shutil.copy(DATA / "grid2x2.yaml", tmp_path / "grid2x2.yaml")
+    text = (DATA / "equal_rank_m.yaml").read_text().replace('"grid2x2.yaml"', '"../grid2x2.yaml"')
+    for k in range(60):
+        (mods / f"m{k:02}.yaml").write_text(text)
+    proc = subprocess.Popen([sys.executable, "-m", "spreadhom", "compare", "dimvec", "--batch", str(mods)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
+    assert proc.stdout.readline().endswith(": equal\n")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and len(err.splitlines()) == 1 and err.startswith("error:"), err
 
 
 # the CLI with an import hook that refuses numpy and its submodules

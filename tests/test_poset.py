@@ -110,6 +110,19 @@ def test_structural_equality():
     assert chain(3) != Poset(3, [(0, 1), (1, 2)], names=["a", "b", "c"])
 
 
+def test_grid_labels_stay_distinct_past_ten():
+    # one digit per coordinate up to side 10, as every data file and golden output reads them
+    for nx in range(1, 11):
+        for ny in range(1, 11):
+            assert grid(nx, ny).names == tuple(f"{i}{j}" for i in range(nx) for j in range(ny))
+    assert grid(9, 9, base=1).names == tuple(f"{i}{j}" for i in range(1, 10) for j in range(1, 10))
+    # (1, 10) and (11, 0) would both read "110"
+    p = grid(12, 11)
+    assert len(set(p.names)) == p.n == 132
+    assert (p.label(1 * 11 + 10), p.label(11 * 11), p.label(12 * 11 - 1)) == ("1-10", "11-0", "11-10")
+    assert grid(10, 10, base=1).label(0) == "1-1"
+
+
 # -- order queries against the closure oracle --------------------------------
 
 
